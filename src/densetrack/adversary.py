@@ -91,7 +91,7 @@ class RandomChurnAdversary(Adversary):
                 continue
             e = edge_key(u, v)
             present = (g.has_edge(u, v) or e in added) and e not in removed
-            if not present:
+            if not present and e not in self.protected:
                 return e
         return None
 
@@ -160,19 +160,22 @@ class TargetedAdversary(RandomChurnAdversary):
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
         self._refresh_core(g, round_)
         batch: list[Edit] = []
-        removed: set[Edge] = set()
+        # every slot sees the round-start graph, so later slots must stay off
+        # the edges earlier ones edited or the batch repeats an edit
+        touched: set[Edge] = set()
         for _ in range(self.rate):
             inside = [e for e in g.edges()
                       if e[0] in self._core and e[1] in self._core
-                      and e not in self.protected and e not in removed]
+                      and e not in self.protected and e not in touched]
             if inside and self.rng.random() < self.bias:
                 e = inside[int(self.rng.integers(len(inside)))]
-                removed.add(e)
-                batch.append((REMOVE, e[0], e[1]))
+                edits = [(REMOVE, e[0], e[1])]
             else:
                 sub = RandomChurnAdversary(rng=self.rng, rate=1, mode="balanced",
-                                           protected=self.protected | removed)
-                batch.extend(sub.edits_for_round(g, round_))
+                                           protected=self.protected | touched)
+                edits = sub.edits_for_round(g, round_)
+            touched.update(edge_key(u, v) for _, u, v in edits)
+            batch.extend(edits)
         return batch
 
 

@@ -94,10 +94,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_job(conf: dict) -> tuple[dict, bool]:
-    return _run_one(conf)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = json.loads(args.grid)
     unknown = set(grid) - {"epsilon", "rate", "n"}
@@ -127,9 +123,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 combos.append((key, conf))
     if args.jobs and args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_sweep_job, [c for _, c in combos])
+            results = pool.map(_run_one, [c for _, c in combos])
     else:
-        results = [_sweep_job(c) for _, c in combos]
+        results = [_run_one(c) for _, c in combos]
     all_ok = True
     for (key, _), (summary, ok) in zip(combos, results):
         all_ok &= ok

@@ -27,6 +27,11 @@ stay at the identity), which the maintenance loop relies on.
 pairs - same schedule, exact outputs - to isolate protocol logic from
 estimator noise in tests.  ``strict`` mode serializes one tuple coordinate
 per round (l*D rounds instead of D) for literal per-edge bandwidth limits.
+
+:class:`CountPipeline` is the one implementation of a counting window
+(coarse, ``N = 2 * coarse``, fine, finalize, or the exact union on the same
+schedule).  The protocol's node, edge and padding counts and the standalone
+:func:`run_node_count` / :func:`run_edge_count` all drive it.
 """
 
 from __future__ import annotations
@@ -225,9 +230,7 @@ class MergeStage:
                                  float(self.acc[pos // self.diameter]))
             return ExpTuplePart(self.tag, self.acc)
         if self.kind == "ids":
-            count = int(np.bitwise_count(self.acc).sum()) if hasattr(np, "bitwise_count") \
-                else int(sum(bin(int(w)).count("1") for w in self.acc))
-            return IdSetPart(self.tag, self.acc, count,
+            return IdSetPart(self.tag, self.acc, ids_count(self),
                              id_bit_width(self.node_count))
         return DegreesPart(self.tag, self.acc, id_bit_width(self.node_count))
 
@@ -279,9 +282,7 @@ def degs_stage(tag: str, diameter: int, node_count: int, node_id: int,
 def ids_count(stage: MergeStage) -> int:
     if stage.acc is None:
         return 0
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(stage.acc).sum())
-    return int(sum(bin(int(w)).count("1") for w in stage.acc))
+    return int(np.bitwise_count(stage.acc).sum())
 
 
 def degs_sum(stage: MergeStage) -> int:
@@ -289,6 +290,93 @@ def degs_sum(stage: MergeStage) -> int:
         return 0
     d = stage.acc
     return int(d[d >= 0].sum())
+
+
+# -- the counting window ----------------------------------------------------------
+
+
+class CountPipeline:
+    """One node's side of a counting window: coarse stage, fine tuple length
+    from ``N = 2 * coarse``, fine stage, finalize.
+
+    A window spans ``2 * D`` rounds (``(l_geo + l_exp) * D`` in strict mode).
+    Exact mode floods one union through both halves instead: member ids for
+    a node count, (id, degree) pairs for an edge count.
+
+    The caller starts a window with its (coarse, fine) tag pair, whether this
+    node contributes and, for an edge count, its degree inside the counted
+    set, which it simulates as that many members (in exact mode a member of
+    degree 0 still contributes its entry).  It feeds ``stage`` the inbox
+    parts whose tag matches and calls :meth:`step` every round; ``step``
+    draws the fine tuple at the coarse boundary and returns the total when
+    the window closes.  An empty subset counts 0 in every mode.
+    """
+
+    def __init__(self, node_id: int, node_count: int, diameter: int, *,
+                 delta_fail: float, epsilon: float, c: float, exact: bool,
+                 strict: bool):
+        self.node_id = node_id
+        self.node_count = node_count
+        self.diameter = diameter
+        self.coarse_len = coarse_tuple_len(delta_fail)
+        self.epsilon = epsilon
+        self.c = c
+        self.exact = exact
+        self.strict = strict
+        self.stage: MergeStage | None = None
+        self.tags = ("", "")
+        self.contributes = False
+        self.copies = 1
+        self.fine = False       # past the coarse boundary
+        self.boundary = 0       # round of the next stage boundary
+        self.coarse = 0.0
+        self.truncated = 0      # toss draws capped at GEO_TOSS_CAP, all windows
+
+    def start(self, tags: tuple[str, str], round_: int,
+              rng: np.random.Generator, contributes: bool,
+              degree: int | None = None) -> None:
+        self.tags = tags
+        self.contributes = contributes
+        self.copies = 1 if degree is None else degree
+        self.fine = False
+        if not self.exact:
+            self.stage, truncated = geo_stage(
+                tags[0], self.diameter, self.coarse_len, contributes, rng,
+                copies=self.copies, strict=self.strict)
+            self.truncated += truncated
+        elif degree is None:
+            self.stage = ids_stage(tags[0], self.diameter, self.node_count,
+                                   self.node_id, contributes)
+        else:
+            self.stage = degs_stage(tags[0], self.diameter, self.node_count,
+                                    self.node_id, contributes, degree)
+        self.boundary = round_ + self.stage.rounds()
+
+    def step(self, round_: int, rng: np.random.Generator) -> float | None:
+        """Cross a stage boundary if ``round_`` is one; the window's total
+        when it closes, else None."""
+        if round_ != self.boundary:
+            return None
+        st = self.stage
+        if self.exact:
+            # one union floods through both halves of the window
+            total = float(ids_count(st) if st.kind == "ids" else degs_sum(st))
+        elif self.fine:
+            total = (0.0 if self.coarse == 0 else
+                     finalize_fine(st.acc if st.has_data else None))
+        else:
+            total = finalize_coarse(st.acc) if st.has_data else 0.0
+        if self.fine:
+            self.stage = None
+            return total
+        self.fine, self.coarse = True, total
+        if not self.exact:
+            length = fine_tuple_len(2.0 * total, self.epsilon, self.c)
+            self.stage = exp_stage(self.tags[1], self.diameter, length,
+                                   self.contributes and total > 0, rng,
+                                   copies=self.copies, strict=self.strict)
+        self.boundary = round_ + self.stage.rounds()
+        return None
 
 
 # -- standalone counting runs (used directly by tests and the CLI) -------------
@@ -304,79 +392,55 @@ class CountResult:
 
 
 class _CountingHandler:
-    """Runs coarse (D rounds) then fine (D rounds) for one subset, or the
-    exact union pipeline on the same schedule, then idles."""
+    """Runs one counting window for one node, then idles."""
 
-    def __init__(self, node_id: int, node_count: int, member: bool,
-                 diameter: int, delta_fail: float, epsilon: float,
-                 c: float, copies: int, exact: bool, strict: bool):
-        self.node_id = node_id
-        self.node_count = node_count
+    def __init__(self, count: CountPipeline, member: bool,
+                 degree: int | None):
+        self.count = count
         self.member = member
-        self.D = diameter
-        self.delta_fail = delta_fail
-        self.epsilon = epsilon
-        self.c = c
-        self.copies = copies
-        self.exact = exact
-        self.strict = strict
-        self.stage: MergeStage | None = None
-        self.phase = "init"
-        self.boundary = 0
-        self.coarse_result: float | None = None
+        self.degree = degree
         self.estimate: float | None = None
-        self.truncated = 0
         self.finished_at: int | None = None
 
     def step(self, ctx: StepContext) -> list[MessagePart] | None:
-        if self.stage is not None:
+        count = self.count
+        st = count.stage
+        if st is None:
+            if self.finished_at is not None:
+                return None
+            count.start(("cnt.c", "cnt.f"), ctx.round, ctx.rng, self.member,
+                        self.degree)
+        else:
             for msg in ctx.inbox:
                 for part in msg.parts:
-                    if part.tag == self.stage.tag:
-                        self.stage.absorb(part)
-        if self.phase == "init":
-            if self.exact:
-                self.stage = ids_stage("cnt.c", self.D, self.node_count,
-                                       self.node_id, self.member and self.copies > 0)
-            else:
-                length = coarse_tuple_len(self.delta_fail)
-                self.stage, self.truncated = geo_stage(
-                    "cnt.c", self.D, length, self.member, ctx.rng,
-                    copies=self.copies, strict=self.strict)
-            self.phase = "coarse"
-            self.boundary = ctx.round + self.stage.rounds()
-        elif self.phase == "coarse" and ctx.round == self.boundary:
-            if self.exact:
-                self.coarse_result = float(ids_count(self.stage))
-                # exact mode: keep unioning through the fine half of the window
-            else:
-                self.coarse_result = finalize_coarse(
-                    self.stage.acc if self.stage.has_data
-                    else np.zeros(1, np.uint8))
-                length = fine_tuple_len(2.0 * self.coarse_result,
-                                        self.epsilon, self.c)
-                self.stage = exp_stage("cnt.f", self.D, length,
-                                       self.member and self.coarse_result > 0,
-                                       ctx.rng, copies=self.copies,
-                                       strict=self.strict)
-            self.phase = "fine"
-            self.boundary = ctx.round + (self.stage.rounds() if not self.exact
-                                         else self.D)
-        elif self.phase == "fine" and ctx.round == self.boundary:
-            if self.exact:
-                self.estimate = float(ids_count(self.stage))
-            elif self.coarse_result == 0:
-                self.estimate = 0.0
-            else:
-                self.estimate = finalize_fine(
-                    self.stage.acc if self.stage.has_data else None)
-            self.phase = "done"
-            self.finished_at = ctx.round
-            self.stage = None
-        if self.stage is None:
-            return None
-        part = self.stage.emit()
+                    if part.tag == st.tag:
+                        st.absorb(part)
+            total = count.step(ctx.round, ctx.rng)
+            if total is not None:
+                self.estimate = total
+                self.finished_at = ctx.round
+                return None
+        part = count.stage.emit()
         return [part] if part else None
+
+
+def _run_count(graph: DynamicGraph, members: set[int], diameter: int,
+               degrees: dict[int, int] | None, delta_fail: float,
+               epsilon: float, c: float, seed: int, exact: bool, strict: bool,
+               adversary) -> CountResult:
+    handlers = [_CountingHandler(
+        CountPipeline(i, graph.node_count, diameter, delta_fail=delta_fail,
+                      epsilon=epsilon, c=c, exact=exact, strict=strict),
+        i in members, None if degrees is None else degrees[i])
+        for i in range(graph.node_count)]
+    world = World(graph, handlers, seed=seed, adversary=adversary)
+    start = world.clock.round
+    while any(h.finished_at is None for h in handlers):
+        world.run_round()
+    return CountResult([h.estimate for h in handlers],
+                       [h.count.coarse for h in handlers],
+                       handlers[0].finished_at - start, world,
+                       sum(h.count.truncated for h in handlers))
 
 
 def run_node_count(graph: DynamicGraph, members: set[int], diameter: int,
@@ -388,18 +452,8 @@ def run_node_count(graph: DynamicGraph, members: set[int], diameter: int,
     The combined coarse+fine window spans exactly ``2*D`` communication
     rounds (``(l_geo + l_exp) * D`` in strict mode).
     """
-    handlers = [_CountingHandler(i, graph.node_count, i in members, diameter,
-                                 delta_fail, epsilon, c, 1, exact, strict)
-                for i in range(graph.node_count)]
-    world = World(graph, handlers, seed=seed, adversary=adversary)
-    start = world.clock.round
-    while any(h.phase != "done" for h in handlers):
-        world.run_round()
-    rounds_used = handlers[0].finished_at - start
-    return CountResult([h.estimate for h in handlers],
-                       [h.coarse_result for h in handlers],
-                       rounds_used, world,
-                       sum(h.truncated for h in handlers))
+    return _run_count(graph, members, diameter, None, delta_fail, epsilon, c,
+                      seed, exact, strict, adversary)
 
 
 def run_edge_count(graph: DynamicGraph, members: set[int], diameter: int,
@@ -414,58 +468,10 @@ def run_edge_count(graph: DynamicGraph, members: set[int], diameter: int,
     """
     degs = {u: (len(graph.adj[u] & members) if u in members else 0)
             for u in range(graph.node_count)}
-    if exact:
-        handlers: list = [_ExactEdgeHandler(i, graph.node_count, i in members,
-                                            degs[i], diameter)
-                          for i in range(graph.node_count)]
-    else:
-        handlers = [_CountingHandler(i, graph.node_count, i in members, diameter,
-                                     delta_fail, epsilon, c, degs[i], exact=False,
-                                     strict=strict)
-                    for i in range(graph.node_count)]
-    world = World(graph, handlers, seed=seed)
-    start = world.clock.round
-    while any(h.phase != "done" for h in handlers):
-        world.run_round()
-    rounds_used = handlers[0].finished_at - start
-    return CountResult([h.estimate / 2.0 for h in handlers],
-                       [h.coarse_result for h in handlers],
-                       rounds_used, world,
-                       sum(getattr(h, "truncated", 0) for h in handlers))
-
-
-class _ExactEdgeHandler:
-    """Exact edge counting: union of (id, degree) pairs over 2D rounds."""
-
-    def __init__(self, node_id: int, node_count: int, member: bool,
-                 degree: int, diameter: int):
-        self.stage = degs_stage("cnt.c", diameter, node_count, node_id, member,
-                                degree)
-        self.D = diameter
-        self.phase = "init"
-        self.boundary = 0
-        self.coarse_result: float | None = None
-        self.estimate: float | None = None
-        self.finished_at: int | None = None
-
-    def step(self, ctx: StepContext) -> list[MessagePart] | None:
-        for msg in ctx.inbox:
-            for part in msg.parts:
-                if part.tag == self.stage.tag:
-                    self.stage.absorb(part)
-        if self.phase == "init":
-            self.phase = "run"
-            self.boundary = ctx.round + 2 * self.D
-        elif self.phase == "run" and ctx.round == self.boundary:
-            self.coarse_result = float(degs_sum(self.stage))
-            self.estimate = float(degs_sum(self.stage))
-            self.phase = "done"
-            self.finished_at = ctx.round
-            return None
-        elif self.phase == "done":
-            return None
-        part = self.stage.emit()
-        return [part] if part else None
+    res = _run_count(graph, members, diameter, degs, delta_fail, epsilon, c,
+                     seed, exact, strict, None)
+    res.estimates = [e / 2.0 for e in res.estimates]
+    return res
 
 
 # -- direct-path samplers (distribution oracles for Monte-Carlo tests) ---------

@@ -26,6 +26,10 @@ class HandlerPanic(DensetrackError):
         super().__init__(f"handler failed at node {node}, round {round_}: {message}")
 
 
+class RoundCapExceeded(DensetrackError):
+    """A run reached its hard round cap with its duration or a query open."""
+
+
 class DesyncDetected(DensetrackError):
     """Per-level scalar records diverged across nodes (simulator bug)."""
 

@@ -41,7 +41,6 @@ class DynamicGraph:
     time: int = 0
     adj: list[set[int]] = field(default_factory=list)
     edge_count: int = 0
-    mutation_log: list[tuple[int, tuple[Edit, ...]]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -62,10 +61,8 @@ class DynamicGraph:
         return g
 
     def copy(self) -> "DynamicGraph":
-        g = DynamicGraph(self.node_count, self.churn_rate, self.time,
-                         [set(s) for s in self.adj], self.edge_count,
-                         list(self.mutation_log))
-        return g
+        return DynamicGraph(self.node_count, self.churn_rate, self.time,
+                            [set(s) for s in self.adj], self.edge_count)
 
     # -- queries -----------------------------------------------------------
 
@@ -136,7 +133,6 @@ class DynamicGraph:
                 (self._delete if op == ADD else self._insert)(u, v)
             raise
         self.time += 1
-        self.mutation_log.append((self.time, tuple(batch)))
         return self
 
 

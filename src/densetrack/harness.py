@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import adversary_from_spec
-from .errors import ConfigError, DesyncDetected
+from .errors import ConfigError, DesyncDetected, RoundCapExceeded
 from .graph import DynamicGraph, induced_density
 from .netsim import EventLog, World
 from .oracle import OracleCache, at_least_k_bounds
@@ -226,94 +226,98 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         log = EventLog(path)
         log.append({"event": "config", "config": config.raw,
                     "seed": config.seed})
-    handlers = [ProtocolNode(i, g.node_count, params)
-                for i in range(g.node_count)]
-    world = World(g, handlers, seed=config.seed, adversary=adversary, log=log)
-    state = _RunState(world, handlers)
-    world.on_compute_end.append(state.on_compute_end)
+    try:
+        handlers = [ProtocolNode(i, g.node_count, params)
+                    for i in range(g.node_count)]
+        world = World(g, handlers, seed=config.seed, adversary=adversary, log=log)
+        state = _RunState(world, handlers)
+        world.on_compute_end.append(state.on_compute_end)
 
-    duration = config.duration
-    target_passes = duration.get("passes")
-    target_rounds = duration.get("rounds")
-    qspec = config.queries
-    fired = 0
-    last_seen_pass = 0
-    pending_rounds = sorted(qspec["rounds"]) if qspec and qspec["mode"] == "at-rounds" else []
-    for r in pending_rounds:
-        world.inject_query(r, int(qspec["k"]))
-    hard_cap = (target_rounds if target_rounds is not None else
-                (target_passes + 2) * params.p_cap * level_round_cost(params.diameter)
-                + params.pad_cap * 2 * params.diameter + 64)
-    if params.strict_congest:
-        hard_cap *= 4096
+        duration = config.duration
+        target_passes = duration.get("passes")
+        target_rounds = duration.get("rounds")
+        qspec = config.queries
+        fired = 0
+        last_seen_pass = 0
+        pending_rounds = sorted(qspec["rounds"]) if qspec and qspec["mode"] == "at-rounds" else []
+        for r in pending_rounds:
+            world.inject_query(r, int(qspec["k"]))
+        hard_cap = (target_rounds if target_rounds is not None else
+                    (target_passes + 2) * params.p_cap * level_round_cost(params.diameter)
+                    + params.pad_cap * 2 * params.diameter + 64)
+        if params.strict_congest:
+            hard_cap *= 4096
 
-    def queries_pending() -> bool:
-        return handlers[0].query is not None or bool(world._pending_query)
+        def queries_pending() -> bool:
+            return handlers[0].query is not None or bool(world._pending_query)
 
-    while True:
-        r = world.clock.round
-        if (qspec and qspec["mode"] == "per-pass"
-                and handlers[0].family_version > last_seen_pass):
-            last_seen_pass = handlers[0].family_version
-            if (handlers[0].pass_index >= int(qspec.get("start_pass", 1))
-                    and fired < int(qspec.get("limit") or 1 << 30)
+        while True:
+            r = world.clock.round
+            if (qspec and qspec["mode"] == "per-pass"
+                    and handlers[0].family_version > last_seen_pass):
+                last_seen_pass = handlers[0].family_version
+                if (handlers[0].pass_index >= int(qspec.get("start_pass", 1))
+                        and fired < int(qspec.get("limit") or 1 << 30)
+                        and not queries_pending()):
+                    world.inject_query(r, int(qspec["k"]))
+                    fired += 1
+            if target_rounds is not None and r >= target_rounds and not queries_pending():
+                break
+            if (target_passes is not None
+                    and handlers[0].pass_index >= target_passes
                     and not queries_pending()):
-                world.inject_query(r, int(qspec["k"]))
-                fired += 1
-        if target_rounds is not None and r >= target_rounds and not queries_pending():
-            break
-        if (target_passes is not None
-                and handlers[0].pass_index >= target_passes
-                and not queries_pending()):
-            break
-        if r >= hard_cap:
-            raise RuntimeError(f"run exceeded hard round cap {hard_cap}")
-        world.run_round()
+                break
+            if r >= hard_cap:
+                raise RoundCapExceeded(
+                    f"run exceeded hard round cap {hard_cap} with a query "
+                    f"open or its duration not done")
+            world.run_round()
 
-    # score collected queries
-    snap_by_pass = {fam.pass_index: fam for fam in state.published}
-    rows = []
-    for outs, snapshot_edges, round_ in state.pending_scores:
-        row = _score_query(outs, snapshot_edges, g.node_count, params, cache)
-        if row.get("status") == "answered":
-            finish_query_row(row, snap_by_pass[row["snapshot"]], params,
-                             churn_rate)
-        rows.append(row)
+        # score collected queries
+        snap_by_pass = {fam.pass_index: fam for fam in state.published}
+        rows = []
+        for outs, snapshot_edges, round_ in state.pending_scores:
+            row = _score_query(outs, snapshot_edges, g.node_count, params, cache)
+            if row.get("status") == "answered":
+                finish_query_row(row, snap_by_pass[row["snapshot"]], params,
+                                 churn_rate)
+            rows.append(row)
 
-    passes = []
-    for fam in state.published:
-        levels = [{"j": rec.j, "node_est": rec.node_est,
-                   "edge_est": rec.edge_est, "ratio": rec.ratio,
-                   "nodes_start": rec.nodes_start,
-                   "edges_start": rec.edges_start,
-                   "threshold_round": rec.threshold_round}
-                  for rec in fam.records]
-        passes.append({"pass": fam.pass_index, "start": fam.start_round,
-                       "end": fam.end_round,
-                       "length": fam.end_round - fam.start_round + 1,
-                       "closed_by": fam.closed_by, "levels": levels})
+        passes = []
+        for fam in state.published:
+            levels = [{"j": rec.j, "node_est": rec.node_est,
+                       "edge_est": rec.edge_est, "ratio": rec.ratio,
+                       "nodes_start": rec.nodes_start,
+                       "edges_start": rec.edges_start,
+                       "threshold_round": rec.threshold_round}
+                      for rec in fam.records]
+            passes.append({"pass": fam.pass_index, "start": fam.start_round,
+                           "end": fam.end_round,
+                           "length": fam.end_round - fam.start_round + 1,
+                           "closed_by": fam.closed_by, "levels": levels})
 
-    flags = {
-        "exact_counting": params.exact_counting,
-        "strict_congest": params.strict_congest,
-        "guarantee_failures": sum(
-            1 for row in rows if row.get("status") == "answered"
-            and row.get("conditioned") and not row.get("guarantee_ok")),
-        "size_failures": sum(
-            1 for row in rows if row.get("status") == "answered"
-            and not row.get("size_ok", True)),
-        "conditioned_queries": sum(
-            1 for row in rows if row.get("conditioned")),
-        "answered_queries": sum(
-            1 for row in rows if row.get("status") == "answered"),
-    }
-    if log:
-        log.close()
-    return RunReport(config=config.raw, seed=config.seed,
-                     rounds_run=world.clock.round, queries=rows, passes=passes,
-                     ledger=world.ledger.summary(),
-                     truncated_tosses=sum(h.truncated_tosses for h in handlers),
-                     log_digest=log.digest() if log else None, flags=flags)
+        flags = {
+            "exact_counting": params.exact_counting,
+            "strict_congest": params.strict_congest,
+            "guarantee_failures": sum(
+                1 for row in rows if row.get("status") == "answered"
+                and row.get("conditioned") and not row.get("guarantee_ok")),
+            "size_failures": sum(
+                1 for row in rows if row.get("status") == "answered"
+                and not row.get("size_ok", True)),
+            "conditioned_queries": sum(
+                1 for row in rows if row.get("conditioned")),
+            "answered_queries": sum(
+                1 for row in rows if row.get("status") == "answered"),
+        }
+        return RunReport(config=config.raw, seed=config.seed,
+                         rounds_run=world.clock.round, queries=rows, passes=passes,
+                         ledger=world.ledger.summary(),
+                         truncated_tosses=sum(h.truncated_tosses for h in handlers),
+                         log_digest=log.digest() if log else None, flags=flags)
+    finally:
+        if log:
+            log.close()
 
 
 # -- budget checks ---------------------------------------------------------------
@@ -327,8 +331,7 @@ class BudgetCheck:
 
 def check_round_budget(report: RunReport) -> BudgetCheck:
     """Pass lengths vs ``p_cap*(4D+1)``, exact 2D counting spans, padding caps."""
-    conf = ScenarioConfig.from_dict(report.config)
-    built, params = conf.build()
+    _, params = ScenarioConfig.from_dict(report.config).build()
     if params.strict_congest:
         return BudgetCheck([{"check": "strict-mode", "ok": True,
                              "note": "round budgets apply to logical mode"}], True)
@@ -340,10 +343,6 @@ def check_round_budget(report: RunReport) -> BudgetCheck:
         row = {"check": "pass-length", "pass": p["pass"],
                "length": p["length"], "limit": limit,
                "ok": p["length"] <= limit}
-        # the very first pass carries the initial node count for level 0 plus
-        # the closure-detection tail; later passes reuse n_0
-        if p["pass"] == 0 and p["closed_by"] != "cap":
-            row["limit"] = limit
         ok &= row["ok"]
         rows.append(row)
         for lvl in p["levels"]:

@@ -33,16 +33,6 @@ from .protocol import threshold_value
 
 ENUMERATION_LIMIT = 20
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)],
-                       dtype=np.uint8)
-
-
-def _popcount_u32(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint32)
-    return (_POPCOUNT16[x & np.uint32(0xFFFF)].astype(np.int32)
-            + _POPCOUNT16[x >> np.uint32(16)].astype(np.int32))
-
-
 @dataclass(frozen=True)
 class OracleResult:
     members: frozenset[int]
@@ -174,8 +164,8 @@ def _subset_edge_counts(g: DynamicGraph) -> np.ndarray:
     for v in range(n - 1, -1, -1):
         high = np.arange(1 << (n - v - 1), dtype=np.uint32) << np.uint32(v + 1)
         sub = high | np.uint32(1 << v)
-        counts[sub] = counts[high] + _popcount_u32(
-            np.uint32(adj_masks[v]) & high)
+        counts[sub] = counts[high] + np.bitwise_count(
+            np.uint32(adj_masks[v]) & high).astype(np.int32)
     return counts
 
 
@@ -207,7 +197,7 @@ def exact_at_least_k(g: DynamicGraph, k: int,
         raise ValueError(f"k={k} exceeds node count {n}")
     k_eff = max(k, 1)
     counts = _subset_edge_counts(g)
-    sizes = _popcount_u32(np.arange(1 << n, dtype=np.uint32))
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int32)
     valid = sizes >= k_eff
     # for n <= 20 all candidate ratios are exactly ordered in binary64
     dens = np.where(valid, counts / np.maximum(sizes, 1), -1.0)

@@ -4,15 +4,17 @@ family, and query-time extraction with randomized padding.
 Maintenance pipeline (all nodes in lockstep, driven only by the shared
 round counter and the diameter bound D):
 
-* level j opens with 2D rounds of node counting for V_j (coarse max-merge,
-  then fine min-merge seeded with N = 2 * coarse).  The last fine round also
-  carries a 1-bit membership marker so every node learns its degree inside
-  V_j without a separate warm-up round.
-* 2D rounds of edge counting follow (each member simulates d_u copies,
-  merged locally), then one threshold round: members broadcast membership,
-  count member neighbors, and survive into V_{j+1} iff their degree is at
-  least ``factor * m_j / n_j`` (ties stay; the ratio is evaluated once in
-  binary64 so every node compares the identical value).
+* level j opens with a 2D-round node-count window for V_j, run by
+  :class:`~densetrack.counting.CountPipeline` (coarse max-merge, then fine
+  min-merge seeded with N = 2 * coarse).  The last fine round also carries
+  a 1-bit membership marker so every node learns its degree inside V_j
+  without a separate warm-up round.
+* a 2D-round edge-count window follows through the same pipeline (each
+  member simulates d_u copies, merged locally), then one threshold round:
+  members broadcast membership, count member neighbors, and survive into
+  V_{j+1} iff their degree is at least ``factor * m_j / n_j`` (ties stay;
+  the ratio is evaluated once in binary64 so every node compares the
+  identical value).
 
 A level therefore costs exactly ``4D + 1`` communication rounds.
 
@@ -30,10 +32,11 @@ rounds.
 Queries snapshot the published family, pick ``argmax_i m_i / max(k, n_i)``
 (ties to the smallest index), and either answer immediately or run the
 padding loop: non-members enroll with probability ``delta_target / n_0``,
-the enrolled set is counted (2D rounds per attempt), and the loop accepts
-when the count lands in ``[(1+d)*target, (1+2d)*target]``.  After
-``pad_cap`` attempts the best attempt seen is returned with a loud warning
-flag instead of looping forever.
+the enrolled set is counted by a second pipeline beside the maintenance
+one (2D rounds per attempt), and the loop accepts when the count lands in
+``[(1+d)*target, (1+2d)*target]``.  After ``pad_cap`` attempts the best
+attempt seen is returned with a loud warning flag instead of looping
+forever.
 """
 
 from __future__ import annotations
@@ -41,19 +44,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .counting import (MergeStage, coarse_tuple_len, degs_stage, degs_sum,
-                       exp_stage, fine_tuple_len, finalize_coarse,
-                       finalize_fine, geo_stage, ids_count, ids_stage)
+from .counting import CountPipeline
+# bench/tracer.py wraps these four names in this module's namespace (its
+# counting.stage layer); the stages themselves are built in counting
+from .counting import degs_stage, exp_stage, geo_stage, ids_stage  # noqa: F401
 from .errors import UnknownSnapshot
 from .netsim import FlagsPart, MessagePart, StepContext
 
-MAINT_TAGS = {"nc": "m.nc", "nf": "m.nf", "ec": "m.ec", "ef": "m.ef"}
+# (coarse, fine) tag pairs of the three counting windows
+NODE_TAGS = ("m.nc", "m.nf")
+EDGE_TAGS = ("m.ec", "m.ef")
+QUERY_TAGS = ("q.pc", "q.pf")
 MEMBER_TAG = "m.member"
 DROP_TAG = "m.drop"
-QUERY_COARSE_TAG = "q.pc"
-QUERY_FINE_TAG = "q.pf"
 
 
 def threshold_value(ratio: float, factor: float) -> float:
@@ -198,10 +201,6 @@ class _QueryRun:
     attempt: int = 0
     coins: list[bool] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
-    seg: str = "pc"
-    boundary: int = 0
-    stage: MergeStage | None = None
-    coarse: float = 0.0
 
 
 class ProtocolNode:
@@ -211,10 +210,8 @@ class ProtocolNode:
         self.node_id = node_id
         self.node_count = node_count
         self.params = params
-        # maintenance machine
-        self.seg = "nc"
-        self.seg_start = 0
-        self.seg_len = params.diameter
+        # maintenance machine: segment "nodes", "edges" or "threshold"
+        self.seg = "nodes"
         self.level = 0
         self.member = True
         self.records: list[LevelRecord] = []
@@ -228,46 +225,31 @@ class ProtocolNode:
         self.du = 0
         self.drop_out = False   # my own "I dropped" bit
         self.drop_seen = False  # OR over the flooding window
-        self.stage: MergeStage | None = None
-        self.coarse: float = 0.0
         self.family: FamilySnapshot | None = None
         self.family_version = 0
-        self.truncated_tosses = 0
         self._member_flags_heard = 0
         self._started = False
+        # one counting window at a time per machine; they share the settings
+        self.count, self.query_count = (
+            CountPipeline(node_id, node_count, params.diameter,
+                          delta_fail=params.delta_fail,
+                          epsilon=params.counting_eps, c=params.c,
+                          exact=params.exact_counting,
+                          strict=params.strict_congest)
+            for _ in range(2))
         # query machine
         self.query: _QueryRun | None = None
         self.outcomes: list[QueryOutcome] = []
 
-    # -- helpers ----------------------------------------------------------
-
-    def _fresh_geo(self, tag: str, rng, copies: int = 1) -> MergeStage:
-        st, trunc = geo_stage(tag, self.params.diameter,
-                              coarse_tuple_len(self.params.delta_fail),
-                              self.member, rng, copies=copies,
-                              strict=self.params.strict_congest)
-        self.truncated_tosses += trunc
-        return st
-
-    def _segment_rounds(self, seg: str) -> int:
-        if seg == "th":
-            return 1
-        if self.stage is not None and self.params.strict_congest:
-            return self.stage.rounds()
-        return self.params.diameter
-
-    def _enter(self, seg: str, round_: int, stage: MergeStage | None) -> None:
-        self.seg = seg
-        self.seg_start = round_
-        self.stage = stage
-        self.seg_len = self._segment_rounds(seg)
+    @property
+    def truncated_tosses(self) -> int:
+        return self.count.truncated + self.query_count.truncated
 
     # -- absorb -----------------------------------------------------------
 
     def _absorb(self, ctx: StepContext) -> None:
-        q_tag = None
-        if self.query and self.query.stage is not None:
-            q_tag = self.query.stage.tag
+        st = self.count.stage
+        q_st = self.query_count.stage
         for msg in ctx.inbox:
             for part in msg.parts:
                 if isinstance(part, FlagsPart):
@@ -275,25 +257,33 @@ class ProtocolNode:
                         self._member_flags_heard += 1
                     if part.tag == DROP_TAG and part.dropped:
                         self.drop_seen = True
-                elif self.stage is not None and part.tag == self.stage.tag:
-                    self.stage.absorb(part)
-                elif q_tag is not None and part.tag == q_tag:
-                    self.query.stage.absorb(part)
+                elif st is not None and part.tag == st.tag:
+                    st.absorb(part)
+                elif q_st is not None and part.tag == q_st.tag:
+                    q_st.absorb(part)
 
     # -- maintenance transitions -------------------------------------------
 
-    def _close_pass(self, round_: int, reason: str) -> None:
+    def _count_nodes(self, ctx: StepContext) -> None:
+        self.seg = "nodes"
+        self.count.start(NODE_TAGS, ctx.round, ctx.rng, self.member)
+
+    def _count_edges(self, ctx: StepContext) -> None:
+        self.seg = "edges"
+        self.level_edges_start = ctx.round
+        self.count.start(EDGE_TAGS, ctx.round, ctx.rng, self.member, self.du)
+
+    def _close_pass(self, ctx: StepContext, reason: str) -> None:
+        """Publish the finished family and restart at level 0, reusing n_0."""
         self.family = FamilySnapshot(
             pass_index=self.pass_index,
             records=tuple(self.records),
             flags=tuple(self.flags[:len(self.records)]),
             start_round=self.pass_start,
-            end_round=round_ - 1,
+            end_round=ctx.round - 1,
             closed_by=reason)
         self.family_version += 1
         self.pass_index += 1
-
-    def _restart_level0(self, ctx: StepContext) -> None:
         self.level = 0
         self.member = True
         self.records = []
@@ -301,110 +291,18 @@ class ProtocolNode:
         self.pass_start = ctx.round
         self.level_node_est = self.n0
         self.level_nodes_start = None
-        self.level_edges_start = ctx.round
         self.du = ctx.neighbor_count
-        self._enter("ec", ctx.round, self._edge_coarse_stage(ctx))
-
-    def _edge_coarse_stage(self, ctx: StepContext) -> MergeStage:
-        p = self.params
-        if p.exact_counting:
-            return degs_stage(MAINT_TAGS["ec"], p.diameter, self.node_count,
-                              self.node_id, self.member, self.du)
-        st, trunc = geo_stage(MAINT_TAGS["ec"], p.diameter,
-                              coarse_tuple_len(p.delta_fail),
-                              self.member and self.du > 0, ctx.rng,
-                              copies=max(self.du, 1) if self.member else 0,
-                              strict=p.strict_congest)
-        self.truncated_tosses += trunc
-        return st
+        self._count_edges(ctx)
 
     def _advance(self, ctx: StepContext) -> None:
-        if self.seg == "th" or self.stage is not None:
-            boundary = self.seg_start + self.seg_len
-        else:
-            boundary = None
-        if boundary is None or ctx.round != boundary:
-            return
+        """The one place that picks the next segment."""
         p = self.params
-        seg = self.seg
-        if seg == "nc":
-            if p.exact_counting:
-                # the union keeps flooding through the fine half of the window
-                self._enter("nf", ctx.round, self.stage)
-            else:
-                self.coarse = finalize_coarse(
-                    self.stage.acc if self.stage.has_data
-                    else np.zeros(1, np.uint8))
-                length = fine_tuple_len(2.0 * self.coarse, p.counting_eps, p.c)
-                self._enter("nf", ctx.round,
-                            exp_stage(MAINT_TAGS["nf"], p.diameter, length,
-                                      self.member and self.coarse > 0,
-                                      ctx.rng, strict=p.strict_congest))
-            return
-        if seg == "nf":
-            if p.exact_counting:
-                n_est = float(ids_count(self.stage))
-            elif self.coarse == 0:
-                n_est = 0.0
-            else:
-                n_est = finalize_fine(self.stage.acc if self.stage.has_data
-                                      else None)
-            drop_seen, self.drop_seen = self.drop_seen, False
-            du_heard, self._member_flags_heard = self._member_flags_heard, 0
-            if self.level == 0 and self.n0 is None:
-                self.n0 = n_est
-            if n_est == 0.0:
-                self._close_pass(ctx.round, "empty")
-                self._restart_level0(ctx)
-            elif self.level > 0 and not drop_seen:
-                self._close_pass(ctx.round, "fixed-point")
-                self._restart_level0(ctx)
-            else:
-                self.level_node_est = n_est
-                self.du = du_heard if self.member else 0
-                self.level_edges_start = ctx.round
-                self._enter("ec", ctx.round, self._edge_coarse_stage(ctx))
-            return
-        if seg == "ec":
-            if p.exact_counting:
-                self._enter("ef", ctx.round, self.stage)
-            else:
-                self.coarse = finalize_coarse(
-                    self.stage.acc if self.stage.has_data
-                    else np.zeros(1, np.uint8))
-                length = fine_tuple_len(2.0 * self.coarse, p.counting_eps, p.c)
-                self._enter("ef", ctx.round,
-                            exp_stage(MAINT_TAGS["ef"], p.diameter, length,
-                                      self.member and self.du > 0
-                                      and self.coarse > 0,
-                                      ctx.rng, copies=max(self.du, 1),
-                                      strict=p.strict_congest))
-            return
-        if seg == "ef":
-            if p.exact_counting:
-                total = float(degs_sum(self.stage))
-            elif self.coarse == 0:
-                total = 0.0
-            else:
-                total = finalize_fine(self.stage.acc if self.stage.has_data
-                                      else None)
-            m_est = total / 2.0
-            n_est = self.level_node_est
-            rec = LevelRecord(self.level, n_est, m_est, m_est / n_est,
-                              self.level_nodes_start, self.level_edges_start,
-                              None)
-            self.records.append(rec)
-            if len(self.records) >= p.p_cap:
-                self._close_pass(ctx.round, "cap")
-                self._restart_level0(ctx)
-            else:
-                self._enter("th", ctx.round, None)
-            return
-        if seg == "th":
+        if self.seg == "threshold":
+            # one membership round, opened the round before
             deg = self._member_flags_heard
             self._member_flags_heard = 0
             rec = self.records[-1]
-            self.records[-1] = replace(rec, threshold_round=self.seg_start)
+            self.records[-1] = replace(rec, threshold_round=ctx.round - 1)
             thr = threshold_value(rec.ratio, p.factor)
             new_member = self.member and deg >= thr
             self.drop_out = self.member and not new_member
@@ -413,29 +311,53 @@ class ProtocolNode:
             self.flags.append(new_member)
             self.level += 1
             self.level_nodes_start = ctx.round
-            self._enter("nc", ctx.round,
-                        self._fresh_geo(MAINT_TAGS["nc"], ctx.rng)
-                        if not p.exact_counting else
-                        ids_stage(MAINT_TAGS["nc"], p.diameter,
-                                  self.node_count, self.node_id, self.member))
+            self._count_nodes(ctx)
             return
+        total = self.count.step(ctx.round, ctx.rng)
+        if total is None:
+            return
+        if self.seg == "nodes":
+            drop_seen, self.drop_seen = self.drop_seen, False
+            du_heard, self._member_flags_heard = self._member_flags_heard, 0
+            if self.level == 0 and self.n0 is None:
+                self.n0 = total
+            if total == 0.0:
+                self._close_pass(ctx, "empty")
+            elif self.level > 0 and not drop_seen:
+                self._close_pass(ctx, "fixed-point")
+            else:
+                self.level_node_est = total
+                self.du = du_heard if self.member else 0
+                self._count_edges(ctx)
+            return
+        m_est = total / 2.0
+        n_est = self.level_node_est
+        self.records.append(LevelRecord(
+            self.level, n_est, m_est, m_est / n_est, self.level_nodes_start,
+            self.level_edges_start, None))
+        if len(self.records) >= p.p_cap:
+            self._close_pass(ctx, "cap")
+        else:
+            self.seg = "threshold"
 
     def _emit(self, ctx: StepContext) -> list[MessagePart]:
         parts: list[MessagePart] = []
-        if self.seg == "th":
+        if self.seg == "threshold":
             if self.member:
                 parts.append(FlagsPart(MEMBER_TAG, member=True))
             return parts
-        if self.stage is None:
-            return parts
-        part = self.stage.emit()
+        count = self.count
+        part = count.stage.emit()
         if part is not None:
             parts.append(part)
-        if self.seg == "nc" and self.drop_seen:
-            parts.append(FlagsPart(DROP_TAG, dropped=True))
-        if (self.seg == "nf" and self.member
-                and ctx.round == self.seg_start + self.seg_len - 1):
-            parts.append(FlagsPart(MEMBER_TAG, member=True))
+        if self.seg == "nodes":
+            # the drop bit rides the coarse rounds, the membership marker
+            # the last fine round
+            if not count.fine and self.drop_seen:
+                parts.append(FlagsPart(DROP_TAG, dropped=True))
+            if (count.fine and self.member
+                    and ctx.round == count.boundary - 1):
+                parts.append(FlagsPart(MEMBER_TAG, member=True))
         return parts
 
     # -- query machine ------------------------------------------------------
@@ -468,21 +390,11 @@ class ProtocolNode:
         self._begin_attempt(ctx)
 
     def _begin_attempt(self, ctx: StepContext) -> None:
-        q, p = self.query, self.params
+        q = self.query
         q.attempt += 1
         enrolled = (not q.member_vi) and bool(ctx.rng.random() < q.head_p)
         q.coins.append(enrolled)
-        if p.exact_counting:
-            q.stage = ids_stage(QUERY_COARSE_TAG, p.diameter, self.node_count,
-                                self.node_id, enrolled)
-        else:
-            q.stage, trunc = geo_stage(QUERY_COARSE_TAG, p.diameter,
-                                       coarse_tuple_len(p.delta_fail),
-                                       enrolled, ctx.rng,
-                                       strict=p.strict_congest)
-            self.truncated_tosses += trunc
-        q.seg = "pc"
-        q.boundary = ctx.round + q.stage.rounds()
+        self.query_count.start(QUERY_TAGS, ctx.round, ctx.rng, enrolled)
 
     def _finish_query(self, ctx: StepContext, accepted: int | None,
                       cap_exceeded: bool) -> None:
@@ -507,41 +419,19 @@ class ProtocolNode:
         self.query = None
 
     def _query_advance_emit(self, ctx: StepContext) -> list[MessagePart]:
-        q, p = self.query, self.params
-        if ctx.round == q.boundary:
-            if q.seg == "pc":
-                if p.exact_counting:
-                    q.seg = "pf"
-                    q.boundary = ctx.round + p.diameter
-                else:
-                    q.coarse = finalize_coarse(
-                        q.stage.acc if q.stage.has_data
-                        else np.zeros(1, np.uint8))
-                    length = fine_tuple_len(2.0 * q.coarse, p.counting_eps, p.c)
-                    enrolled = q.coins[-1]
-                    q.stage = exp_stage(QUERY_FINE_TAG, p.diameter, length,
-                                        enrolled and q.coarse > 0, ctx.rng,
-                                        strict=p.strict_congest)
-                    q.seg = "pf"
-                    q.boundary = ctx.round + q.stage.rounds()
-            else:
-                if p.exact_counting:
-                    est = float(ids_count(q.stage))
-                elif q.coarse == 0:
-                    est = 0.0
-                else:
-                    est = finalize_fine(q.stage.acc if q.stage.has_data
-                                        else None)
-                q.estimates.append(est)
-                lo, hi = q.window
-                if lo <= est <= hi:
-                    self._finish_query(ctx, len(q.estimates) - 1, False)
-                    return []
-                if q.attempt >= p.pad_cap:
-                    self._finish_query(ctx, None, True)
-                    return []
-                self._begin_attempt(ctx)
-        part = q.stage.emit()
+        q = self.query
+        est = self.query_count.step(ctx.round, ctx.rng)
+        if est is not None:
+            q.estimates.append(est)
+            lo, hi = q.window
+            if lo <= est <= hi:
+                self._finish_query(ctx, len(q.estimates) - 1, False)
+                return []
+            if q.attempt >= self.params.pad_cap:
+                self._finish_query(ctx, None, True)
+                return []
+            self._begin_attempt(ctx)
+        part = self.query_count.stage.emit()
         return [part] if part else []
 
     # -- engine entry point ---------------------------------------------------
@@ -550,12 +440,7 @@ class ProtocolNode:
         self._absorb(ctx)
         if not self._started:
             self._started = True
-            p = self.params
-            self._enter("nc", ctx.round,
-                        self._fresh_geo(MAINT_TAGS["nc"], ctx.rng)
-                        if not p.exact_counting else
-                        ids_stage(MAINT_TAGS["nc"], p.diameter,
-                                  self.node_count, self.node_id, True))
+            self._count_nodes(ctx)
         else:
             self._advance(ctx)
         parts = self._emit(ctx)

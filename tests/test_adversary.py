@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from densetrack.adversary import (RandomChurnAdversary, ScriptedAdversary,
                                   TargetedAdversary, adversary_from_spec)
 from densetrack.errors import ChurnBudgetExceeded, ConfigError, InvalidEdit
-from densetrack.graph import DynamicGraph
+from densetrack.graph import DynamicGraph, edge_key
+from densetrack.harness import run_scenario
 
 
 def small_graph():
@@ -76,6 +79,29 @@ def test_targeted_prefers_dense_core():
                     core_hits += 1
         g.apply_churn(batch)
     assert removals > 0 and core_hits >= removals * 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_targeted_rate_two_never_repeats_an_edge(seed, tmp_path):
+    # at rate >= 2 each slot sees the round-start graph; a slot that edited
+    # an edge already edited in the batch made apply_churn raise InvalidEdit
+    conf = {"seed": seed,
+            "graph": {"kind": "planted-dense", "n": 60, "clique": 30,
+                      "noise_p": 0.05, "hub_star": True},
+            "adversary": {"kind": "targeted-attack-on-dense-core", "rate": 2,
+                          "protect": "backbone", "refresh_every": 10},
+            "protocol": {"epsilon": 1.0, "k": 0, "diameter": 2},
+            "duration": {"rounds": 400}, "queries": None, "report": {}}
+    log = tmp_path / "events.ndjson"
+    report = run_scenario(conf, log_path=str(log))
+    assert report.rounds_run == 400
+    batches = [rec["edits"] for rec in map(json.loads,
+                                           log.read_text().splitlines())
+               if rec.get("event") == "churn"]
+    assert sum(map(len, batches)) > 400
+    for edits in batches:
+        edges = [edge_key(u, v) for _, u, v in edits]
+        assert len(set(edges)) == len(edges), edits
 
 
 def test_spec_validation():

@@ -90,3 +90,21 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
                                 "protocol": {"epsilon": 1.0},
                                 "duration": {"passes": 1}}))
     assert main(["run", "--config", str(path)]) == 2
+
+
+def test_round_cap_exits_two(tmp_path, capsys):
+    # a padded k=7 query on a K6 with four pendants, fired at round 58 of a
+    # 60-round run, is still open at the cap
+    graph = tmp_path / "pad.txt"
+    graph.write_text("\n".join(
+        [f"{i} {j}" for i in range(6) for j in range(i + 1, 6)]
+        + [f"0 {v}" for v in (6, 7, 8, 9)]) + "\n")
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({
+        "seed": 4, "graph": {"kind": "edge-list", "path": str(graph)},
+        "protocol": {"epsilon": 0.96, "k": 7, "diameter": "auto",
+                     "exact_counting": True},
+        "duration": {"rounds": 60},
+        "queries": {"mode": "at-rounds", "rounds": [58], "k": 7}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "hard round cap 60" in capsys.readouterr().err

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from densetrack.errors import ConfigError
+from densetrack import harness
+from densetrack.errors import ConfigError, DensetrackError, RoundCapExceeded
 from densetrack.harness import (check_round_budget, emit_report, queries_csv,
                                 replay_log, run_scenario)
+from densetrack.netsim import EventLog
 from densetrack.scenarios import ScenarioConfig, build_graph, solve_planted_scenario
 
 
@@ -21,6 +23,22 @@ def k5_config(exact=True, epsilon=0.5):
         "queries": {"mode": "per-pass", "k": 0},
         "report": {},
     }
+
+
+def capped_padding_config(tmp_path):
+    """Criterion 5's K6 with four pendants, 60 rounds, a padded k=7 query at
+    round 58 that cannot finish before the cap."""
+    graph = tmp_path / "pad.txt"
+    graph.write_text("\n".join(
+        [f"{i} {j}" for i in range(6) for j in range(i + 1, 6)]
+        + [f"0 {v}" for v in (6, 7, 8, 9)]) + "\n")
+    return {"seed": 4, "graph": {"kind": "edge-list", "path": str(graph)},
+            "adversary": None,
+            "protocol": {"epsilon": 0.96, "k": 7, "diameter": "auto",
+                         "exact_counting": True},
+            "duration": {"rounds": 60},
+            "queries": {"mode": "at-rounds", "rounds": [58], "k": 7},
+            "report": {}}
 
 
 class TestConfigValidation:
@@ -124,6 +142,24 @@ class TestRunScenario:
         rep = run_scenario(conf)
         assert rep.flags["answered_queries"] == 3
         assert check_round_budget(rep).ok
+
+    def test_hard_round_cap_is_typed_and_closes_the_log(self, tmp_path,
+                                                         monkeypatch):
+        opened = []
+
+        class RecordingLog(EventLog):
+            def __init__(self, path=None):
+                super().__init__(path)
+                opened.append(self)
+
+        monkeypatch.setattr(harness, "EventLog", RecordingLog)
+        log = tmp_path / "events.ndjson"
+        with pytest.raises(RoundCapExceeded, match="hard round cap 60"):
+            run_scenario(capped_padding_config(tmp_path), log_path=str(log))
+        assert issubclass(RoundCapExceeded, DensetrackError)
+        assert len(opened) == 1 and opened[0]._fh is None
+        lines = log.read_text().splitlines()
+        assert len(lines) == opened[0].records > 60
 
     def test_hub_star_bounds_measured_dynamic_diameter(self):
         from densetrack.graph import measure_dynamic_diameter
