@@ -147,12 +147,22 @@ def finalize_fine(values: np.ndarray | None) -> float:
 # -- merge stages ---------------------------------------------------------------
 
 
+# kind -> (tuple part type, merge ufunc, accumulator dtype, identity)
+MERGE_RULES = {
+    "geo": (GeoTuplePart, np.maximum, np.uint8, 0),
+    "exp": (ExpTuplePart, np.minimum, np.float64, np.inf),
+    "ids": (IdSetPart, np.bitwise_or, np.uint64, 0),
+    "degs": (DegreesPart, np.maximum, np.int32, -1),
+}
+
+
 @dataclass
 class MergeStage:
     """One flood-merge accumulator driven by a node for D (or l*D) rounds.
 
-    ``kind`` selects the algebra: geo (max), exp (min), ids (union),
-    degs (entrywise max with -1 as unknown).
+    ``kind`` selects the algebra in :data:`MERGE_RULES`: geo (max), exp
+    (min), ids (union), degs (entrywise max with -1 as unknown).  Only geo
+    and exp stages are ever strict.
     """
 
     tag: str
@@ -166,73 +176,37 @@ class MergeStage:
     emitted: int = 0
 
     def rounds(self) -> int:
-        if self.strict and self.kind in ("geo", "exp"):
-            return self.length * self.diameter
-        return self.diameter
+        return self.length * self.diameter if self.strict else self.diameter
 
     def absorb(self, part: MessagePart) -> None:
+        part_type, merge, dtype, identity = MERGE_RULES[self.kind]
         if isinstance(part, CoordPart):
-            idx = part.index
-            if self.kind == "geo":
-                v = np.uint8(part.value)
-                if self.acc is None:
-                    self.acc = np.zeros(self.length, np.uint8)
-                if v > self.acc[idx]:
-                    self.acc[idx] = v
-            else:
-                if self.acc is None:
-                    self.acc = np.full(self.length, np.inf)
-                if part.value < self.acc[idx]:
-                    self.acc[idx] = part.value
-            self.has_data = True
-            return
-        if self.kind == "geo":
-            assert isinstance(part, GeoTuplePart)
             if self.acc is None:
-                self.acc = part.values.copy()
-            else:
-                np.maximum(self.acc, part.values, out=self.acc)
-            self.has_data = True
-        elif self.kind == "exp":
-            assert isinstance(part, ExpTuplePart)
-            if self.acc is None:
-                self.acc = part.values.copy()
-            else:
-                np.minimum(self.acc, part.values, out=self.acc)
-            self.has_data = True
-        elif self.kind == "ids":
-            assert isinstance(part, IdSetPart)
-            if self.acc is None:
-                self.acc = part.packed.copy()
-            else:
-                np.bitwise_or(self.acc, part.packed, out=self.acc)
-            self.has_data = True
+                self.acc = np.full(self.length, identity, dtype)
+            self.acc[part.index] = merge(self.acc[part.index], part.value)
         else:
-            assert isinstance(part, DegreesPart)
+            assert isinstance(part, part_type)
             if self.acc is None:
-                self.acc = part.degrees.copy()
+                self.acc = part.values.copy()
             else:
-                np.maximum(self.acc, part.degrees, out=self.acc)
-            self.has_data = True
+                merge(self.acc, part.values, out=self.acc)
+        self.has_data = True
 
     def emit(self) -> MessagePart | None:
         pos, self.emitted = self.emitted, self.emitted + 1
         if not self.has_data:
             return None
-        if self.kind == "geo":
-            if self.strict:
-                return CoordPart(self.tag, "geo", pos // self.diameter,
-                                 float(self.acc[pos // self.diameter]))
-            return GeoTuplePart(self.tag, self.acc)
-        if self.kind == "exp":
-            if self.strict:
-                return CoordPart(self.tag, "exp", pos // self.diameter,
-                                 float(self.acc[pos // self.diameter]))
-            return ExpTuplePart(self.tag, self.acc)
+        if self.strict:
+            i = pos // self.diameter
+            return CoordPart(self.tag, self.kind, i, float(self.acc[i]))
         if self.kind == "ids":
             return IdSetPart(self.tag, self.acc, ids_count(self),
                              id_bit_width(self.node_count))
-        return DegreesPart(self.tag, self.acc, id_bit_width(self.node_count))
+        if self.kind == "degs":
+            return DegreesPart(self.tag, self.acc,
+                               id_bit_width(self.node_count))
+        part_type = MERGE_RULES[self.kind][0]  # geo or exp: the bare tuple
+        return part_type(self.tag, self.acc)
 
 
 def geo_stage(tag: str, diameter: int, length: int, member: bool,

@@ -100,7 +100,7 @@ class IdSetPart:
     """Exact-counting mode: idempotent union of member ids (packed bits)."""
 
     tag: str
-    packed: np.ndarray  # uint64 bitset words
+    values: np.ndarray  # uint64 bitset words
     count: int
     id_bits: int
 
@@ -108,7 +108,7 @@ class IdSetPart:
         return self.count * self.id_bits
 
     def canonical_bytes(self) -> bytes:
-        return b"I" + self.tag.encode() + self.packed.astype("<u8").tobytes()
+        return b"I" + self.tag.encode() + self.values.astype("<u8").tobytes()
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,15 @@ class DegreesPart:
     (-1 marks unknown entries)."""
 
     tag: str
-    degrees: np.ndarray  # int32, -1 where unknown
+    values: np.ndarray  # int32 degrees, -1 where unknown
     id_bits: int
 
     def bit_size(self) -> int:
-        known = int((self.degrees >= 0).sum())
+        known = int((self.values >= 0).sum())
         return known * 2 * self.id_bits
 
     def canonical_bytes(self) -> bytes:
-        return b"D" + self.tag.encode() + self.degrees.astype("<i4").tobytes()
+        return b"D" + self.tag.encode() + self.values.astype("<i4").tobytes()
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,9 @@ class BandwidthLedger:
         self.total_bits = 0
         self.total_deliveries = 0
 
-    def record_broadcast(self, msg: RoundMessage, copies: int) -> None:
+    def record_broadcast(self, msg: RoundMessage, copies: int) -> int:
+        """Meter one broadcast sent to ``copies`` neighbors; returns its
+        bit size."""
         total = 0
         for part in msg.parts:
             bits = part.bit_size()
@@ -223,6 +225,7 @@ class BandwidthLedger:
         self.global_max_bits = max(self.global_max_bits, total)
         self.total_bits += total * copies
         self.total_deliveries += copies
+        return total
 
     def summary(self) -> dict:
         return {
@@ -363,14 +366,14 @@ class World:
             # staged is in sender-id order, so each inbox is too; neighbor
             # iteration order never leaks anywhere
             nbrs = self.graph.neighbors(msg.sender)
-            self.ledger.record_broadcast(msg, len(nbrs))
+            bits = self.ledger.record_broadcast(msg, len(nbrs))
             for v in nbrs:
                 self._inboxes[v].append(msg)
             if self.log:
                 self.log.append({"round": r, "node": msg.sender,
                                  "event": "broadcast",
                                  "payload_hash": msg.payload_hash(),
-                                 "bits": msg.bit_size()})
+                                 "bits": bits})
         self.clock.phase = "churn"
         edits = self.adversary.edits_for_round(self.graph, r)
         self.graph.apply_churn(edits)
