@@ -163,6 +163,11 @@ class MergeStage:
     ``kind`` selects the algebra in :data:`MERGE_RULES`: geo (max), exp
     (min), ids (union), degs (entrywise max with -1 as unknown).  Only geo
     and exp stages are ever strict.
+
+    A broadcast is a value: the stage never writes an array it has emitted
+    or adopted from a part (``shared``), so a receiver that steps after the
+    sender still reads what was sent.  The first merge into a shared array
+    is out of place; later merges that round stay in place.
     """
 
     tag: str
@@ -174,6 +179,7 @@ class MergeStage:
     length: int = 0  # tuple length (geo/exp)
     node_count: int = 0  # ids/degs metering
     emitted: int = 0
+    shared: bool = False  # acc is also an emitted or adopted part's values
 
     def rounds(self) -> int:
         return self.length * self.diameter if self.strict else self.diameter
@@ -187,7 +193,9 @@ class MergeStage:
         else:
             assert isinstance(part, part_type)
             if self.acc is None:
-                self.acc = part.values.copy()
+                self.acc, self.shared = part.values, True
+            elif self.shared:
+                self.acc, self.shared = merge(self.acc, part.values), False
             else:
                 merge(self.acc, part.values, out=self.acc)
         self.has_data = True
@@ -199,6 +207,7 @@ class MergeStage:
         if self.strict:
             i = pos // self.diameter
             return CoordPart(self.tag, self.kind, i, float(self.acc[i]))
+        self.shared = True
         if self.kind == "ids":
             return IdSetPart(self.tag, self.acc, ids_count(self),
                              id_bit_width(self.node_count))

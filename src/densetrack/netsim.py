@@ -353,6 +353,7 @@ class World:
             ctx = StepContext(round=r, node_id=h.id, inbox=inboxes[h.id],
                               neighbor_count=self.graph.degree(h.id),
                               rng=h.rng, query_inject=inject)
+            inboxes[h.id] = None  # senders' arrays die with their last reader
             try:
                 parts = h.handler.step(ctx)
             except Exception as exc:  # surfaced with node id and round

@@ -7,8 +7,9 @@ from scipy import stats
 
 from densetrack import counting
 from densetrack.adversary import ScriptedAdversary
-from densetrack.graph import DynamicGraph
-from densetrack.netsim import ExpTuplePart, GeoTuplePart, assert_bandwidth
+from densetrack.graph import DynamicGraph, bfs_distances
+from densetrack.netsim import (ExpTuplePart, GeoTuplePart, IdSetPart,
+                               assert_bandwidth)
 
 
 class StubRng:
@@ -177,6 +178,60 @@ class TestMergeAlgebra:
         vals = np.array([2.0, 1.0, 5.0])
         s.absorb(ExpTuplePart("t", vals))
         assert np.array_equal(s.acc, vals)
+
+
+def static_graph(kind, n, rng):
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "cycle":
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    else:  # random tree: node i hangs off an earlier node
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+    return DynamicGraph.from_edges(n, edges)
+
+
+class TestBroadcastValues:
+    """A node learns in round r+1 only what its neighbours broadcast in
+    round r, whatever the order in which nodes step."""
+
+    def test_path_counts_only_the_2d_ball(self):
+        g = static_graph("path", 8, None)
+        res = counting.run_node_count(g, set(range(8)), 1, exact=True)
+        assert res.estimates == [3.0, 4.0, 5.0, 5.0, 5.0, 5.0, 4.0, 3.0]
+
+    @given(st.sampled_from(["path", "cycle", "tree"]), st.integers(3, 12),
+           st.integers(1, 3), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_count_is_the_members_within_2d_hops(self, kind, n, d,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        g = static_graph(kind, n, rng)
+        members = {v for v in range(n) if rng.random() < 0.6}
+        res = counting.run_node_count(g, members, d, exact=True)
+        want = []
+        for u in range(n):
+            dist = bfs_distances(g.adj, u)
+            want.append(float(sum(1 for v in members if dist[v] <= 2 * d)))
+        assert res.estimates == want
+
+    def test_emitted_part_keeps_its_values(self):
+        stage, _ = counting.geo_stage("t", 1, 3, True,
+                                      np.random.default_rng(0))
+        part = stage.emit()
+        sent = part.values.copy()
+        stage.absorb(GeoTuplePart("t", np.full(3, 64, np.uint8)))
+        stage.absorb(GeoTuplePart("t", np.full(3, 64, np.uint8)))
+        assert np.array_equal(part.values, sent)
+        assert np.array_equal(stage.acc, np.full(3, 64, np.uint8))
+
+    def test_adopted_part_keeps_its_values(self):
+        first = IdSetPart("t", np.array([1], np.uint64), 1, 3)
+        stage = counting.MergeStage("t", "ids", 1, node_count=8)
+        stage.absorb(first)
+        stage.absorb(IdSetPart("t", np.array([2], np.uint64), 1, 3))
+        stage.absorb(IdSetPart("t", np.array([4], np.uint64), 1, 3))
+        assert first.values.tolist() == [1]
+        assert counting.ids_count(stage) == 3
 
 
 EULER_GAMMA = 0.5772156649015329

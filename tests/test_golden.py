@@ -70,23 +70,23 @@ CONFIGS = {
 # name -> (sha256 of report.to_json_bytes(), event-log digest)
 GOLDEN = {
     "criterion-8": (
-        "2d935e3d37dfd52a4683dba296db32ec4a98e16c50cf18c34b4286ff5662dd34",
-        "898f6014239d929f102e51922ca8179f"),
+        "c2372f97b13de7dcf3a06092f2066e38227a74df9a48985bf3e636a48928cc14",
+        "2833fbcdb3718f3795ae29e5b63d18f8"),
     "criterion-8-exact": (
-        "3130c8cd390477e078aee150c1bcbe757c067d1d251d8aca8418600c89918986",
-        "0ce1dcc63b125be50f62a5b0a0feaf76"),
+        "aacc8a2ce524160e6f39fda6d6aeef24cc338c7d8a90012d7b2f5e19fe4387bd",
+        "57e69c5c3138a474aee9c03573264714"),
     "strict-congest": (
         "97f390b43913877a317947d4f721eaf73a5ed20c4cd6beb73d21580d2e480a4a",
         "298fd8a52e973401c8d48e17cb44a2fb"),
     "k6-pendants-exact-padded": (
-        "71d28c68484bdf33a81a6f5423406a07d166c3cb791f4185609f50cd0a4c03b0",
-        "d034499f105327dc12fcab28cea37303"),
+        "65fcfc3062f131ea8e673616279e915cdb86e04db1d8d95a7a18f35c3b8f898d",
+        "0f6d711b7958181d1c67b10affbb8955"),
     "estimator-padding": (
-        "58efa3a075933c714e618e36ee0921c30f6394d97ded7ba9ad5e27683b2a9682",
-        "4d5ca80e0f5476de27d632a526b09546"),
+        "cc7c20a6558879590faa9217fa61216f49faed95769de28672fb97cf98e5bc8b",
+        "476e2f9d31f953c8661ce3a7f3a91932"),
     "targeted-core": (
-        "8e4de4ff120564e21b9cf10b73e3fe5b61a2fe6cd849e93fd1d372912704adc4",
-        "fe4465ae5d769a28122179e0d9e2fe0a"),
+        "e7a6080c3622f807cda1300bb463977f50b337211d43dc4867df64b8e0dda88d",
+        "b005d4624150271863e152fae1d18ef6"),
 }
 
 
