@@ -239,9 +239,9 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         qspec = config.queries
         fired = 0
         last_seen_pass = 0
-        pending_rounds = sorted(qspec["rounds"]) if qspec and qspec["mode"] == "at-rounds" else []
-        for r in pending_rounds:
-            world.inject_query(r, int(qspec["k"]))
+        # at-rounds queries wait in order (duplicates kept); the head fires
+        # at the first round at or after its own with no query active
+        queue = sorted(qspec["rounds"]) if qspec and qspec["mode"] == "at-rounds" else []
         hard_cap = (target_rounds if target_rounds is not None else
                     (target_passes + 2) * params.p_cap * level_round_cost(params.diameter)
                     + params.pad_cap * 2 * params.diameter + 64)
@@ -249,23 +249,28 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
             hard_cap *= 4096
 
         def queries_pending() -> bool:
-            return handlers[0].query is not None or bool(world._pending_query)
+            return handlers[0].query is not None or bool(queue)
 
         while True:
             r = world.clock.round
+            fire = False
             if (qspec and qspec["mode"] == "per-pass"
                     and handlers[0].family_version > last_seen_pass):
                 last_seen_pass = handlers[0].family_version
                 if (handlers[0].pass_index >= int(qspec.get("start_pass", 1))
                         and fired < int(qspec.get("limit") or 1 << 30)
                         and not queries_pending()):
-                    world.inject_query(r, int(qspec["k"]))
+                    fire = True
                     fired += 1
-            if target_rounds is not None and r >= target_rounds and not queries_pending():
-                break
-            if (target_passes is not None
-                    and handlers[0].pass_index >= target_passes
-                    and not queries_pending()):
+            if queue and queue[0] <= r and handlers[0].query is None:
+                queue.pop(0)
+                fire = True
+            if fire:
+                world.inject_query(r, int(qspec["k"]))
+            elif not queries_pending() and (
+                    (target_rounds is not None and r >= target_rounds)
+                    or (target_passes is not None
+                        and handlers[0].pass_index >= target_passes)):
                 break
             if r >= hard_cap:
                 raise RoundCapExceeded(

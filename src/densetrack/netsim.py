@@ -341,6 +341,8 @@ class World:
     def inject_query(self, round_: int, k: int) -> None:
         if round_ < self.clock.round:
             raise ValueError("cannot inject a query in the past")
+        if round_ in self._pending_query:
+            raise ValueError(f"round {round_} already holds a query")
         self._pending_query[round_] = k
 
     def run_round(self) -> None:

@@ -26,6 +26,10 @@ Config schema (JSON; unknown keys are rejected everywhere)::
                | {"mode": "at-rounds", "rounds": [10, 50], "k": 0},
       "report": {"emit_log": false, "out": null}
     }
+
+At-rounds queries queue in round order, duplicates included: each fires at
+the first round at or after its own in which no other query is active, and
+its ``round_fired`` is the round it actually fired.
 """
 
 from __future__ import annotations

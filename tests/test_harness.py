@@ -25,20 +25,26 @@ def k5_config(exact=True, epsilon=0.5):
     }
 
 
-def capped_padding_config(tmp_path):
-    """Criterion 5's K6 with four pendants, 60 rounds, a padded k=7 query at
-    round 58 that cannot finish before the cap."""
+def k6_pendants_config(tmp_path, duration, rounds, k=7):
+    """Criterion 5's K6 with four pendants, exact counting, at-rounds
+    queries."""
     graph = tmp_path / "pad.txt"
     graph.write_text("\n".join(
         [f"{i} {j}" for i in range(6) for j in range(i + 1, 6)]
         + [f"0 {v}" for v in (6, 7, 8, 9)]) + "\n")
     return {"seed": 4, "graph": {"kind": "edge-list", "path": str(graph)},
             "adversary": None,
-            "protocol": {"epsilon": 0.96, "k": 7, "diameter": "auto",
+            "protocol": {"epsilon": 0.96, "k": k, "diameter": "auto",
                          "exact_counting": True},
-            "duration": {"rounds": 60},
-            "queries": {"mode": "at-rounds", "rounds": [58], "k": 7},
+            "duration": duration,
+            "queries": {"mode": "at-rounds", "rounds": rounds, "k": k},
             "report": {}}
+
+
+def capped_padding_config(tmp_path):
+    """60 rounds, a padded k=7 query at round 58 that cannot finish before
+    the cap."""
+    return k6_pendants_config(tmp_path, {"rounds": 60}, [58])
 
 
 class TestConfigValidation:
@@ -160,6 +166,22 @@ class TestRunScenario:
         assert len(opened) == 1 and opened[0]._fh is None
         lines = log.read_text().splitlines()
         assert len(lines) == opened[0].records > 60
+
+    def test_duplicate_at_rounds_are_both_answered(self, tmp_path):
+        rep = run_scenario(k6_pendants_config(tmp_path, {"passes": 1},
+                                              [60, 60], k=0))
+        assert [(q["status"], q["round_fired"]) for q in rep.queries] == \
+            [("answered", 60), ("answered", 61)]
+
+    def test_overlapping_padded_queries_wait_their_turn(self, tmp_path):
+        rep = run_scenario(k6_pendants_config(tmp_path, {"passes": 1},
+                                              [80, 81]))
+        rows = rep.queries
+        assert [q["status"] for q in rows] == ["answered", "answered"]
+        assert all(q["padded"] for q in rows)
+        # the second fires the round after the first is answered
+        assert rows[0]["round_fired"] == 80
+        assert rows[1]["round_fired"] == rows[0]["round_answered"] + 1
 
     def test_hub_star_bounds_measured_dynamic_diameter(self):
         from densetrack.graph import measure_dynamic_diameter

@@ -154,3 +154,11 @@ def test_event_log_deterministic(tmp_path):
 def test_flags_part_bit_size():
     assert FlagsPart("f", member=True).bit_size() == 1
     assert FlagsPart("f", member=True, dropped=True).bit_size() == 2
+
+
+def test_second_query_in_one_round_is_rejected():
+    g = DynamicGraph.from_edges(2, [(0, 1)])
+    w = World(g, [Quiet(), Quiet()], seed=0)
+    w.inject_query(3, 0)
+    with pytest.raises(ValueError, match="already holds a query"):
+        w.inject_query(3, 5)
