@@ -51,6 +51,7 @@ class RunReport:
     truncated_tosses: int
     log_digest: str | None
     flags: dict
+    params: ProtocolParams  # read by check_round_budget, not serialized
 
     def to_json_bytes(self) -> bytes:
         payload = {"config": self.config, "seed": self.seed,
@@ -319,7 +320,8 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                          rounds_run=world.clock.round, queries=rows, passes=passes,
                          ledger=world.ledger.summary(),
                          truncated_tosses=sum(h.truncated_tosses for h in handlers),
-                         log_digest=log.digest() if log else None, flags=flags)
+                         log_digest=log.digest() if log else None, flags=flags,
+                         params=params)
     finally:
         if log:
             log.close()
@@ -336,7 +338,7 @@ class BudgetCheck:
 
 def check_round_budget(report: RunReport) -> BudgetCheck:
     """Pass lengths vs ``p_cap*(4D+1)``, exact 2D counting spans, padding caps."""
-    _, params = ScenarioConfig.from_dict(report.config).build()
+    params = report.params
     if params.strict_congest:
         return BudgetCheck([{"check": "strict-mode", "ok": True,
                              "note": "round budgets apply to logical mode"}], True)

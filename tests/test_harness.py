@@ -223,6 +223,16 @@ class TestBudget:
         kinds = {row["check"] for row in check.rows}
         assert "pass-length" in kinds and "edge-count-span" in kinds
 
+    def test_budget_reads_the_report_not_a_rebuilt_scenario(self,
+                                                            monkeypatch):
+        rep = run_scenario(k5_config())
+
+        def no_build(self):
+            raise AssertionError("check_round_budget rebuilt the scenario")
+
+        monkeypatch.setattr(ScenarioConfig, "build", no_build)
+        assert check_round_budget(rep).ok
+
     def test_padding_attempt_rows(self):
         conf = {
             "seed": 4,
