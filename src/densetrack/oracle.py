@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,23 +329,39 @@ class OracleCache:
         key = self._key(kind, g, **params)
         if key in self._mem:
             return self._mem[key]
-        if self.directory:
-            path = os.path.join(self.directory, key + ".json")
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-                res = OracleResult(frozenset(raw["members"]),
-                                   Fraction(raw["num"], raw["den"]),
-                                   raw["method"])
-                self._mem[key] = res
-                return res
-        res = compute()
+        path = (os.path.join(self.directory, key + ".json")
+                if self.directory else None)
+        res = _load_entry(path) if path else None
+        if res is None:
+            res = compute()
+            if path:
+                _store_entry(path, res)
         self._mem[key] = res
-        if self.directory:
-            path = os.path.join(self.directory, key + ".json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"members": sorted(res.members),
-                           "num": res.density.numerator,
-                           "den": res.density.denominator,
-                           "method": res.method}, fh)
         return res
+
+
+def _load_entry(path: str) -> OracleResult | None:
+    """A cached answer, or None when the entry is missing or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        return OracleResult(frozenset(raw["members"]),
+                            Fraction(raw["num"], raw["den"]), raw["method"])
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+
+
+def _store_entry(path: str, res: OracleResult) -> None:
+    """Write through a temporary file in the same directory, then rename, so
+    an interrupted write never leaves a truncated entry."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump({"members": sorted(res.members),
+                       "num": res.density.numerator,
+                       "den": res.density.denominator,
+                       "method": res.method}, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
