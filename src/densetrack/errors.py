@@ -38,10 +38,6 @@ class UnknownSnapshot(DensetrackError):
     """Membership query referenced a snapshot id that is not current."""
 
 
-class NoCompleteFamily(DensetrackError):
-    """A query arrived before the first complete candidate family."""
-
-
 class TooLargeForEnumeration(DensetrackError):
     """Brute-force oracle asked to enumerate more subsets than allowed."""
 

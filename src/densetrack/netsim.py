@@ -183,11 +183,9 @@ class RoundMessage:
 @dataclass
 class SimClock:
     round: int = 0
-    phase: str = "compute"  # compute -> deliver -> churn
 
     def advance(self) -> None:
         self.round += 1
-        self.phase = "compute"
 
 
 @dataclass
@@ -263,9 +261,9 @@ def assert_bandwidth(ledger: BandwidthLedger,
 class EventLog:
     """Newline-delimited JSON event stream plus a running digest."""
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self.path = path
-        self._fh = open(path, "w", encoding="utf-8") if path else None
+        self._fh = open(path, "w", encoding="utf-8")
         self._digest = hashlib.blake2b(digest_size=16)
         self.records = 0
 
@@ -273,8 +271,7 @@ class EventLog:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._digest.update(line.encode())
         self._digest.update(b"\n")
-        if self._fh:
-            self._fh.write(line + "\n")
+        self._fh.write(line + "\n")
         self.records += 1
 
     def digest(self) -> str:
@@ -350,7 +347,6 @@ class World:
         inboxes, self._inboxes = self._inboxes, [[] for _ in self.nodes]
         inject = self._pending_query.pop(r, None)
         staged: list[RoundMessage] = []
-        self.clock.phase = "compute"
         for h in self.nodes:
             ctx = StepContext(round=r, node_id=h.id, inbox=inboxes[h.id],
                               neighbor_count=self.graph.degree(h.id),
@@ -364,7 +360,6 @@ class World:
                 staged.append(RoundMessage(h.id, r, tuple(parts)))
         for cb in self.on_compute_end:
             cb(self)
-        self.clock.phase = "deliver"
         for msg in staged:
             # staged is in sender-id order, so each inbox is too; neighbor
             # iteration order never leaks anywhere
@@ -377,7 +372,6 @@ class World:
                                  "event": "broadcast",
                                  "payload_hash": msg.payload_hash(),
                                  "bits": bits})
-        self.clock.phase = "churn"
         edits = self.adversary.edits_for_round(self.graph, r)
         self.graph.apply_churn(edits)
         if edits and self.log:

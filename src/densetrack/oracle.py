@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ class OracleResult:
     members: frozenset[int]
     density: Fraction
     method: str
-    runtime_s: float = 0.0
 
 
 def _check_min_degree(g: DynamicGraph, members: frozenset[int],
@@ -104,7 +102,6 @@ class _FlowTester:
         self._template = csr_matrix(
             (self._caps.astype(np.int32), (self._rows, self._cols)),
             shape=(self.sink + 1, self.sink + 1))
-        self._csr_order = None
 
     def run(self, t: int) -> tuple[int, np.ndarray]:
         graph = self._template.copy()
@@ -126,11 +123,9 @@ class _FlowTester:
 
 def exact_densest(g: DynamicGraph) -> OracleResult:
     """Maximum-density subset with exact rational certification."""
-    t0 = time.perf_counter()
     n, m = g.node_count, g.edge_count
     if m == 0:
-        return OracleResult(frozenset({0}), Fraction(0), "maxflow",
-                            time.perf_counter() - t0)
+        return OracleResult(frozenset({0}), Fraction(0), "maxflow")
     q0 = n * (n - 1) if n > 1 else 1
     tester = _FlowTester(n, g.edges(), q0)
     lo, hi = 0, m * q0
@@ -149,7 +144,7 @@ def exact_densest(g: DynamicGraph) -> OracleResult:
         raise AssertionError("max-flow certificate produced an empty set")
     density = induced_density(g, members).density
     _check_min_degree(g, members, density)
-    return OracleResult(members, density, "maxflow", time.perf_counter() - t0)
+    return OracleResult(members, density, "maxflow")
 
 
 # -- exhaustive enumeration ------------------------------------------------------
@@ -190,7 +185,6 @@ def _lexmin_optimal_mask(optimal: np.ndarray, n: int) -> int:
 def exact_at_least_k(g: DynamicGraph, k: int,
                      limit: int = ENUMERATION_LIMIT) -> OracleResult:
     """Densest subset of size >= k by exhaustive enumeration (n <= limit)."""
-    t0 = time.perf_counter()
     n = g.node_count
     if n > limit:
         raise TooLargeForEnumeration(f"n={n} exceeds enumeration limit {limit}")
@@ -209,8 +203,7 @@ def exact_at_least_k(g: DynamicGraph, k: int,
     density = Fraction(int(counts[mask]), len(members))
     if k <= 1:
         _check_min_degree(g, members, density)
-    return OracleResult(members, density, "enumeration",
-                        time.perf_counter() - t0)
+    return OracleResult(members, density, "enumeration")
 
 
 def brute_force_densest(g: DynamicGraph,
