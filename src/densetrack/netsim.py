@@ -8,6 +8,8 @@ Each round has three phases, always in this order:
 * **deliver** - staged broadcasts reach the sender's neighbors *in the
   topology the round started with*; they appear in inboxes at the next
   round's compute phase, never earlier or later.  Channels are lossless.
+  A broadcast is the sender's state when it was staged, so D must bound the
+  dynamic diameter for a flood to reach every node in D rounds.
 * **churn** - the adversary edits up to ``churn_rate`` edges.
 
 A step function may read only its own state, its inbox, its current neighbor
