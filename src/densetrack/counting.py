@@ -208,14 +208,10 @@ class MergeStage:
             i = pos // self.diameter
             return CoordPart(self.tag, self.kind, i, float(self.acc[i]))
         self.shared = True
-        if self.kind == "ids":
-            return IdSetPart(self.tag, self.acc, ids_count(self),
-                             id_bit_width(self.node_count))
-        if self.kind == "degs":
-            return DegreesPart(self.tag, self.acc,
-                               id_bit_width(self.node_count))
-        part_type = MERGE_RULES[self.kind][0]  # geo or exp: the bare tuple
-        return part_type(self.tag, self.acc)
+        part_type = MERGE_RULES[self.kind][0]
+        if self.kind in ("geo", "exp"):
+            return part_type(self.tag, self.acc)
+        return part_type(self.tag, self.acc, id_bit_width(self.node_count))
 
 
 def geo_stage(tag: str, diameter: int, length: int, member: bool,

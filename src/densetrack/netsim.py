@@ -103,11 +103,10 @@ class IdSetPart:
 
     tag: str
     values: np.ndarray  # uint64 bitset words
-    count: int
     id_bits: int
 
     def bit_size(self) -> int:
-        return self.count * self.id_bits
+        return int(np.bitwise_count(self.values).sum()) * self.id_bits
 
     def canonical_bytes(self) -> bytes:
         return b"I" + self.tag.encode() + self.values.astype("<u8").tobytes()
@@ -264,7 +263,6 @@ class EventLog:
     """Newline-delimited JSON event stream plus a running digest."""
 
     def __init__(self, path: str):
-        self.path = path
         self._fh = open(path, "w", encoding="utf-8")
         self._digest = hashlib.blake2b(digest_size=16)
         self.records = 0
@@ -326,7 +324,6 @@ class World:
             raise ValueError("one handler per node required")
         self.graph = graph
         self.adversary = adversary or StaticAdversary()
-        self.seed = seed
         self.nodes = [NodeHandle(i, node_rng(seed, i), h)
                       for i, h in enumerate(handlers)]
         self.clock = SimClock()

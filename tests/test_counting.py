@@ -225,11 +225,11 @@ class TestBroadcastValues:
         assert np.array_equal(stage.acc, np.full(3, 64, np.uint8))
 
     def test_adopted_part_keeps_its_values(self):
-        first = IdSetPart("t", np.array([1], np.uint64), 1, 3)
+        first = IdSetPart("t", np.array([1], np.uint64), 3)
         stage = counting.MergeStage("t", "ids", 1, node_count=8)
         stage.absorb(first)
-        stage.absorb(IdSetPart("t", np.array([2], np.uint64), 1, 3))
-        stage.absorb(IdSetPart("t", np.array([4], np.uint64), 1, 3))
+        stage.absorb(IdSetPart("t", np.array([2], np.uint64), 3))
+        stage.absorb(IdSetPart("t", np.array([4], np.uint64), 3))
         assert first.values.tolist() == [1]
         assert counting.ids_count(stage) == 3
 
