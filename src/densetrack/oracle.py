@@ -1,10 +1,14 @@
 """Ground-truth solvers run outside the simulator on graph snapshots.
 
-* :func:`exact_densest` - globally optimal density via binary search over
-  guesses with denominator ``n*(n-1)`` and one certifying min-cut: since any
-  two distinct subgraph densities differ by at least ``1/(n*(n-1))``, the
-  subset extracted from the final cut is exactly optimal.  Exact rational
-  output, no floating-point in the certification path.
+* :func:`exact_densest` - globally optimal density by Dinkelbach iteration
+  on one closure network (Goldberg's construction): start at rho = m/n as an
+  exact ``Fraction`` p/q, and while some set beats rho (closure value
+  ``max_S q*|E(S)| - p*|S|`` above 0) move rho to the density of the
+  smallest maximizing set read from the min-cut.  A closure value of 0
+  certifies that no set is denser than rho.  The answer is the largest
+  densest subgraph (the union of all optimal sets, which is unique): the
+  vertices that cannot reach the sink in the last residual.  Usually two
+  max-flows; no floating-point in the certification path.
 * :func:`exact_at_least_k` - exhaustive enumeration over all subsets of size
   at least k (bounded to n <= 20, about a million subsets).
 * :func:`peel_reference` - centralized, exact-arithmetic replay of the
@@ -62,18 +66,19 @@ def graph_content_hash(g: DynamicGraph) -> str:
 
 
 class _FlowTester:
-    """Min-cut tests for "exists S with q0*|E(S)| - t*|S| > 0".
+    """Min-cut tests for "exists S with q*|E(S)| - p*|S| > 0", i.e. a set
+    denser than p/q.
 
-    Network: source -> edge-node (cap q0), edge-node -> endpoints (cap inf),
-    vertex -> sink (cap t).  Max closure value is m*q0 - mincut.  The arc
-    structure is fixed across the binary search; only sink caps move.
+    Network: source -> edge-node (cap q), edge-node -> endpoints (cap
+    ``m*n + 1``, more than any source total ``m*q`` since q <= n), vertex ->
+    sink (cap p).  The max closure value is ``m*q - maxflow``.  The arc
+    structure is fixed across the iteration; only source and sink caps move.
     """
 
-    def __init__(self, n_nodes: int, edges: list[tuple[int, int]], q0: int):
+    def __init__(self, n_nodes: int, edges: list[tuple[int, int]]):
         m = len(edges)
         self.n_nodes = n_nodes
         self.m = m
-        big = m * q0 + 1
         self.src = 0
         self.sink = 1 + m + n_nodes
         earr = np.asarray(edges, dtype=np.int64)
@@ -85,66 +90,75 @@ class _FlowTester:
                                 1 + m + earr[:, 0],
                                 1 + m + earr[:, 1],
                                 np.full(n_nodes, self.sink, np.int64)])
-        caps = np.concatenate([np.full(m, q0, np.int64),
-                               np.full(2 * m, big, np.int64),
+        caps = np.concatenate([np.zeros(m, np.int64),
+                               np.full(2 * m, m * n_nodes + 1, np.int64),
                                np.zeros(n_nodes, np.int64)])
         rows = np.concatenate([heads, tails])
         cols = np.concatenate([tails, heads])
         base = np.concatenate([caps, np.zeros_like(caps)])
         order = np.lexsort((cols, rows))
-        self._rows, self._cols = rows[order], cols[order]
-        self._caps = base[order]
-        self._sink_arcs = np.nonzero((self._cols == self.sink)
-                                     & (self._caps == 0))[0]
-        # the zero-cap reverse arcs of sink arcs also match; separate by row
-        self._sink_arcs = self._sink_arcs[
-            (self._rows[self._sink_arcs] >= 1 + m)]
-        self._template = csr_matrix(
-            (self._caps.astype(np.int32), (self._rows, self._cols)),
-            shape=(self.sink + 1, self.sink + 1))
+        rows, cols = rows[order], cols[order]
+        self._caps = base[order].astype(np.int32)
+        # only forward arcs leave the source or enter the sink
+        self._src_arcs = np.nonzero(rows == self.src)[0]
+        self._sink_arcs = np.nonzero(cols == self.sink)[0]
+        self._template = csr_matrix((self._caps, (rows, cols)),
+                                    shape=(self.sink + 1, self.sink + 1))
 
-    def run(self, t: int) -> tuple[int, np.ndarray]:
+    def run(self, p: int, q: int) -> tuple[int, csr_matrix]:
+        """Max closure value ``max_S q*|E(S)| - p*|S|`` and the residual."""
         graph = self._template.copy()
         # entries are sorted the same way csr stores them, so assign in place
         data = self._caps.copy()
-        data[self._sink_arcs] = t
-        graph.data = data.astype(np.int32)
+        data[self._src_arcs] = q
+        data[self._sink_arcs] = p
+        graph.data = data
         res = maximum_flow(graph, self.src, self.sink)
         residual = graph - res.flow
         residual.data = np.maximum(residual.data, 0)
         residual.eliminate_zeros()
-        order = breadth_first_order(residual, self.src, directed=True,
-                                    return_predecessors=False)
+        return self.m * q - int(res.flow_value), residual
+
+    def _vertices(self, mask: np.ndarray) -> frozenset[int]:
+        nodes = mask[1 + self.m: 1 + self.m + self.n_nodes]
+        return frozenset(int(v) for v in np.nonzero(nodes)[0])
+
+    def smallest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
+        """Vertices reachable from the source in the residual."""
         reach = np.zeros(self.sink + 1, dtype=bool)
-        reach[order] = True
-        members = np.nonzero(reach[1 + self.m: 1 + self.m + self.n_nodes])[0]
-        return int(res.flow_value), members
+        reach[breadth_first_order(residual, self.src, directed=True,
+                                  return_predecessors=False)] = True
+        return self._vertices(reach)
+
+    def largest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
+        """Vertices that cannot reach the sink in the residual."""
+        reach = np.zeros(self.sink + 1, dtype=bool)
+        reach[breadth_first_order(residual.T.tocsr(), self.sink, directed=True,
+                                  return_predecessors=False)] = True
+        return self._vertices(~reach)
 
 
 def exact_densest(g: DynamicGraph) -> OracleResult:
-    """Maximum-density subset with exact rational certification."""
+    """The largest maximum-density subset, with exact rational certification."""
     n, m = g.node_count, g.edge_count
     if m == 0:
         return OracleResult(frozenset({0}), Fraction(0), "maxflow")
-    q0 = n * (n - 1) if n > 1 else 1
-    tester = _FlowTester(n, g.edges(), q0)
-    lo, hi = 0, m * q0
-    members_lo: np.ndarray | None = None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        flow, members = tester.run(mid)
-        if m * q0 - flow > 0:
-            lo, members_lo = mid, members
-        else:
-            hi = mid
-    if members_lo is None:  # lo stayed 0; rerun for the certificate
-        _, members_lo = tester.run(lo)
-    members = frozenset(int(v) for v in members_lo)
-    if not members:
-        raise AssertionError("max-flow certificate produced an empty set")
-    density = induced_density(g, members).density
-    _check_min_degree(g, members, density)
-    return OracleResult(members, density, "maxflow")
+    tester = _FlowTester(n, g.edges())
+    rho = Fraction(m, n)
+    while True:
+        value, residual = tester.run(rho.numerator, rho.denominator)
+        if value == 0:
+            break
+        # some set beats rho; the smallest maximizer is one, and it is
+        # strictly denser than rho
+        rho = induced_density(g, tester.smallest_maximizer(residual)).density
+    # at the optimum every densest set has closure value 0; their union is
+    # the largest maximizer of the last cut
+    members = tester.largest_maximizer(residual)
+    if not members or induced_density(g, members).density != rho:
+        raise AssertionError("max-flow certificate is not a densest set")
+    _check_min_degree(g, members, rho)
+    return OracleResult(members, rho, "maxflow")
 
 
 # -- exhaustive enumeration ------------------------------------------------------

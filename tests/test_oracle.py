@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import densetrack.oracle as oracle
 from densetrack.errors import TooLargeForEnumeration
 from densetrack.graph import DynamicGraph, induced_density
-from densetrack.oracle import (OracleCache, at_least_k_bounds,
-                               brute_force_densest, exact_at_least_k,
-                               exact_densest, graph_content_hash,
-                               greedy_at_least_k_witness, peel_reference)
+from densetrack.oracle import (OracleCache, _subset_edge_counts,
+                               at_least_k_bounds, brute_force_densest,
+                               exact_at_least_k, exact_densest,
+                               graph_content_hash, greedy_at_least_k_witness,
+                               peel_reference)
+from densetrack.scenarios import build_graph
 
 
 def complete(n):
@@ -54,6 +57,28 @@ class TestExactDensest:
         res = exact_densest(DynamicGraph(1))
         assert res.density == 0
 
+    def test_ties_return_the_union_of_densest_sets(self):
+        # two disjoint K4s and an isolated node
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        g = DynamicGraph.from_edges(9, k4 + [(u + 4, v + 4) for u, v in k4])
+        res = exact_densest(g)
+        assert res.density == Fraction(3, 2)
+        assert res.members == frozenset(range(8))
+
+    def test_targeted_core_start_graph_takes_few_flows(self, monkeypatch):
+        flows = []
+        maximum_flow = oracle.maximum_flow
+
+        def counted(*args, **kwargs):
+            flows.append(1)
+            return maximum_flow(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "maximum_flow", counted)
+        g = build_graph({"kind": "planted-dense", "n": 100, "clique": 69,
+                         "noise_p": 0.02, "hub_star": True}, 0).graph
+        exact_densest(g)
+        assert len(flows) <= 3
+
 
 class TestAtLeastK:
     def test_k5_takes_whole_graph(self):
@@ -97,6 +122,32 @@ class TestCrossValidation:
             n = int(rng.integers(4, 14))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
             assert exact_densest(g).density == brute_force_densest(g).density
+
+    def test_members_are_the_union_of_all_optimal_sets(self):
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            n = int(rng.integers(2, 13))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+            if trial % 2:
+                # ties are rare in random graphs: add a shuffled copy of the
+                # first half so every densest set has a twin
+                half = n // 2
+                twin = rng.permutation(half) + n - half
+                g = DynamicGraph.from_edges(n, [
+                    e for u, v in g.edges() if v < half
+                    for e in ((u, v), (int(twin[u]), int(twin[v])))])
+            if g.edge_count == 0:
+                continue
+            masks = np.arange(1 << n, dtype=np.int64)
+            sizes = np.bitwise_count(masks).astype(np.int64)
+            counts = _subset_edge_counts(g).astype(np.int64)
+            res = exact_densest(g)
+            # |E(S)| * den == num * |S| is exact, no float comparison
+            optimal = masks[(counts * res.density.denominator
+                             == res.density.numerator * sizes) & (sizes > 0)]
+            union = int(np.bitwise_or.reduce(optimal))
+            assert res.members == frozenset(
+                v for v in range(n) if union >> v & 1)
 
     def test_no_subset_beats_optimum(self):
         rng = np.random.default_rng(8)
