@@ -160,13 +160,14 @@ class TargetedAdversary(RandomChurnAdversary):
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
         self._refresh_core(g, round_)
         batch: list[Edit] = []
+        core = sorted(self._core)
+        core_edges = [(u, v) for u in core for v in sorted(g.adj[u] & self._core)
+                      if u < v and (u, v) not in self.protected]
         # every slot sees the round-start graph, so later slots must stay off
         # the edges earlier ones edited or the batch repeats an edit
         touched: set[Edge] = set()
         for _ in range(self.rate):
-            inside = [e for e in g.edges()
-                      if e[0] in self._core and e[1] in self._core
-                      and e not in self.protected and e not in touched]
+            inside = [e for e in core_edges if e not in touched]
             if inside and self.rng.random() < self.bias:
                 e = inside[int(self.rng.integers(len(inside)))]
                 edits = [(REMOVE, e[0], e[1])]
