@@ -55,10 +55,9 @@ def _check_min_degree(g: DynamicGraph, members: frozenset[int],
 
 
 def graph_content_hash(g: DynamicGraph) -> str:
-    h = hashlib.sha256()
-    h.update(str(g.node_count).encode())
-    for u, v in g.edges():
-        h.update(f"{u},{v};".encode())
+    # the "|" ends the node count, so no edge bytes can extend its digits
+    h = hashlib.sha256(f"{g.node_count}|".encode())
+    h.update(np.asarray(g.edges(), dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
