@@ -27,10 +27,6 @@ class Adversary:
         return []
 
 
-class StaticAdversary(Adversary):
-    pass
-
-
 @dataclass
 class ScriptedAdversary(Adversary):
     edits_by_round: dict[int, tuple[Edit, ...]]
@@ -184,7 +180,7 @@ def adversary_from_spec(spec: dict | None, graph: DynamicGraph, seed: int,
                         protected: frozenset[Edge]) -> Adversary:
     """Build the runtime adversary from a validated scenario spec."""
     if spec is None:
-        return StaticAdversary()
+        return Adversary()
     kind = spec.get("kind")
     rate = int(spec.get("rate", 0))
     rng = np.random.Generator(np.random.PCG64(

@@ -23,6 +23,13 @@ Three estimators, all agreeing network-wide after D merge rounds:
 The empty subset is defined to estimate 0 in every mode (all-identity merges
 stay at the identity), which the maintenance loop relies on.
 
+Every per-kind decision lives in one table, :data:`KINDS`: the merge ufunc,
+the little-endian dtype, the identity, the wire prefix, the bit metering and
+the finalize of geo (max), exp (min), ids (union) and degs (entrywise max)
+tuples.  :class:`TuplePart` (a whole tuple) and :class:`CoordPart` (one
+strict coordinate) are the wire parts built from it, and the Monte-Carlo
+samplers finalize through the same functions as the protocol.
+
 ``exact`` mode swaps the tuples for idempotent set unions of (id, degree)
 pairs - same schedule, exact outputs - to isolate protocol logic from
 estimator noise in tests.  ``strict`` mode serializes one tuple coordinate
@@ -38,12 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .graph import DynamicGraph
-from .netsim import (CoordPart, DegreesPart, ExpTuplePart, GeoTuplePart,
-                     IdSetPart, MessagePart, StepContext, World, id_bit_width)
+from .netsim import MessagePart, StepContext, World
 
 GEO_TOSS_CAP = 64
 # LogLog bias of the max of geometric(1/2) toss counts: gamma/ln 2 + 1/2,
@@ -137,70 +144,151 @@ def finalize_coarse(values: np.ndarray) -> float:
     return float(finalize_coarse_rows(values))
 
 
-def finalize_fine(values: np.ndarray | None) -> float:
-    """l / sum over a merged exponential tuple; 0 when nothing merged."""
-    if values is None:
-        return 0.0
-    return float(values.size / values.sum())
+def finalize_fine_rows(values: np.ndarray) -> np.ndarray:
+    """``l / sum`` along the last axis over merged exponential tuples.
+
+    An all-infinite row is the merge identity (no member contributed) and
+    estimates 0.
+    """
+    return values.shape[-1] / values.sum(axis=-1)
+
+
+def finalize_fine(values: np.ndarray) -> float:
+    """l / sum over one merged exponential tuple; 0 for the identity."""
+    return float(finalize_fine_rows(values))
+
+
+def id_bit_width(node_count: int) -> int:
+    return max(1, math.ceil(math.log2(max(node_count, 2))))
+
+
+# bit length of a toss counter, 1 for the strict-mode identity 0
+_TOSS_BITS = np.array([max(1, v.bit_length()) for v in range(256)])
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One flood-merge tuple kind: its algebra, its wire form, its estimate.
+
+    ``bits(values, id_bits)`` meters a tuple (the engine recomputes it from
+    the payload, senders are never trusted); ``finalize`` maps a merged tuple
+    to its estimate, 0 for the identity.
+    """
+
+    prefix: bytes
+    dtype: np.dtype
+    merge: np.ufunc
+    identity: int | float
+    bits: Callable[[np.ndarray, int], int]
+    finalize: Callable[[np.ndarray], float]
+
+
+KINDS = {
+    # toss counters at their actual bit length
+    "geo": Kind(b"G", np.dtype("<u1"), np.maximum, 0,
+                lambda v, _: int(_TOSS_BITS[v].sum()), finalize_coarse),
+    # 64 bits per float coordinate
+    "exp": Kind(b"E", np.dtype("<f8"), np.minimum, np.inf,
+                lambda v, _: 64 * v.size, finalize_fine),
+    # member ids as a packed bitset, ceil(log2 n) bits per member
+    "ids": Kind(b"I", np.dtype("<u8"), np.bitwise_or, 0,
+                lambda v, id_bits: int(np.bitwise_count(v).sum()) * id_bits,
+                lambda v: float(np.bitwise_count(v).sum())),
+    # (id, degree) pairs as a vector, -1 where unknown: 2 ceil(log2 n) bits
+    # per known entry
+    "degs": Kind(b"D", np.dtype("<i4"), np.maximum, -1,
+                 lambda v, id_bits: int((v >= 0).sum()) * 2 * id_bits,
+                 lambda v: float(v[v >= 0].sum())),
+}
+
+
+@dataclass(frozen=True)
+class TuplePart:
+    """A whole merge tuple of one kind of :data:`KINDS`."""
+
+    tag: str
+    kind: str
+    values: np.ndarray
+    id_bits: int = 0  # ids/degs metering
+
+    def bit_size(self) -> int:
+        return KINDS[self.kind].bits(self.values, self.id_bits)
+
+    def canonical_bytes(self) -> bytes:
+        k = KINDS[self.kind]
+        return (k.prefix + self.tag.encode()
+                + self.values.astype(k.dtype, copy=False).tobytes())
+
+
+@dataclass(frozen=True)
+class CoordPart:
+    """Strict-bandwidth mode: a single tuple coordinate per round."""
+
+    tag: str
+    kind: str  # "geo" | "exp"
+    index: int
+    value: float
+
+    def bit_size(self) -> int:
+        k = KINDS[self.kind]
+        return k.bits(np.array([self.value], k.dtype), 0)
+
+    def canonical_bytes(self) -> bytes:
+        return (b"C" + self.tag.encode() + self.kind.encode()
+                + self.index.to_bytes(4, "little")
+                + np.float64(self.value).tobytes())
 
 
 # -- merge stages ---------------------------------------------------------------
-
-
-# kind -> (tuple part type, merge ufunc, accumulator dtype, identity)
-MERGE_RULES = {
-    "geo": (GeoTuplePart, np.maximum, np.uint8, 0),
-    "exp": (ExpTuplePart, np.minimum, np.float64, np.inf),
-    "ids": (IdSetPart, np.bitwise_or, np.uint64, 0),
-    "degs": (DegreesPart, np.maximum, np.int32, -1),
-}
 
 
 @dataclass
 class MergeStage:
     """One flood-merge accumulator driven by a node for D (or l*D) rounds.
 
-    ``kind`` selects the algebra in :data:`MERGE_RULES`: geo (max), exp
-    (min), ids (union), degs (entrywise max with -1 as unknown).  Only geo
+    ``kind`` selects the algebra in :data:`KINDS`.  The accumulator is the
+    node's own draw or, when the node contributes nothing, the kind's
+    identity; ``has_data`` says whether anything reached it yet.  Only geo
     and exp stages are ever strict.
 
     A broadcast is a value: the stage never writes an array it has emitted
-    or adopted from a part (``shared``), so a receiver that steps after the
-    sender still reads what was sent.  The first merge into a shared array
-    is out of place; later merges that round stay in place.
+    (``shared``), so a receiver that steps after the sender still reads what
+    was sent.  The first merge into a shared array is out of place; later
+    merges that round stay in place.
     """
 
     tag: str
     kind: str
     diameter: int
-    acc: np.ndarray | None = None
+    acc: np.ndarray
     has_data: bool = False
     strict: bool = False
-    length: int = 0  # tuple length (geo/exp)
-    node_count: int = 0  # ids/degs metering
+    id_bits: int = 0  # ids/degs metering
     emitted: int = 0
-    shared: bool = False  # acc is also an emitted or adopted part's values
+    shared: bool = False  # acc is also an emitted part's values
+
+    @classmethod
+    def empty(cls, tag: str, kind: str, diameter: int, length: int,
+              **kw) -> MergeStage:
+        k = KINDS[kind]
+        return cls(tag, kind, diameter, np.full(length, k.identity, k.dtype),
+                   **kw)
 
     def rounds(self) -> int:
-        return self.length * self.diameter if self.strict else self.diameter
+        return self.acc.size * self.diameter if self.strict else self.diameter
 
-    def absorb(self, part: MessagePart) -> None:
-        part_type, merge, dtype, identity = MERGE_RULES[self.kind]
+    def absorb(self, part: TuplePart | CoordPart) -> None:
+        assert part.kind == self.kind, (part.kind, self.kind)
+        merge = KINDS[self.kind].merge
         if isinstance(part, CoordPart):
-            if self.acc is None:
-                self.acc = np.full(self.length, identity, dtype)
             self.acc[part.index] = merge(self.acc[part.index], part.value)
+        elif self.shared:
+            self.acc, self.shared = merge(self.acc, part.values), False
         else:
-            assert isinstance(part, part_type)
-            if self.acc is None:
-                self.acc, self.shared = part.values, True
-            elif self.shared:
-                self.acc, self.shared = merge(self.acc, part.values), False
-            else:
-                merge(self.acc, part.values, out=self.acc)
+            merge(self.acc, part.values, out=self.acc)
         self.has_data = True
 
-    def emit(self) -> MessagePart | None:
+    def emit(self) -> TuplePart | CoordPart | None:
         pos, self.emitted = self.emitted, self.emitted + 1
         if not self.has_data:
             return None
@@ -208,67 +296,46 @@ class MergeStage:
             i = pos // self.diameter
             return CoordPart(self.tag, self.kind, i, float(self.acc[i]))
         self.shared = True
-        part_type = MERGE_RULES[self.kind][0]
-        if self.kind in ("geo", "exp"):
-            return part_type(self.tag, self.acc)
-        return part_type(self.tag, self.acc, id_bit_width(self.node_count))
+        return TuplePart(self.tag, self.kind, self.acc, self.id_bits)
 
 
 def geo_stage(tag: str, diameter: int, length: int, member: bool,
               rng: np.random.Generator, copies: int = 1,
               strict: bool = False) -> tuple[MergeStage, int]:
     """Coarse stage for one node; ``copies`` simulated members merge locally."""
-    st = MergeStage(tag, "geo", diameter, length=length, strict=strict)
-    truncated = 0
     if member and copies > 0:
-        st.acc, truncated = geometric_max_tosses(rng, copies, length)
-        st.has_data = True
-    return st, truncated
+        acc, truncated = geometric_max_tosses(rng, copies, length)
+        return MergeStage(tag, "geo", diameter, acc, True, strict), truncated
+    return MergeStage.empty(tag, "geo", diameter, length, strict=strict), 0
 
 
 def exp_stage(tag: str, diameter: int, length: int, member: bool,
               rng: np.random.Generator, copies: int = 1,
               strict: bool = False) -> MergeStage:
-    st = MergeStage(tag, "exp", diameter, length=length, strict=strict)
     if member and copies > 0:
-        st.acc = exponential_min_draws(rng, copies, length)
-        st.has_data = True
-    return st
+        acc = exponential_min_draws(rng, copies, length)
+        return MergeStage(tag, "exp", diameter, acc, True, strict)
+    return MergeStage.empty(tag, "exp", diameter, length, strict=strict)
 
 
 def ids_stage(tag: str, diameter: int, node_count: int, node_id: int,
               member: bool) -> MergeStage:
-    st = MergeStage(tag, "ids", diameter, node_count=node_count)
+    st = MergeStage.empty(tag, "ids", diameter, (node_count + 63) // 64,
+                          id_bits=id_bit_width(node_count))
     if member:
-        packed = np.zeros((node_count + 63) // 64, np.uint64)
-        packed[node_id // 64] |= np.uint64(1) << np.uint64(node_id % 64)
-        st.acc = packed
+        st.acc[node_id // 64] |= np.uint64(1) << np.uint64(node_id % 64)
         st.has_data = True
     return st
 
 
 def degs_stage(tag: str, diameter: int, node_count: int, node_id: int,
                member: bool, degree: int) -> MergeStage:
-    st = MergeStage(tag, "degs", diameter, node_count=node_count)
+    st = MergeStage.empty(tag, "degs", diameter, node_count,
+                          id_bits=id_bit_width(node_count))
     if member:
-        vec = np.full(node_count, -1, np.int32)
-        vec[node_id] = degree
-        st.acc = vec
+        st.acc[node_id] = degree
         st.has_data = True
     return st
-
-
-def ids_count(stage: MergeStage) -> int:
-    if stage.acc is None:
-        return 0
-    return int(np.bitwise_count(stage.acc).sum())
-
-
-def degs_sum(stage: MergeStage) -> int:
-    if stage.acc is None:
-        return 0
-    d = stage.acc
-    return int(d[d >= 0].sum())
 
 
 # -- the counting window ----------------------------------------------------------
@@ -285,7 +352,8 @@ class CountPipeline:
     The caller starts a window with its (coarse, fine) tag pair, whether this
     node contributes and, for an edge count, its degree inside the counted
     set, which it simulates as that many members (in exact mode a member of
-    degree 0 still contributes its entry).  It feeds ``stage`` the inbox
+    degree 0 still contributes its entry); an edge count's total is halved,
+    since both endpoints report each edge.  It feeds ``stage`` the inbox
     parts whose tag matches and calls :meth:`step` every round; ``step``
     draws the fine tuple at the coarse boundary and returns the total when
     the window closes.  An empty subset counts 0 in every mode.
@@ -306,6 +374,7 @@ class CountPipeline:
         self.tags = ("", "")
         self.contributes = False
         self.copies = 1
+        self.edges = False      # an edge window: its total is halved
         self.fine = False       # past the coarse boundary
         self.boundary = 0       # round of the next stage boundary
         self.coarse = 0.0
@@ -317,6 +386,7 @@ class CountPipeline:
         self.tags = tags
         self.contributes = contributes
         self.copies = 1 if degree is None else degree
+        self.edges = degree is not None
         self.fine = False
         if not self.exact:
             self.stage, truncated = geo_stage(
@@ -337,17 +407,13 @@ class CountPipeline:
         if round_ != self.boundary:
             return None
         st = self.stage
-        if self.exact:
-            # one union floods through both halves of the window
-            total = float(ids_count(st) if st.kind == "ids" else degs_sum(st))
-        elif self.fine:
-            total = (0.0 if self.coarse == 0 else
-                     finalize_fine(st.acc if st.has_data else None))
-        else:
-            total = finalize_coarse(st.acc) if st.has_data else 0.0
+        total = KINDS[st.kind].finalize(st.acc) if st.has_data else 0.0
         if self.fine:
             self.stage = None
-            return total
+            if self.coarse == 0 and not self.exact:
+                return 0.0  # nobody drew a fine tuple
+            # both endpoints report each edge
+            return total / 2.0 if self.edges else total
         self.fine, self.coarse = True, total
         if not self.exact:
             length = fine_tuple_len(2.0 * total, self.epsilon, self.c)
@@ -413,7 +479,7 @@ def _run_count(graph: DynamicGraph, members: set[int], diameter: int,
         i in members, None if degrees is None else degrees[i])
         for i in range(graph.node_count)]
     world = World(graph, handlers, seed=seed, adversary=adversary)
-    start = world.clock.round
+    start = world.round
     while any(h.finished_at is None for h in handlers):
         world.run_round()
     return CountResult([h.estimate for h in handlers],
@@ -447,10 +513,8 @@ def run_edge_count(graph: DynamicGraph, members: set[int], diameter: int,
     """
     degs = {u: (len(graph.adj[u] & members) if u in members else 0)
             for u in range(graph.node_count)}
-    res = _run_count(graph, members, diameter, degs, delta_fail, epsilon, c,
-                     seed, exact, strict, None)
-    res.estimates = [e / 2.0 for e in res.estimates]
-    return res
+    return _run_count(graph, members, diameter, degs, delta_fail, epsilon, c,
+                      seed, exact, strict, None)
 
 
 # -- direct-path samplers (distribution oracles for Monte-Carlo tests) ---------
@@ -490,8 +554,8 @@ def sample_coarse_literal(rng: np.random.Generator, true_count: int,
 
 
 def _fine_collapsed(rng, count, length, trials):
-    draws = exponential_min_draws(rng, count, (trials, length))
-    return length / draws.sum(axis=1)
+    return finalize_fine_rows(
+        exponential_min_draws(rng, count, (trials, length)))
 
 
 def sample_fine_estimates(rng: np.random.Generator, true_count: int,
@@ -528,7 +592,7 @@ def sample_fine_literal(rng: np.random.Generator, true_count: int,
     while done < trials:
         b = min(batch, trials - done)
         draws = exponential_draws(rng, (b, true_count, length))
-        out[done:done + b] = length / draws.min(axis=1).sum(axis=1)
+        out[done:done + b] = finalize_fine_rows(draws.min(axis=1))
         done += b
     return out
 

@@ -83,7 +83,7 @@ class _RunState:
                 if other is None or (other.node_est, other.edge_est) != \
                         (rec.node_est, rec.edge_est):
                     raise DesyncDetected(
-                        f"level records diverge at round {world.clock.round}")
+                        f"level records diverge at round {world.round}")
         self.seen_level_key = key
         if h0.family_version > self.seen_passes:
             self.seen_passes = h0.family_version
@@ -93,7 +93,7 @@ class _RunState:
                     raise DesyncDetected("family records diverge across nodes")
             self.published.append(fam)
             if world.log:
-                world.log.append({"round": world.clock.round, "event": "pass",
+                world.log.append({"round": world.round, "event": "pass",
                                   "pass": fam.pass_index,
                                   "closed_by": fam.closed_by,
                                   "levels": len(fam.records)})
@@ -107,9 +107,9 @@ class _RunState:
                          base.no_family):
                     raise DesyncDetected("query outcomes diverge across nodes")
             self.pending_scores.append(
-                (outs, self.world.graph.snapshot(), world.clock.round))
+                (outs, self.world.graph.snapshot(), world.round))
             if world.log:
-                world.log.append({"round": world.clock.round, "event": "query",
+                world.log.append({"round": world.round, "event": "query",
                                   "k": base.k, "chosen": base.chosen,
                                   "no_family": base.no_family,
                                   "attempts": base.attempts})
@@ -253,7 +253,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
             return handlers[0].query is not None or bool(queue)
 
         while True:
-            r = world.clock.round
+            r = world.round
             fire = False
             if (qspec and qspec["mode"] == "per-pass"
                     and handlers[0].family_version > last_seen_pass):
@@ -317,7 +317,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                 1 for row in rows if row.get("status") == "answered"),
         }
         return RunReport(config=config.raw, seed=config.seed,
-                         rounds_run=world.clock.round, queries=rows, passes=passes,
+                         rounds_run=world.round, queries=rows, passes=passes,
                          ledger=world.ledger.summary(),
                          truncated_tosses=sum(h.truncated_tosses for h in handlers),
                          log_digest=log.digest() if log else None, flags=flags,

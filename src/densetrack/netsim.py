@@ -17,6 +17,12 @@ count and its private RNG stream; the engine hands it exactly those through
 :class:`StepContext`.  All node streams derive from one global seed, so a run
 is a pure function of (config, seed).
 
+A broadcast is a tuple of message parts: anything with a tag, a
+``bit_size`` and ``canonical_bytes`` (:class:`MessagePart`).  The engine
+meters every part from its payload, never trusting the sender.  It defines
+only the flag and blob parts; the flood-merge tuple parts, with their dtypes,
+wire prefixes and bit rules, live in ``counting.KINDS``.
+
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
 are the determinism contract.
@@ -26,107 +32,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .adversary import Adversary, StaticAdversary
+from .adversary import Adversary
 from .errors import HandlerPanic
 from .graph import DynamicGraph
 
 
-def id_bit_width(node_count: int) -> int:
-    return max(1, math.ceil(math.log2(max(node_count, 2))))
-
-
 # -- message parts -------------------------------------------------------------
-#
-# Bit sizes are recomputed from payloads by the engine; senders are never
-# trusted.  Floats are metered at 64 bits per coordinate, geometric toss
-# counters at their actual bit length, id sets at ceil(log2 n) bits per id.
 
 
-@dataclass(frozen=True)
-class GeoTuplePart:
-    """Component-wise max-merge tuple of geometric toss counters."""
-
+class MessagePart(Protocol):
     tag: str
-    values: np.ndarray  # uint8, entries in 1..64
 
-    def bit_size(self) -> int:
-        v = self.values.astype(np.float64)
-        return int(np.floor(np.log2(v)).sum()) + self.values.size
+    def bit_size(self) -> int: ...
 
-    def canonical_bytes(self) -> bytes:
-        return b"G" + self.tag.encode() + self.values.astype("<u1").tobytes()
-
-
-@dataclass(frozen=True)
-class ExpTuplePart:
-    """Component-wise min-merge tuple of exponential draws."""
-
-    tag: str
-    values: np.ndarray  # float64
-
-    def bit_size(self) -> int:
-        return 64 * self.values.size
-
-    def canonical_bytes(self) -> bytes:
-        return b"E" + self.tag.encode() + self.values.astype("<f8").tobytes()
-
-
-@dataclass(frozen=True)
-class CoordPart:
-    """Strict-bandwidth mode: a single tuple coordinate per round."""
-
-    tag: str
-    kind: str  # "geo" | "exp"
-    index: int
-    value: float
-
-    def bit_size(self) -> int:
-        if self.kind == "geo":
-            return max(1, int(self.value).bit_length())
-        return 64
-
-    def canonical_bytes(self) -> bytes:
-        return (b"C" + self.tag.encode() + self.kind.encode()
-                + self.index.to_bytes(4, "little")
-                + np.float64(self.value).tobytes())
-
-
-@dataclass(frozen=True)
-class IdSetPart:
-    """Exact-counting mode: idempotent union of member ids (packed bits)."""
-
-    tag: str
-    values: np.ndarray  # uint64 bitset words
-    id_bits: int
-
-    def bit_size(self) -> int:
-        return int(np.bitwise_count(self.values).sum()) * self.id_bits
-
-    def canonical_bytes(self) -> bytes:
-        return b"I" + self.tag.encode() + self.values.astype("<u8").tobytes()
-
-
-@dataclass(frozen=True)
-class DegreesPart:
-    """Exact-counting mode: union of (id, degree) pairs as a max-merge vector
-    (-1 marks unknown entries)."""
-
-    tag: str
-    values: np.ndarray  # int32 degrees, -1 where unknown
-    id_bits: int
-
-    def bit_size(self) -> int:
-        known = int((self.values >= 0).sum())
-        return known * 2 * self.id_bits
-
-    def canonical_bytes(self) -> bytes:
-        return b"D" + self.tag.encode() + self.values.astype("<i4").tobytes()
+    def canonical_bytes(self) -> bytes: ...
 
 
 @dataclass(frozen=True)
@@ -158,10 +82,6 @@ class BlobPart:
         return b"B" + self.tag.encode() + self.data
 
 
-MessagePart = (GeoTuplePart | ExpTuplePart | CoordPart | IdSetPart
-               | DegreesPart | FlagsPart | BlobPart)
-
-
 @dataclass(frozen=True)
 class RoundMessage:
     sender: int
@@ -178,15 +98,7 @@ class RoundMessage:
         return h.hexdigest()
 
 
-# -- clock, ledger, log --------------------------------------------------------
-
-
-@dataclass
-class SimClock:
-    round: int = 0
-
-    def advance(self) -> None:
-        self.round += 1
+# -- ledger, log ---------------------------------------------------------------
 
 
 @dataclass
@@ -323,10 +235,10 @@ class World:
         if len(handlers) != graph.node_count:
             raise ValueError("one handler per node required")
         self.graph = graph
-        self.adversary = adversary or StaticAdversary()
+        self.adversary = adversary or Adversary()
         self.nodes = [NodeHandle(i, node_rng(seed, i), h)
                       for i, h in enumerate(handlers)]
-        self.clock = SimClock()
+        self.round = 0
         self.ledger = BandwidthLedger()
         self.log = log
         self._inboxes: list[list[RoundMessage]] = [[] for _ in handlers]
@@ -335,14 +247,14 @@ class World:
 
     # queries are injected globally: every node sees the same trigger round
     def inject_query(self, round_: int, k: int) -> None:
-        if round_ < self.clock.round:
+        if round_ < self.round:
             raise ValueError("cannot inject a query in the past")
         if round_ in self._pending_query:
             raise ValueError(f"round {round_} already holds a query")
         self._pending_query[round_] = k
 
     def run_round(self) -> None:
-        r = self.clock.round
+        r = self.round
         inboxes, self._inboxes = self._inboxes, [[] for _ in self.nodes]
         inject = self._pending_query.pop(r, None)
         staged: list[RoundMessage] = []
@@ -376,7 +288,7 @@ class World:
         if edits and self.log:
             self.log.append({"round": r, "event": "churn",
                              "edits": [[op, u, v] for op, u, v in edits]})
-        self.clock.advance()
+        self.round += 1
 
     def run(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -420,7 +332,7 @@ def flood(graph: DynamicGraph, origins: Iterable[int], payload: bytes,
     world.run(rounds)
     # one extra compute so the final deliveries are absorbed, without churn
     for h, nh in zip(handlers, world.nodes):
-        ctx = StepContext(round=world.clock.round, node_id=nh.id,
+        ctx = StepContext(round=world.round, node_id=nh.id,
                           inbox=world._inboxes[nh.id],
                           neighbor_count=graph.degree(nh.id), rng=nh.rng)
         h.step(ctx)

@@ -320,26 +320,21 @@ class OracleCache:
         if directory:
             os.makedirs(directory, exist_ok=True)
 
-    def _key(self, kind: str, g: DynamicGraph, **params) -> str:
-        extra = json.dumps(params, sort_keys=True)
+    def _key(self, kind: str, g: DynamicGraph) -> str:
+        # "{}" is the empty parameter set of older keys, so cache
+        # directories written by them still hit
         return hashlib.sha256(
-            f"{kind}|{graph_content_hash(g)}|{extra}".encode()).hexdigest()
+            f"{kind}|{graph_content_hash(g)}|{{}}".encode()).hexdigest()
 
     def exact_densest(self, g: DynamicGraph) -> OracleResult:
-        return self._get("densest", g, lambda: exact_densest(g))
-
-    def exact_at_least_k(self, g: DynamicGraph, k: int) -> OracleResult:
-        return self._get("atleastk", g, lambda: exact_at_least_k(g, k), k=k)
-
-    def _get(self, kind: str, g: DynamicGraph, compute, **params) -> OracleResult:
-        key = self._key(kind, g, **params)
+        key = self._key("densest", g)
         if key in self._mem:
             return self._mem[key]
         path = (os.path.join(self.directory, key + ".json")
                 if self.directory else None)
         res = _load_entry(path) if path else None
         if res is None:
-            res = compute()
+            res = exact_densest(g)
             if path:
                 _store_entry(path, res)
         self._mem[key] = res

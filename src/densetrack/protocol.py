@@ -330,10 +330,9 @@ class ProtocolNode:
                 self.du = du_heard if self.member else 0
                 self._count_edges(ctx)
             return
-        m_est = total / 2.0
         n_est = self.level_node_est
         self.records.append(LevelRecord(
-            self.level, n_est, m_est, m_est / n_est, self.level_nodes_start,
+            self.level, n_est, total, total / n_est, self.level_nodes_start,
             self.level_edges_start, None))
         if len(self.records) >= p.p_cap:
             self._close_pass(ctx, "cap")

@@ -8,8 +8,8 @@ from scipy import stats
 from densetrack import counting
 from densetrack.adversary import ScriptedAdversary
 from densetrack.graph import DynamicGraph, bfs_distances
-from densetrack.netsim import (ExpTuplePart, GeoTuplePart, IdSetPart,
-                               assert_bandwidth)
+from densetrack.counting import TuplePart
+from densetrack.netsim import assert_bandwidth
 
 
 class StubRng:
@@ -29,6 +29,9 @@ class StubRng:
 def complete_graph(n):
     return DynamicGraph.from_edges(n, [(i, j) for i in range(n)
                                        for j in range(i + 1, n)])
+
+
+KIND_NAMES = list(counting.KINDS)
 
 
 class TestTupleLengths:
@@ -71,6 +74,11 @@ class TestEmptySubset:
         g = complete_graph(5)
         res = counting.run_node_count(g, set(), 1, epsilon=0.5)
         assert res.estimates == [0.0] * 5
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_identity_finalizes_to_zero(self, kind):
+        stage = counting.MergeStage.empty("t", kind, 1, 5)
+        assert counting.KINDS[kind].finalize(stage.acc) == 0.0
 
     def test_edges_edgeless_subset(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -139,19 +147,19 @@ class TestMergeAlgebra:
            st.lists(st.integers(1, 64), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_max_merge_commutes(self, a, b):
-        pa = GeoTuplePart("t", np.array(a, np.uint8))
-        pb = GeoTuplePart("t", np.array(b, np.uint8))
-        s1 = counting.MergeStage("t", "geo", 1, length=3)
+        pa = TuplePart("t", "geo", np.array(a, np.uint8))
+        pb = TuplePart("t", "geo", np.array(b, np.uint8))
+        s1 = counting.MergeStage.empty("t", "geo", 1, 3)
         s1.absorb(pa), s1.absorb(pb)
-        s2 = counting.MergeStage("t", "geo", 1, length=3)
+        s2 = counting.MergeStage.empty("t", "geo", 1, 3)
         s2.absorb(pb), s2.absorb(pa)
         assert np.array_equal(s1.acc, s2.acc)
 
     @given(st.lists(st.floats(0.001, 50), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_min_merge_idempotent(self, a):
-        part = ExpTuplePart("t", np.array(a))
-        s = counting.MergeStage("t", "exp", 1, length=4)
+        part = TuplePart("t", "exp", np.array(a))
+        s = counting.MergeStage.empty("t", "exp", 1, 4)
         s.absorb(part)
         once = s.acc.copy()
         s.absorb(part)
@@ -163,9 +171,9 @@ class TestMergeAlgebra:
     @settings(max_examples=60, deadline=None)
     def test_max_merge_associates(self, a, b, c):
         def merged(order):
-            s = counting.MergeStage("t", "geo", 1, length=2)
+            s = counting.MergeStage.empty("t", "geo", 1, 2)
             for vals in order:
-                s.absorb(GeoTuplePart("t", np.array(vals, np.uint8)))
+                s.absorb(TuplePart("t", "geo", np.array(vals, np.uint8)))
             return s.acc
 
         # any absorb order gives the same accumulator
@@ -173,10 +181,10 @@ class TestMergeAlgebra:
         assert np.array_equal(merged([a, b, c]), merged([b, a, c]))
 
     def test_all_infinite_tuple_is_min_identity(self):
-        s = counting.MergeStage("t", "exp", 1, length=3)
-        s.absorb(ExpTuplePart("t", np.full(3, np.inf)))
+        s = counting.MergeStage.empty("t", "exp", 1, 3)
+        s.absorb(TuplePart("t", "exp", np.full(3, np.inf)))
         vals = np.array([2.0, 1.0, 5.0])
-        s.absorb(ExpTuplePart("t", vals))
+        s.absorb(TuplePart("t", "exp", vals))
         assert np.array_equal(s.acc, vals)
 
 
@@ -188,6 +196,29 @@ def static_graph(kind, n, rng):
     else:  # random tree: node i hangs off an earlier node
         edges = [(int(rng.integers(i)), i) for i in range(1, n)]
     return DynamicGraph.from_edges(n, edges)
+
+
+# two parts each stage absorbs after its own contribution, and the merged
+# accumulator whatever that contribution was
+INCOMING = {"geo": ([64, 1, 1], [1, 64, 64]),
+            "exp": ([1e-9, np.inf, np.inf], [np.inf, 1e-9, 1e-9]),
+            "ids": ([2], [4]),
+            "degs": ([-1, 5, -1], [-1, -1, 7])}
+MERGED = {"geo": [64, 64, 64], "exp": [1e-9, 1e-9, 1e-9], "ids": [7],
+          "degs": [2, 5, 7]}
+
+
+def member_stage(kind):
+    """A stage holding one member's contribution: node 0 of 3 (of 8 for
+    ids) with degree 2, or a seeded length-3 draw."""
+    rng = np.random.default_rng(0)
+    if kind == "geo":
+        return counting.geo_stage("t", 1, 3, True, rng)[0]
+    if kind == "exp":
+        return counting.exp_stage("t", 1, 3, True, rng)
+    if kind == "ids":
+        return counting.ids_stage("t", 1, 8, 0, True)
+    return counting.degs_stage("t", 1, 3, 0, True, 2)
 
 
 class TestBroadcastValues:
@@ -214,24 +245,33 @@ class TestBroadcastValues:
             want.append(float(sum(1 for v in members if dist[v] <= 2 * d)))
         assert res.estimates == want
 
-    def test_emitted_part_keeps_its_values(self):
-        stage, _ = counting.geo_stage("t", 1, 3, True,
-                                      np.random.default_rng(0))
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_emitted_part_keeps_its_values(self, kind):
+        stage = member_stage(kind)
         part = stage.emit()
         sent = part.values.copy()
-        stage.absorb(GeoTuplePart("t", np.full(3, 64, np.uint8)))
-        stage.absorb(GeoTuplePart("t", np.full(3, 64, np.uint8)))
+        for vals in INCOMING[kind]:
+            stage.absorb(TuplePart("t", kind, np.array(vals, sent.dtype)))
         assert np.array_equal(part.values, sent)
-        assert np.array_equal(stage.acc, np.full(3, 64, np.uint8))
+        assert stage.acc.tolist() == MERGED[kind]
 
-    def test_adopted_part_keeps_its_values(self):
-        first = IdSetPart("t", np.array([1], np.uint64), 3)
-        stage = counting.MergeStage("t", "ids", 1, node_count=8)
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_adopted_part_keeps_its_values(self, kind):
+        first = member_stage(kind).emit()
+        sent = first.values.copy()
+        stage = counting.MergeStage.empty("t", kind, 1, sent.size)
         stage.absorb(first)
-        stage.absorb(IdSetPart("t", np.array([2], np.uint64), 3))
-        stage.absorb(IdSetPart("t", np.array([4], np.uint64), 3))
-        assert first.values.tolist() == [1]
-        assert counting.ids_count(stage) == 3
+        for vals in INCOMING[kind]:
+            stage.absorb(TuplePart("t", kind, np.array(vals, sent.dtype)))
+        assert np.array_equal(first.values, sent)
+        assert stage.acc.tolist() == MERGED[kind]
+
+    def test_fine_length_mismatch_raises(self):
+        # fine lengths that disagree across nodes (D undersized) must fail
+        # loudly, also at a node that drew nothing
+        stage = counting.exp_stage("t", 1, 4, False, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            stage.absorb(TuplePart("t", "exp", np.ones(5)))
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -372,6 +412,22 @@ class TestBandwidth:
         rows = assert_bandwidth(res.world.ledger, {"cnt.c": bound})
         row = next(r for r in rows if r.tag == "cnt.c")
         assert row.ok, (row.max_bits, bound)
+
+    def test_tuple_parts_metered_per_kind(self):
+        # n = 8 nodes: 3 bits per id
+        parts = [
+            (TuplePart("t", "geo", np.array([1, 2, 3, 64], np.uint8)),
+             1 + 2 + 2 + 7),
+            (TuplePart("t", "exp", np.ones(5)), 64 * 5),
+            (TuplePart("t", "ids", np.array([0b1011], np.uint64), 3), 3 * 3),
+            (TuplePart("t", "degs", np.array([2, -1, 0, 5], np.int32), 3),
+             3 * 2 * 3),
+            (counting.CoordPart("t", "geo", 0, 0.0), 1),
+            (counting.CoordPart("t", "geo", 1, 5.0), 3),
+            (counting.CoordPart("t", "exp", 2, 0.25), 64),
+        ]
+        for part, bits in parts:
+            assert part.bit_size() == bits, part
 
     def test_fine_full_tuple_mode_exceeds_log_bound(self):
         # full-tuple broadcasts provably blow an O(log n) budget; the ledger
