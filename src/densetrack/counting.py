@@ -412,7 +412,6 @@ class CountPipeline:
             self.stage = None
             if self.coarse == 0 and not self.exact:
                 return 0.0  # nobody drew a fine tuple
-            # both endpoints report each edge
             return total / 2.0 if self.edges else total
         self.fine, self.coarse = True, total
         if not self.exact:
