@@ -63,13 +63,12 @@ class RunReport:
 
 
 class _RunState:
-    def __init__(self, world: World, handlers: list[ProtocolNode]):
-        self.world = world
+    def __init__(self, handlers: list[ProtocolNode]):
         self.handlers = handlers
         self.seen_passes = 0
         self.seen_outcomes = 0
         self.seen_level_key = (0, 0)
-        self.pending_scores: list[tuple] = []  # (outcomes, snapshot_edges, round)
+        self.pending_scores: list[tuple] = []  # (outcomes, snapshot_edges)
         self.published: list[FamilySnapshot] = []
 
     # runs at every round's compute end: graph still in round-start state
@@ -100,14 +99,11 @@ class _RunState:
         if len(h0.outcomes) > self.seen_outcomes:
             self.seen_outcomes = len(h0.outcomes)
             outs = [h.outcomes[-1] for h in self.handlers]
+            if len({(o.completed_round, o.chosen, o.attempts, o.no_family)
+                    for o in outs}) > 1:
+                raise DesyncDetected("query outcomes diverge across nodes")
             base = outs[0]
-            for o in outs[1:]:
-                if (o.completed_round, o.chosen, o.attempts, o.no_family) != \
-                        (base.completed_round, base.chosen, base.attempts,
-                         base.no_family):
-                    raise DesyncDetected("query outcomes diverge across nodes")
-            self.pending_scores.append(
-                (outs, self.world.graph.snapshot(), world.round))
+            self.pending_scores.append((outs, world.graph.snapshot()))
             if world.log:
                 world.log.append({"round": world.round, "event": "query",
                                   "k": base.k, "chosen": base.chosen,
@@ -115,8 +111,11 @@ class _RunState:
                                   "attempts": base.attempts})
 
 
-def _score_query(outs, snapshot_edges, node_count: int,
-                 params: ProtocolParams, cache: OracleCache) -> dict:
+def _score_query(outs, snapshot_edges, fam: FamilySnapshot | None,
+                 node_count: int, params: ProtocolParams, churn_rate: int,
+                 cache: OracleCache) -> dict:
+    """One query's row: its answer scored against the exact oracle on the
+    answer-round graph, timed and tagged against the pass ``fam`` it read."""
     base = outs[0]
     row: dict = {
         "round_fired": base.fired_round,
@@ -129,26 +128,10 @@ def _score_query(outs, snapshot_edges, node_count: int,
         return row
     members = frozenset(o.node_id for o in outs if o.in_answer)
     g = DynamicGraph.from_edges(node_count, sorted(snapshot_edges))
-    sd = induced_density(g, members) if members else None
-    fam_pass = base.snapshot
-    row.update({
-        "status": "answered",
-        "snapshot": fam_pass,
-        "chosen_level": base.chosen,
-        "chosen_ratio": base.chosen_ratio,
-        "answer_size": len(members),
-        "answer_hash": hashlib.sha256(
-            ",".join(map(str, sorted(members))).encode()).hexdigest()[:16],
-        "answer_density": _frac_str(sd.density) if sd else "0/1",
-        "padded": base.padded,
-        "attempts": base.attempts,
-        "accepted_attempt": base.accepted_attempt,
-        "cap_exceeded": base.cap_exceeded,
-    })
-    ans_density = sd.density if sd else Fraction(0)
+    ans_density = induced_density(g, members).density if members \
+        else Fraction(0)
     k = base.k
     eps = Fraction(params.epsilon)
-    delta = Fraction(params.delta)
     if k == 0:
         oracle_res = cache.exact_densest(g)
         rho_upper = rho_lower = oracle_res.density
@@ -161,51 +144,46 @@ def _score_query(outs, snapshot_edges, node_count: int,
         method = "enumeration" if g.node_count <= 20 else "bounds"
         bound = Fraction(3) + eps
     ratio = rho_upper / ans_density if ans_density > 0 else None
+    rec = fam.records[base.chosen]
+    t_used = max(fam.end_round - fam.start_round + 1,
+                 base.completed_round - rec.edges_start)
+    need = Fraction(24 * t_used * churn_rate) / eps
+    # numeric check of the size bound the analysis leans on
+    d = params.delta
+    if base.padded:
+        cap = k * (1 + d) * (1 + 2 * d) / (1 - d)
+    else:
+        cap = rec.node_est / (1 - d)
     row.update({
+        "status": "answered",
+        "snapshot": base.snapshot,
+        "chosen_level": base.chosen,
+        "chosen_ratio": base.chosen_ratio,
+        "answer_size": len(members),
+        "answer_hash": hashlib.sha256(
+            ",".join(map(str, sorted(members))).encode()).hexdigest()[:16],
+        "answer_density": _frac_str(ans_density),
+        "padded": base.padded,
+        "attempts": base.attempts,
+        "accepted_attempt": base.accepted_attempt,
+        "cap_exceeded": base.cap_exceeded,
         "oracle_density": _frac_str(rho_upper),
         "oracle_lower": _frac_str(rho_lower),
         "oracle_method": method,
         "ratio": _frac_str(ratio) if ratio is not None else None,
         "bound_factor": float(bound),
+        "guarantee_ok": bool(ans_density * bound >= rho_upper),
+        "size_ok": len(members) >= k,
+        "t_pass_start": fam.start_round,
+        "t_pass_end": fam.end_round,
+        "t_edges_start": rec.edges_start,
+        "t_level_set": rec.threshold_round,
+        "T_used": t_used,
+        "precondition_threshold": _frac_str(need),
+        "conditioned": bool(max(k, 1) * rho_lower >= need),
+        "size_bound_ok": bool(len(members) <= cap + 1e-9),
     })
-    guarantee_ok = ans_density * bound >= rho_upper
-    size_ok = (k == 0) or len(members) >= k
-    row["guarantee_ok"] = bool(guarantee_ok)
-    row["size_ok"] = bool(size_ok)
     return row
-
-
-def finish_query_row(row: dict, snapshot: FamilySnapshot, params: ProtocolParams,
-                     churn_rate: int) -> None:
-    """Attach timing markers and the precondition tag (needs the pass)."""
-    if row.get("status") != "answered":
-        return
-    chosen = row["chosen_level"]
-    rec = snapshot.records[chosen]
-    pass_len = snapshot.end_round - snapshot.start_round + 1
-    t_to_edges = row["round_answered"] - rec.edges_start
-    t_used = max(pass_len, t_to_edges)
-    row["t_pass_start"] = snapshot.start_round
-    row["t_pass_end"] = snapshot.end_round
-    row["t_edges_start"] = rec.edges_start  # edge counting of the chosen level
-    row["t_level_set"] = rec.threshold_round
-    row["T_used"] = t_used
-    eps = Fraction(params.epsilon)
-    need = Fraction(24 * t_used * churn_rate) / eps
-    row["precondition_threshold"] = _frac_str(need)
-    rho_lower = Fraction(*map(int, row["oracle_lower"].split("/")))
-    if row["k"] == 0:
-        row["conditioned"] = bool(rho_lower >= need)
-    else:
-        row["conditioned"] = bool(Fraction(row["k"]) * rho_lower >= need)
-    # numeric check of the size bound the analysis leans on
-    n_est = rec.node_est
-    d = params.delta
-    if row["padded"]:
-        cap = row["k"] * (1 + d) * (1 + 2 * d) / (1 - d)
-    else:
-        cap = n_est / (1 - d)
-    row["size_bound_ok"] = bool(row["answer_size"] <= cap + 1e-9)
 
 
 def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = None,
@@ -231,47 +209,42 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         handlers = [ProtocolNode(i, g.node_count, params)
                     for i in range(g.node_count)]
         world = World(g, handlers, seed=config.seed, adversary=adversary, log=log)
-        state = _RunState(world, handlers)
+        state = _RunState(handlers)
         world.on_compute_end.append(state.on_compute_end)
 
         duration = config.duration
         target_passes = duration.get("passes")
         target_rounds = duration.get("rounds")
         qspec = config.queries
-        fired = 0
-        last_seen_pass = 0
-        # at-rounds queries wait in order (duplicates kept); the head fires
-        # at the first round at or after its own with no query active
-        queue = sorted(qspec["rounds"]) if qspec and qspec["mode"] == "at-rounds" else []
+        per_pass = bool(qspec) and qspec["mode"] == "per-pass"
+        # every query waits here as its round, in order; the head fires at
+        # the first round at or after its own with no query active
+        due = sorted(qspec["rounds"]) if qspec and not per_pass else []
+        fired = passes_seen = 0
         hard_cap = (target_rounds if target_rounds is not None else
                     (target_passes + 2) * params.p_cap * level_round_cost(params.diameter)
                     + params.pad_cap * 2 * params.diameter + 64)
         if params.strict_congest:
             hard_cap *= 4096
 
-        def queries_pending() -> bool:
-            return handlers[0].query is not None or bool(queue)
-
         while True:
             r = world.round
-            fire = False
-            if (qspec and qspec["mode"] == "per-pass"
-                    and handlers[0].family_version > last_seen_pass):
-                last_seen_pass = handlers[0].family_version
-                if (handlers[0].pass_index >= int(qspec.get("start_pass", 1))
-                        and fired < int(qspec.get("limit") or 1 << 30)
-                        and not queries_pending()):
-                    fire = True
+            h0 = handlers[0]
+            if per_pass and h0.family_version > passes_seen:
+                passes_seen = h0.family_version
+                # a pass that closes while a query runs asks for none
+                # (ROADMAP item 2)
+                if (h0.pass_index >= qspec["start_pass"]
+                        and fired < qspec["limit"] and h0.query is None):
+                    due.append(r)
                     fired += 1
-            if queue and queue[0] <= r and handlers[0].query is None:
-                queue.pop(0)
-                fire = True
-            if fire:
-                world.inject_query(r, int(qspec["k"]))
-            elif not queries_pending() and (
+            if due and due[0] <= r and h0.query is None:
+                due.pop(0)
+                world.inject_query(r, qspec["k"])
+            elif h0.query is None and not due and (
                     (target_rounds is not None and r >= target_rounds)
                     or (target_passes is not None
-                        and handlers[0].pass_index >= target_passes)):
+                        and h0.pass_index >= target_passes)):
                 break
             if r >= hard_cap:
                 raise RoundCapExceeded(
@@ -279,15 +252,10 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                     f"open or its duration not done")
             world.run_round()
 
-        # score collected queries
         snap_by_pass = {fam.pass_index: fam for fam in state.published}
-        rows = []
-        for outs, snapshot_edges, round_ in state.pending_scores:
-            row = _score_query(outs, snapshot_edges, g.node_count, params, cache)
-            if row.get("status") == "answered":
-                finish_query_row(row, snap_by_pass[row["snapshot"]], params,
-                                 churn_rate)
-            rows.append(row)
+        rows = [_score_query(outs, edges, snap_by_pass.get(outs[0].snapshot),
+                             g.node_count, params, churn_rate, cache)
+                for outs, edges in state.pending_scores]
 
         passes = []
         for fam in state.published:
@@ -302,19 +270,16 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                            "length": fam.end_round - fam.start_round + 1,
                            "closed_by": fam.closed_by, "levels": levels})
 
+        answered = [row for row in rows if row["status"] == "answered"]
         flags = {
             "exact_counting": params.exact_counting,
             "strict_congest": params.strict_congest,
             "guarantee_failures": sum(
-                1 for row in rows if row.get("status") == "answered"
-                and row.get("conditioned") and not row.get("guarantee_ok")),
-            "size_failures": sum(
-                1 for row in rows if row.get("status") == "answered"
-                and not row.get("size_ok", True)),
-            "conditioned_queries": sum(
-                1 for row in rows if row.get("conditioned")),
-            "answered_queries": sum(
-                1 for row in rows if row.get("status") == "answered"),
+                row["conditioned"] and not row["guarantee_ok"]
+                for row in answered),
+            "size_failures": sum(not row["size_ok"] for row in answered),
+            "conditioned_queries": sum(row["conditioned"] for row in answered),
+            "answered_queries": len(answered),
         }
         return RunReport(config=config.raw, seed=config.seed,
                          rounds_run=world.round, queries=rows, passes=passes,

@@ -34,9 +34,14 @@ Queries snapshot the published family, pick ``argmax_i m_i / max(k, n_i)``
 padding loop: non-members enroll with probability ``delta_target / n_0``,
 the enrolled set is counted by a second pipeline beside the maintenance
 one (2D rounds per attempt), and the loop accepts when the count lands in
-``[(1+d)*target, (1+2d)*target]``.  After ``pad_cap`` attempts the best
-attempt seen is returned with a loud warning flag instead of looping
-forever.
+``[(1+d)*target, (1+2d)*target]``.  After ``pad_cap`` attempts the attempt
+closest to the window centre (earliest on ties) is returned with a loud
+warning flag instead of looping forever.  The harness fires one query at a
+time; each is one ``_QueryRun``, and ``ProtocolNode._answer`` alone closes
+it, answered at once, accepted or capped, so the chosen ratio
+(:func:`query_ratio`), the ``in_answer`` rule and that tie rule are each
+written once.  Only a query fired before any pass closes answers
+elsewhere, as ``no_family``.
 """
 
 from __future__ import annotations
@@ -177,15 +182,14 @@ class QueryOutcome:
     delta_estimates: tuple[float, ...] = ()
 
 
+def query_ratio(rec: LevelRecord, k: int) -> float:
+    """The query objective of one level, ``edge_est / max(k, node_est)``."""
+    return rec.edge_est / max(float(k), rec.node_est)
+
+
 def query_argmax(records: tuple[LevelRecord, ...], k: int) -> int:
-    """Index maximizing ``edge_est / max(k, node_est)``; ties -> smallest."""
-    best, best_val = 0, -1.0
-    for idx, rec in enumerate(records):
-        denom = max(float(k), rec.node_est)
-        val = rec.edge_est / denom if denom > 0 else 0.0
-        if val > best_val:
-            best, best_val = idx, val
-    return best
+    """Index maximizing :func:`query_ratio`; ties -> smallest."""
+    return max(range(len(records)), key=lambda i: query_ratio(records[i], k))
 
 
 @dataclass
@@ -195,9 +199,9 @@ class _QueryRun:
     snapshot: FamilySnapshot
     chosen: int
     member_vi: bool
-    delta_target: float
-    head_p: float
-    window: tuple[float, float]
+    delta_target: float | None = None  # None: answered without padding
+    head_p: float = 0.0
+    window: tuple[float, float] = (0.0, 0.0)
     attempt: int = 0
     coins: list[bool] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
@@ -223,8 +227,7 @@ class ProtocolNode:
         self.level_nodes_start: int | None = 0
         self.level_edges_start: int | None = None
         self.du = 0
-        self.drop_out = False   # my own "I dropped" bit
-        self.drop_seen = False  # OR over the flooding window
+        self.drop_seen = False  # OR of "someone dropped" over the window
         self.family: FamilySnapshot | None = None
         self.family_version = 0
         self._member_flags_heard = 0
@@ -305,8 +308,7 @@ class ProtocolNode:
             self.records[-1] = replace(rec, threshold_round=ctx.round - 1)
             thr = threshold_value(rec.ratio, p.factor)
             new_member = self.member and deg >= thr
-            self.drop_out = self.member and not new_member
-            self.drop_seen = self.drop_out
+            self.drop_seen = self.member and not new_member
             self.member = new_member
             self.flags.append(new_member)
             self.level += 1
@@ -362,30 +364,24 @@ class ProtocolNode:
     # -- query machine ------------------------------------------------------
 
     def _start_query(self, ctx: StepContext, k: int) -> None:
-        if self.query is not None:
-            raise RuntimeError("query fired while another is active")
-        p = self.params
+        assert self.query is None, "the harness fires one query at a time"
         if self.family is None:
             self.outcomes.append(QueryOutcome(
                 self.node_id, k, ctx.round, ctx.round, no_family=True))
             return
+        d = self.params.delta
         snap = self.family
         chosen = query_argmax(snap.records, k)
-        rec = snap.records[chosen]
-        member_vi = snap.flags[chosen]
-        ratio = rec.edge_est / max(float(k), rec.node_est)
-        if k == 0 or rec.node_est >= (1.0 + p.delta) * k:
-            self.outcomes.append(QueryOutcome(
-                self.node_id, k, ctx.round, ctx.round, no_family=False,
-                snapshot=snap.pass_index, chosen=chosen, chosen_ratio=ratio,
-                in_answer=member_vi))
+        q = self.query = _QueryRun(k, ctx.round, snap, chosen,
+                                   snap.flags[chosen])
+        node_est = snap.records[chosen].node_est
+        if k == 0 or node_est >= (1.0 + d) * k:
+            self._answer(ctx)
             return
-        delta_target = (1.0 + p.delta) * k - rec.node_est
-        head_p = min(1.0, max(0.0, delta_target / self.n0))
-        window = ((1.0 + p.delta) * delta_target,
-                  (1.0 + 2.0 * p.delta) * delta_target)
-        self.query = _QueryRun(k, ctx.round, snap, chosen, member_vi,
-                               delta_target, head_p, window)
+        q.delta_target = (1.0 + d) * k - node_est
+        q.head_p = min(1.0, max(0.0, q.delta_target / self.n0))
+        q.window = ((1.0 + d) * q.delta_target,
+                    (1.0 + 2.0 * d) * q.delta_target)
         self._begin_attempt(ctx)
 
     def _begin_attempt(self, ctx: StepContext) -> None:
@@ -395,26 +391,26 @@ class ProtocolNode:
         q.coins.append(enrolled)
         self.query_count.start(QUERY_TAGS, ctx.round, ctx.rng, enrolled)
 
-    def _finish_query(self, ctx: StepContext, accepted: int | None,
-                      cap_exceeded: bool) -> None:
+    def _answer(self, ctx: StepContext, accepted: int | None = None) -> None:
+        """Close the active query: answered at once, accepted at attempt
+        ``accepted`` (0-based), or, padded with none accepted, capped."""
         q = self.query
-        if accepted is None:
+        padded = q.delta_target is not None
+        best = accepted
+        if padded and best is None:
             # closest attempt to the window center, earliest on ties
             target = (q.window[0] + q.window[1]) / 2.0
             best = min(range(len(q.estimates)),
                        key=lambda i: (abs(q.estimates[i] - target), i))
-        else:
-            best = accepted
         self.outcomes.append(QueryOutcome(
             self.node_id, q.k, q.fired_round, ctx.round, no_family=False,
             snapshot=q.snapshot.pass_index, chosen=q.chosen,
-            chosen_ratio=q.snapshot.records[q.chosen].edge_est
-            / max(float(q.k), q.snapshot.records[q.chosen].node_est),
-            in_answer=q.member_vi or q.coins[best],
-            padded=True, attempts=q.attempt,
+            chosen_ratio=query_ratio(q.snapshot.records[q.chosen], q.k),
+            in_answer=q.member_vi or (padded and q.coins[best]),
+            padded=padded, attempts=q.attempt,
             accepted_attempt=None if accepted is None else accepted + 1,
-            cap_exceeded=cap_exceeded, delta_target=q.delta_target,
-            delta_estimates=tuple(q.estimates)))
+            cap_exceeded=padded and accepted is None,
+            delta_target=q.delta_target, delta_estimates=tuple(q.estimates)))
         self.query = None
 
     def _query_advance_emit(self, ctx: StepContext) -> list[MessagePart]:
@@ -422,12 +418,11 @@ class ProtocolNode:
         est = self.query_count.step(ctx.round, ctx.rng)
         if est is not None:
             q.estimates.append(est)
-            lo, hi = q.window
-            if lo <= est <= hi:
-                self._finish_query(ctx, len(q.estimates) - 1, False)
+            if q.window[0] <= est <= q.window[1]:
+                self._answer(ctx, len(q.estimates) - 1)
                 return []
             if q.attempt >= self.params.pad_cap:
-                self._finish_query(ctx, None, True)
+                self._answer(ctx)
                 return []
             self._begin_attempt(ctx)
         part = self.query_count.stage.emit()

@@ -27,13 +27,17 @@ Config schema (JSON; unknown keys are rejected everywhere)::
       "report": {"emit_log": false, "out": null}
     }
 
-At-rounds queries queue in round order, duplicates included: each fires at
-the first round at or after its own in which no other query is active, and
-its ``round_fired`` is the round it actually fired.
+Every query waits in one queue in round order, duplicates included (a
+per-pass query is due when its pass closes; ``start_pass`` defaults to 1,
+``limit`` to none): each fires at the first round at or after its own in
+which no other query is active, and its ``round_fired`` is the round it
+actually fired.  ``queries.k`` is the query size; ``protocol.k`` is only
+range-checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +218,7 @@ class ScenarioConfig:
             if mode == "per-pass":
                 _require_keys(queries, {"mode", "k", "start_pass", "limit"},
                               {"mode", "k"}, "queries")
+                queries = {"start_pass": 1, "limit": math.inf, **queries}
             elif mode == "at-rounds":
                 _require_keys(queries, {"mode", "rounds", "k"},
                               {"mode", "rounds", "k"}, "queries")
