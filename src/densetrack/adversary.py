@@ -176,27 +176,39 @@ class TargetedAdversary(RandomChurnAdversary):
         return batch
 
 
+_SPEC_KEYS = {
+    "scripted": {"kind", "rate", "script"},
+    "random-churn": {"kind", "rate", "mode", "protect"},
+    "targeted-attack-on-dense-core": {"kind", "rate", "protect",
+                                      "refresh_every", "bias"},
+}
+
+
+def check_adversary_spec(spec: dict) -> None:
+    """Raise :class:`ConfigError` for an unknown kind, key, mode or protect."""
+    kind = spec.get("kind")
+    if kind not in _SPEC_KEYS:
+        raise ConfigError(f"unknown adversary kind {kind!r}")
+    unknown = set(spec) - _SPEC_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown adversary keys {sorted(unknown)}")
+    for key, values in (("mode", ("balanced", "uniform")),
+                        ("protect", ("backbone", "none"))):
+        if spec.get(key, values[0]) not in values:
+            raise ConfigError(f"adversary {key} must be one of {values}")
+
+
 def adversary_from_spec(spec: dict | None, graph: DynamicGraph, seed: int,
                         protected: frozenset[Edge]) -> Adversary:
-    """Build the runtime adversary from a validated scenario spec."""
+    """Build the runtime adversary from a scenario spec."""
     if spec is None:
         return Adversary()
-    kind = spec.get("kind")
+    check_adversary_spec(spec)
+    kind = spec["kind"]
     rate = int(spec.get("rate", 0))
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed, 0xAD))))
     protect = protected if spec.get("protect", "backbone") == "backbone" else frozenset()
-    allowed = {
-        "scripted": {"kind", "rate", "script"},
-        "random-churn": {"kind", "rate", "mode", "protect"},
-        "targeted-attack-on-dense-core": {"kind", "rate", "protect",
-                                          "refresh_every", "bias"},
-    }
-    if kind not in allowed:
-        raise ConfigError(f"unknown adversary kind {kind!r}")
-    unknown = set(spec) - allowed[kind]
-    if unknown:
-        raise ConfigError(f"unknown adversary keys {sorted(unknown)}")
     if kind == "scripted":
         return ScriptedAdversary.load(spec.get("script", []), graph, rate)
     if kind == "random-churn":

@@ -1,8 +1,10 @@
 """Command-line surface: run scenarios, replay logs, query oracles, sweep grids.
 
-Exit code is nonzero iff any asserted guarantee fails (conditioned query
-missing its ratio bound, size shortfall, round-budget violation, replay
-divergence).
+Exit codes: 0 when every asserted guarantee held; 1 when one failed (a
+conditioned query missed its ratio bound, an answer fell short of k, a
+round budget was exceeded, or a replay diverged); 2 when nothing was judged
+(bad arguments, a config error found before round 0, or another
+``DensetrackError`` such as the hard round cap), with ``error:`` on stderr.
 """
 
 from __future__ import annotations

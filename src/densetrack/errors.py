@@ -42,5 +42,5 @@ class TooLargeForEnumeration(DensetrackError):
     """Brute-force oracle asked to enumerate more subsets than allowed."""
 
 
-class ConfigError(DensetrackError):
-    """Scenario configuration failed schema validation."""
+class ConfigError(DensetrackError, ValueError):
+    """Scenario configuration failed validation (the CLI exits 2)."""

@@ -53,7 +53,7 @@ from .counting import CountPipeline
 # bench/tracer.py wraps these four names in this module's namespace (its
 # counting.stage layer); the stages themselves are built in counting
 from .counting import degs_stage, exp_stage, geo_stage, ids_stage  # noqa: F401
-from .errors import UnknownSnapshot
+from .errors import ConfigError, UnknownSnapshot
 from .netsim import FlagsPart, MessagePart, StepContext
 
 # (coarse, fine) tag pairs of the three counting windows
@@ -105,14 +105,16 @@ class ProtocolParams:
     threshold_factor: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.epsilon <= 1):
-            raise ValueError("epsilon must be in (0,1]")
-        if self.diameter < 1:
-            raise ValueError("diameter must be >= 1")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.exact_counting and self.strict_congest:
-            raise ValueError("strict mode applies to tuple estimators only")
+        for ok, message in (
+                (0 < self.epsilon <= 1, "epsilon must be in (0,1]"),
+                (0 < self.counting_eps <= 1, "count_eps must be in (0,1]"),
+                (0 < self.delta_fail < 1, "delta_fail must be in (0,1)"),
+                (self.diameter >= 1, "diameter must be >= 1"),
+                (self.k >= 0, "k must be >= 0"),
+                (not (self.exact_counting and self.strict_congest),
+                 "strict mode applies to tuple estimators only")):
+            if not ok:
+                raise ConfigError(message)
 
     @property
     def delta(self) -> float:
@@ -130,12 +132,11 @@ class ProtocolParams:
 
 def params_for(node_count: int, epsilon: float, diameter: int,
                **overrides) -> ProtocolParams:
-    delta = epsilon / 24.0
-    base = dict(epsilon=epsilon, diameter=diameter,
-                p_cap=default_p_cap(node_count, delta),
-                pad_cap=default_pad_cap(node_count))
-    base.update(overrides)
-    return ProtocolParams(**base)
+    # range checks run before the defaults divide by delta
+    params = ProtocolParams(epsilon=epsilon, diameter=diameter, **overrides)
+    return replace(params, **{"p_cap": default_p_cap(node_count, params.delta),
+                              "pad_cap": default_pad_cap(node_count),
+                              **overrides})
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adversary import check_adversary_spec
 from .errors import ConfigError
 from .graph import DynamicGraph, Edge, edge_key, load_edge_list, static_diameter
 from .protocol import ProtocolParams, params_for
+
+
+def _require_int(x, low: int, where: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        raise ConfigError(f"{where} must be an integer >= {low}, got {x!r}")
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str],
@@ -218,12 +224,22 @@ class ScenarioConfig:
             if mode == "per-pass":
                 _require_keys(queries, {"mode", "k", "start_pass", "limit"},
                               {"mode", "k"}, "queries")
+                for key, low in (("start_pass", 0), ("limit", 1)):
+                    if key in queries:
+                        _require_int(queries[key], low, f"queries.{key}")
                 queries = {"start_pass": 1, "limit": math.inf, **queries}
             elif mode == "at-rounds":
                 _require_keys(queries, {"mode", "rounds", "k"},
                               {"mode", "rounds", "k"}, "queries")
+                if not isinstance(queries["rounds"], list):
+                    raise ConfigError("queries.rounds must be a list")
+                for r in queries["rounds"]:
+                    _require_int(r, 0, "queries.rounds")
             else:
                 raise ConfigError(f"unknown query mode {mode!r}")
+            _require_int(queries["k"], 0, "queries.k")
+        if conf.get("adversary"):
+            check_adversary_spec(conf["adversary"])
         report = dict(conf.get("report") or {})
         _require_keys(report, {"emit_log", "out"}, set(), "report")
         return cls(raw=conf, seed=int(conf["seed"]), graph_spec=dict(conf["graph"]),
@@ -253,7 +269,9 @@ class ScenarioConfig:
         params = params_for(n, float(pspec.pop("epsilon")), int(diameter),
                             **pspec)
         if params.k > n:
-            raise ConfigError(f"k={params.k} exceeds n={n}")
+            raise ConfigError(f"protocol.k={params.k} exceeds n={n}")
+        if self.queries and self.queries["k"] > n:
+            raise ConfigError(f"queries.k={self.queries['k']} exceeds n={n}")
         return built, params
 
 
@@ -284,8 +302,6 @@ def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
         raise ConfigError(
             f"no clique within n={n} clears precondition {need:.1f}; "
             f"raise n or k, or lower rate")
-    if k > n:
-        raise ConfigError("k exceeds n")
     return {
         "seed": seed,
         "graph": {"kind": "planted-dense", "n": n, "clique": q,

@@ -92,6 +92,15 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
 
 
+def test_bad_epsilon_exits_two(tmp_path, capsys):
+    conf = json.loads(write_config(tmp_path).read_text())
+    conf["protocol"]["epsilon"] = 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(conf))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: epsilon must be in (0,1]" in capsys.readouterr().err
+
+
 def test_round_cap_exits_two(tmp_path, capsys):
     # a padded k=7 query on a K6 with four pendants, fired at round 58 of a
     # 60-round run, is still open at the cap

@@ -85,6 +85,64 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(conf).build()
 
+    # (key path, bad value) on k5_config: n = 5, per-pass queries, no
+    # adversary.  Each is refused while the config builds, before round 0.
+    BAD_VALUES = [
+        pytest.param(("protocol", "epsilon"), 2, id="epsilon-2"),
+        pytest.param(("protocol", "epsilon"), 0, id="epsilon-0"),
+        pytest.param(("protocol", "count_eps"), 2, id="count_eps-2"),
+        pytest.param(("protocol", "count_eps"), 0, id="count_eps-0"),
+        pytest.param(("protocol", "delta_fail"), 1.5, id="delta_fail-1.5"),
+        pytest.param(("protocol", "delta_fail"), 0, id="delta_fail-0"),
+        pytest.param(("protocol", "diameter"), 0, id="diameter-0"),
+        pytest.param(("queries", "k"), 50, id="queries.k-above-n"),
+        pytest.param(("queries", "k"), -1, id="queries.k-negative"),
+        pytest.param(("queries", "k"), 2.5, id="queries.k-float"),
+        pytest.param(("queries", "limit"), 0, id="queries.limit-0"),
+        pytest.param(("queries", "start_pass"), -1,
+                     id="queries.start_pass-negative"),
+        pytest.param(("queries",), {"mode": "at-rounds", "k": 0,
+                                    "rounds": [4, -1]},
+                     id="queries.rounds-negative"),
+        pytest.param(("queries",), {"mode": "at-rounds", "k": 0,
+                                    "rounds": [2.5]},
+                     id="queries.rounds-float"),
+        pytest.param(("queries",), {"mode": "at-rounds", "k": 0,
+                                    "rounds": 10},
+                     id="queries.rounds-not-a-list"),
+        pytest.param(("adversary",), {"kind": "random-churn", "rate": 0,
+                                      "mode": "balancd"},
+                     id="adversary.mode-typo"),
+        pytest.param(("adversary",), {"kind": "random-churn", "rate": 0,
+                                      "protect": "all"},
+                     id="adversary.protect-random-churn"),
+        pytest.param(("adversary",), {"kind": "targeted-attack-on-dense-core",
+                                      "rate": 0, "protect": "Backbone"},
+                     id="adversary.protect-targeted"),
+    ]
+
+    @pytest.mark.parametrize("path,value", BAD_VALUES)
+    def test_bad_value_rejected_at_build(self, path, value):
+        conf = k5_config()
+        *parents, key = path
+        node = conf
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(conf).build()
+
+    @pytest.mark.parametrize("adversary", [
+        {"kind": "random-churn", "rate": 0, "mode": "uniform",
+         "protect": "none"},
+        {"kind": "targeted-attack-on-dense-core", "rate": 0,
+         "protect": "none"},
+    ])
+    def test_accepted_adversary_values_build(self, adversary):
+        conf = k5_config()
+        conf["adversary"] = adversary
+        ScenarioConfig.from_dict(conf).build()
+
 
 class TestRunScenario:
     def test_static_k5_ratio_bound(self):
