@@ -1,11 +1,13 @@
 """Scenario execution, guarantee bookkeeping and report emission.
 
-Every query record is self-auditing: the answer's density is recomputed as
-an exact rational from the raw graph snapshot at answer time, never trusted
-from protocol scalars, and scored against the exact oracle on that same
-snapshot.  Queries whose snapshot fails the density precondition
-``24*T*r / eps`` (``/k`` for size-constrained queries) are tagged
-"unconditioned" and excluded from guarantee assertions but still reported.
+Every query record is self-auditing.  Each query is scored when it is
+answered, on the graph of its answer round (the round-start graph, before
+that round's churn): the answer's density is recomputed from that graph as
+an exact rational, never trusted from protocol scalars, and scored against
+the exact oracle on the same graph.  Queries whose graph fails the density
+precondition ``24*T*r / eps`` (``/k`` for size-constrained queries) are
+tagged "unconditioned" and excluded from guarantee assertions but still
+reported.
 
 ``T`` is the measured wall length in rounds of the pass a query read, or
 the gap from that pass's edge-count start to the answer round, whichever is
@@ -23,14 +25,14 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .adversary import adversary_from_spec
 from .errors import ConfigError, DesyncDetected, RoundCapExceeded
 from .graph import DynamicGraph, induced_density
 from .netsim import EventLog, World
-from .oracle import OracleCache, at_least_k_bounds
+from .oracle import ENUMERATION_LIMIT, OracleCache, at_least_k_bounds
 from .protocol import (FamilySnapshot, ProtocolNode, ProtocolParams,
                        level_round_cost)
 from .scenarios import ScenarioConfig
@@ -63,13 +65,19 @@ class RunReport:
 
 
 class _RunState:
-    def __init__(self, handlers: list[ProtocolNode]):
+    """The per-round observer: checks that the nodes agree, and adds a pass
+    row when a family is published and a scored query row when a query is
+    answered."""
+
+    def __init__(self, handlers: list[ProtocolNode], params: ProtocolParams,
+                 churn_rate: int, cache: OracleCache):
         self.handlers = handlers
-        self.seen_passes = 0
-        self.seen_outcomes = 0
+        self.params = params
+        self.churn_rate = churn_rate
+        self.cache = cache
         self.seen_level_key = (0, 0)
-        self.pending_scores: list[tuple] = []  # (outcomes, snapshot_edges)
-        self.published: list[FamilySnapshot] = []
+        self.rows: list[dict] = []
+        self.passes: list[dict] = []
 
     # runs at every round's compute end: graph still in round-start state
     def on_compute_end(self, world: World) -> None:
@@ -84,26 +92,25 @@ class _RunState:
                     raise DesyncDetected(
                         f"level records diverge at round {world.round}")
         self.seen_level_key = key
-        if h0.family_version > self.seen_passes:
-            self.seen_passes = h0.family_version
+        if h0.pass_index > len(self.passes):
             fam = h0.family
             for h in self.handlers[1:]:
                 if h.family is None or h.family.records != fam.records:
                     raise DesyncDetected("family records diverge across nodes")
-            self.published.append(fam)
+            self.passes.append(_pass_row(fam))
             if world.log:
                 world.log.append({"round": world.round, "event": "pass",
                                   "pass": fam.pass_index,
                                   "closed_by": fam.closed_by,
                                   "levels": len(fam.records)})
-        if len(h0.outcomes) > self.seen_outcomes:
-            self.seen_outcomes = len(h0.outcomes)
+        if len(h0.outcomes) > len(self.rows):
             outs = [h.outcomes[-1] for h in self.handlers]
             if len({(o.completed_round, o.chosen, o.attempts, o.no_family)
                     for o in outs}) > 1:
                 raise DesyncDetected("query outcomes diverge across nodes")
             base = outs[0]
-            self.pending_scores.append((outs, world.graph.snapshot()))
+            self.rows.append(_score_query(outs, world.graph, self.params,
+                                          self.churn_rate, self.cache))
             if world.log:
                 world.log.append({"round": world.round, "event": "query",
                                   "k": base.k, "chosen": base.chosen,
@@ -111,11 +118,18 @@ class _RunState:
                                   "attempts": base.attempts})
 
 
-def _score_query(outs, snapshot_edges, fam: FamilySnapshot | None,
-                 node_count: int, params: ProtocolParams, churn_rate: int,
-                 cache: OracleCache) -> dict:
-    """One query's row: its answer scored against the exact oracle on the
-    answer-round graph, timed and tagged against the pass ``fam`` it read."""
+def _pass_row(fam: FamilySnapshot) -> dict:
+    return {"pass": fam.pass_index, "start": fam.start_round,
+            "end": fam.end_round,
+            "length": fam.end_round - fam.start_round + 1,
+            "closed_by": fam.closed_by,
+            "levels": [asdict(rec) for rec in fam.records]}
+
+
+def _score_query(outs, g: DynamicGraph, params: ProtocolParams,
+                 churn_rate: int, cache: OracleCache) -> dict:
+    """One query's row: its answer scored against the exact oracle on ``g``,
+    the answer round's graph, timed and tagged against the pass it read."""
     base = outs[0]
     row: dict = {
         "round_fired": base.fired_round,
@@ -127,11 +141,11 @@ def _score_query(outs, snapshot_edges, fam: FamilySnapshot | None,
         row["status"] = "no-complete-family"
         return row
     members = frozenset(o.node_id for o in outs if o.in_answer)
-    g = DynamicGraph.from_edges(node_count, sorted(snapshot_edges))
     ans_density = induced_density(g, members).density if members \
         else Fraction(0)
     k = base.k
     eps = Fraction(params.epsilon)
+    enumerate_all = g.node_count <= ENUMERATION_LIMIT
     if k == 0:
         oracle_res = cache.exact_densest(g)
         rho_upper = rho_lower = oracle_res.density
@@ -139,11 +153,13 @@ def _score_query(outs, snapshot_edges, fam: FamilySnapshot | None,
         bound = Fraction(2) + eps
     else:
         rho_lower, rho_upper, _ = at_least_k_bounds(
-            g, k, cache.exact_densest(g) if g.node_count > 20 else None)
-        rho_lower = max(rho_lower, ans_density if len(members) >= k else rho_lower)
-        method = "enumeration" if g.node_count <= 20 else "bounds"
+            g, k, None if enumerate_all else cache.exact_densest(g))
+        if len(members) >= k:
+            rho_lower = max(rho_lower, ans_density)
+        method = "enumeration" if enumerate_all else "bounds"
         bound = Fraction(3) + eps
     ratio = rho_upper / ans_density if ans_density > 0 else None
+    fam = base.snapshot
     rec = fam.records[base.chosen]
     t_used = max(fam.end_round - fam.start_round + 1,
                  base.completed_round - rec.edges_start)
@@ -156,7 +172,7 @@ def _score_query(outs, snapshot_edges, fam: FamilySnapshot | None,
         cap = rec.node_est / (1 - d)
     row.update({
         "status": "answered",
-        "snapshot": base.snapshot,
+        "snapshot": fam.pass_index,
         "chosen_level": base.chosen,
         "chosen_ratio": base.chosen_ratio,
         "answer_size": len(members),
@@ -209,7 +225,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         handlers = [ProtocolNode(i, g.node_count, params)
                     for i in range(g.node_count)]
         world = World(g, handlers, seed=config.seed, adversary=adversary, log=log)
-        state = _RunState(handlers)
+        state = _RunState(handlers, params, churn_rate, cache)
         world.on_compute_end.append(state.on_compute_end)
 
         duration = config.duration
@@ -230,8 +246,8 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         while True:
             r = world.round
             h0 = handlers[0]
-            if per_pass and h0.family_version > passes_seen:
-                passes_seen = h0.family_version
+            if per_pass and h0.pass_index > passes_seen:
+                passes_seen = h0.pass_index
                 # a pass that closes while a query runs asks for none
                 # (ROADMAP item 2)
                 if (h0.pass_index >= qspec["start_pass"]
@@ -252,25 +268,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                     f"open or its duration not done")
             world.run_round()
 
-        snap_by_pass = {fam.pass_index: fam for fam in state.published}
-        rows = [_score_query(outs, edges, snap_by_pass.get(outs[0].snapshot),
-                             g.node_count, params, churn_rate, cache)
-                for outs, edges in state.pending_scores]
-
-        passes = []
-        for fam in state.published:
-            levels = [{"j": rec.j, "node_est": rec.node_est,
-                       "edge_est": rec.edge_est, "ratio": rec.ratio,
-                       "nodes_start": rec.nodes_start,
-                       "edges_start": rec.edges_start,
-                       "threshold_round": rec.threshold_round}
-                      for rec in fam.records]
-            passes.append({"pass": fam.pass_index, "start": fam.start_round,
-                           "end": fam.end_round,
-                           "length": fam.end_round - fam.start_round + 1,
-                           "closed_by": fam.closed_by, "levels": levels})
-
-        answered = [row for row in rows if row["status"] == "answered"]
+        answered = [row for row in state.rows if row["status"] == "answered"]
         flags = {
             "exact_counting": params.exact_counting,
             "strict_congest": params.strict_congest,
@@ -282,7 +280,8 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
             "answered_queries": len(answered),
         }
         return RunReport(config=config.raw, seed=config.seed,
-                         rounds_run=world.round, queries=rows, passes=passes,
+                         rounds_run=world.round, queries=state.rows,
+                         passes=state.passes,
                          ledger=world.ledger.summary(),
                          truncated_tosses=sum(h.truncated_tosses for h in handlers),
                          log_digest=log.digest() if log else None, flags=flags,

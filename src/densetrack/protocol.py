@@ -171,7 +171,7 @@ class QueryOutcome:
     fired_round: int
     completed_round: int
     no_family: bool
-    snapshot: int | None = None
+    snapshot: FamilySnapshot | None = None
     chosen: int | None = None
     chosen_ratio: float | None = None
     in_answer: bool = False
@@ -179,8 +179,6 @@ class QueryOutcome:
     attempts: int = 0
     accepted_attempt: int | None = None
     cap_exceeded: bool = False
-    delta_target: float | None = None
-    delta_estimates: tuple[float, ...] = ()
 
 
 def query_ratio(rec: LevelRecord, k: int) -> float:
@@ -230,7 +228,6 @@ class ProtocolNode:
         self.du = 0
         self.drop_seen = False  # OR of "someone dropped" over the window
         self.family: FamilySnapshot | None = None
-        self.family_version = 0
         self._member_flags_heard = 0
         self._started = False
         # one counting window at a time per machine; they share the settings
@@ -286,7 +283,6 @@ class ProtocolNode:
             start_round=self.pass_start,
             end_round=ctx.round - 1,
             closed_by=reason)
-        self.family_version += 1
         self.pass_index += 1
         self.level = 0
         self.member = True
@@ -405,13 +401,12 @@ class ProtocolNode:
                        key=lambda i: (abs(q.estimates[i] - target), i))
         self.outcomes.append(QueryOutcome(
             self.node_id, q.k, q.fired_round, ctx.round, no_family=False,
-            snapshot=q.snapshot.pass_index, chosen=q.chosen,
+            snapshot=q.snapshot, chosen=q.chosen,
             chosen_ratio=query_ratio(q.snapshot.records[q.chosen], q.k),
             in_answer=q.member_vi or (padded and q.coins[best]),
             padded=padded, attempts=q.attempt,
             accepted_attempt=None if accepted is None else accepted + 1,
-            cap_exceeded=padded and accepted is None,
-            delta_target=q.delta_target, delta_estimates=tuple(q.estimates)))
+            cap_exceeded=padded and accepted is None))
         self.query = None
 
     def _query_advance_emit(self, ctx: StepContext) -> list[MessagePart]:
