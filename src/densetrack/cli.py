@@ -42,11 +42,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
 def _run_one(conf: dict) -> tuple[dict, bool]:
     out_dir = (conf.get("report") or {}).get("out")
     cache_dir = os.path.join(out_dir, "oracle-cache") if out_dir else None
-    log_path = None
-    if (conf.get("report") or {}).get("emit_log") and out_dir:
-        log_path = os.path.join(out_dir, "events.ndjson")
-    report = run_scenario(conf, cache=OracleCache(cache_dir),
-                          log_path=log_path)
+    report = run_scenario(conf, cache=OracleCache(cache_dir))
     budget = check_round_budget(report)
     ok = (report.flags["guarantee_failures"] == 0
           and report.flags["size_failures"] == 0 and budget.ok)

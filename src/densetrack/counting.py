@@ -423,7 +423,7 @@ class CountPipeline:
         return None
 
 
-# -- standalone counting runs (used directly by tests and the CLI) -------------
+# -- standalone counting runs (used directly by tests) -------------------------
 
 
 @dataclass

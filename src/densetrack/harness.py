@@ -207,9 +207,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
     config = conf if isinstance(conf, ScenarioConfig) else ScenarioConfig.from_dict(conf)
     built, params = config.build()
     g = built.graph
-    churn_rate = int(config.adversary_spec.get("rate", 0)) \
-        if config.adversary_spec else 0
-    g.churn_rate = churn_rate
+    churn_rate = g.churn_rate = config.churn_rate
     adversary = adversary_from_spec(config.adversary_spec, g, config.seed,
                                     built.protected)
     cache = cache or OracleCache()

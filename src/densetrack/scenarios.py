@@ -2,7 +2,7 @@
 and a solver that sizes planted-dense instances to clear the density
 precondition with margin.
 
-Config schema (JSON; unknown keys are rejected everywhere)::
+Config schema (JSON; unknown keys and wrong-typed values are rejected)::
 
     {
       "seed": 123,
@@ -48,9 +48,23 @@ from .graph import DynamicGraph, Edge, edge_key, load_edge_list, static_diameter
 from .protocol import ProtocolParams, params_for
 
 
-def _require_int(x, low: int, where: str) -> None:
-    if isinstance(x, bool) or not isinstance(x, int) or x < low:
-        raise ConfigError(f"{where} must be an integer >= {low}, got {x!r}")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _checked(x, kind: type, where: str, low: int | None = None):
+    """``x`` converted to ``kind``, or a ConfigError naming the key path
+    ``where``.  An int must be a JSON integer, a float any JSON number and a
+    bool a JSON boolean; ``low`` is an inclusive lower bound."""
+    if kind is bool:
+        ok = isinstance(x, bool)
+    else:
+        ok = not isinstance(x, bool) and isinstance(
+            x, int if kind is int else (int, float))
+    if not ok or (low is not None and x < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ConfigError(
+            f"{where} must be {_KIND_NAMES[kind]}{at_least}, got {x!r}")
+    return kind(x)
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str],
@@ -172,27 +186,52 @@ def build_graph(spec: dict, seed: int) -> BuiltGraph:
     allowed, required = _GRAPH_SCHEMAS[kind]
     _require_keys(spec, allowed, required, f"graph[{kind}]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x67))))
+
+    def get(key, kind, low=None):
+        return _checked(spec[key], kind, f"graph.{key}", low)
+
     if kind == "gnp":
-        return build_gnp(rng, int(spec["n"]), float(spec["p"]))
+        return build_gnp(rng, get("n", int, 1), get("p", float))
     if kind == "regular":
-        return build_regular(rng, int(spec["n"]), int(spec["d"]))
+        return build_regular(rng, get("n", int, 1), get("d", int, 0))
     if kind == "planted-dense":
-        return build_planted(rng, int(spec["n"]), int(spec["clique"]),
-                             float(spec["noise_p"]),
-                             bool(spec.get("hub_star", True)))
+        return build_planted(rng, get("n", int, 1), get("clique", int),
+                             get("noise_p", float),
+                             _checked(spec.get("hub_star", True), bool,
+                                      "graph.hub_star"))
     if kind == "clique-plus-noise":
-        return build_clique_plus_noise(rng, int(spec["n"]), int(spec["clique"]),
-                                       int(spec["extra_edges"]))
-    g, _ = load_edge_list(spec["path"], node_count=spec.get("n"))
+        return build_clique_plus_noise(rng, get("n", int, 1), get("clique", int),
+                                       get("extra_edges", int, 0))
+    g, _ = load_edge_list(spec["path"],
+                          node_count=get("n", int, 1) if "n" in spec else None)
     return BuiltGraph(g, frozenset(), None)
 
 
 # -- scenario config --------------------------------------------------------------
 
 
-_PROTOCOL_KEYS = {"epsilon", "k", "diameter", "count_eps", "delta_fail", "c",
-                  "p_cap", "pad_cap", "exact_counting", "strict_congest",
-                  "threshold_factor"}
+def _check_adversary(spec: dict) -> None:
+    """:func:`check_adversary_spec` plus the types of the numbers that
+    :func:`adversary_from_spec` converts."""
+    check_adversary_spec(spec)
+    for key, kind, low in (("rate", int, 0), ("refresh_every", int, None),
+                           ("bias", float, None)):
+        if key in spec:
+            _checked(spec[key], kind, f"adversary.{key}", low)
+    script = spec.get("script", [])
+    if not isinstance(script, list) or not all(
+            isinstance(item, dict) for item in script):
+        raise ConfigError("adversary.script must be a list of objects")
+    for i, item in enumerate(script):
+        for key in ("round", "u", "v"):
+            _checked(item.get(key), int, f"adversary.script[{i}].{key}")
+
+
+# protocol key -> the type its value must have ("diameter" may also be "auto")
+_PROTOCOL_KINDS = {"epsilon": float, "k": int, "diameter": int,
+                   "count_eps": float, "delta_fail": float, "c": float,
+                   "p_cap": int, "pad_cap": int, "exact_counting": bool,
+                   "strict_congest": bool, "threshold_factor": float}
 
 
 @dataclass
@@ -212,11 +251,13 @@ class ScenarioConfig:
                              "duration", "queries", "report"},
                       {"seed", "graph", "protocol", "duration"}, "config")
         protocol = dict(conf["protocol"])
-        _require_keys(protocol, _PROTOCOL_KEYS, {"epsilon"}, "protocol")
+        _require_keys(protocol, set(_PROTOCOL_KINDS), {"epsilon"}, "protocol")
         duration = dict(conf["duration"])
         _require_keys(duration, {"passes", "rounds"}, set(), "duration")
         if len(duration) != 1:
             raise ConfigError("duration needs exactly one of passes/rounds")
+        for key, value in duration.items():
+            _checked(value, int, f"duration.{key}", 0)
         queries = conf.get("queries")
         if queries is not None:
             queries = dict(queries)
@@ -226,7 +267,7 @@ class ScenarioConfig:
                               {"mode", "k"}, "queries")
                 for key, low in (("start_pass", 0), ("limit", 1)):
                     if key in queries:
-                        _require_int(queries[key], low, f"queries.{key}")
+                        _checked(queries[key], int, f"queries.{key}", low)
                 queries = {"start_pass": 1, "limit": math.inf, **queries}
             elif mode == "at-rounds":
                 _require_keys(queries, {"mode", "rounds", "k"},
@@ -234,40 +275,53 @@ class ScenarioConfig:
                 if not isinstance(queries["rounds"], list):
                     raise ConfigError("queries.rounds must be a list")
                 for r in queries["rounds"]:
-                    _require_int(r, 0, "queries.rounds")
+                    _checked(r, int, "queries.rounds", 0)
             else:
                 raise ConfigError(f"unknown query mode {mode!r}")
-            _require_int(queries["k"], 0, "queries.k")
+            _checked(queries["k"], int, "queries.k", 0)
         if conf.get("adversary"):
-            check_adversary_spec(conf["adversary"])
+            _check_adversary(conf["adversary"])
         report = dict(conf.get("report") or {})
         _require_keys(report, {"emit_log", "out"}, set(), "report")
-        return cls(raw=conf, seed=int(conf["seed"]), graph_spec=dict(conf["graph"]),
+        return cls(raw=conf, seed=_checked(conf["seed"], int, "seed", 0),
+                   graph_spec=dict(conf["graph"]),
                    adversary_spec=(dict(conf["adversary"])
                                    if conf.get("adversary") else None),
                    protocol_spec=protocol, duration=duration, queries=queries,
                    report=report)
 
+    @property
+    def churn_rate(self) -> int:
+        return self.adversary_spec.get("rate", 0) if self.adversary_spec else 0
+
     def build(self) -> tuple[BuiltGraph, ProtocolParams]:
-        built = build_graph(self.graph_spec, self.seed)
-        n = built.graph.node_count
         pspec = dict(self.protocol_spec)
         diameter = pspec.pop("diameter", "auto")
-        if diameter == "auto":
-            if built.diameter_hint is not None:
-                diameter = built.diameter_hint
-            else:
-                d = static_diameter(built.graph)
-                if d == float("inf"):
-                    raise ConfigError(
-                        "auto diameter needs a connected initial graph")
-                diameter = max(1, int(d))
-                if self.adversary_spec and int(self.adversary_spec.get("rate", 0)):
-                    raise ConfigError(
-                        "under churn, supply an explicit diameter bound or use "
-                        "a hub-star planted graph")
-        params = params_for(n, float(pspec.pop("epsilon")), int(diameter),
-                            **pspec)
+        pspec = {key: _checked(value, _PROTOCOL_KINDS[key], f"protocol.{key}")
+                 for key, value in pspec.items()}
+        built = build_graph(self.graph_spec, self.seed)
+        n = built.graph.node_count
+        # the hub-star hint holds only while no edit can cut a hub edge;
+        # a script is not checked against the protected edges
+        spec = self.adversary_spec
+        hub_kept = not self.churn_rate or (
+            spec["kind"] != "scripted"
+            and spec.get("protect", "backbone") == "backbone")
+        if diameter != "auto":
+            diameter = _checked(diameter, int, "protocol.diameter")
+        elif built.diameter_hint is not None and hub_kept:
+            diameter = built.diameter_hint
+        elif self.churn_rate:
+            raise ConfigError(
+                "under churn, supply an explicit diameter bound or use a "
+                "hub-star planted graph whose backbone the adversary protects")
+        else:
+            d = static_diameter(built.graph)
+            if d == float("inf"):
+                raise ConfigError(
+                    "auto diameter needs a connected initial graph")
+            diameter = max(1, int(d))
+        params = params_for(n, diameter=diameter, **pspec)
         if params.k > n:
             raise ConfigError(f"protocol.k={params.k} exceeds n={n}")
         if self.queries and self.queries["k"] > n:

@@ -101,6 +101,16 @@ def test_bad_epsilon_exits_two(tmp_path, capsys):
     assert "error: epsilon must be in (0,1]" in capsys.readouterr().err
 
 
+def test_wrong_typed_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": 1,
+                                "graph": {"kind": "gnp", "n": 10, "p": 0.5},
+                                "protocol": {"epsilon": "x"},
+                                "duration": {"passes": 1}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: protocol.epsilon must be a number" in capsys.readouterr().err
+
+
 def test_round_cap_exits_two(tmp_path, capsys):
     # a padded k=7 query on a K6 with four pendants, fired at round 58 of a
     # 60-round run, is still open at the cap

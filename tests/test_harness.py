@@ -119,6 +119,12 @@ class TestConfigValidation:
         pytest.param(("adversary",), {"kind": "targeted-attack-on-dense-core",
                                       "rate": 0, "protect": "Backbone"},
                      id="adversary.protect-targeted"),
+        pytest.param(("protocol", "epsilon"), "x", id="epsilon-string"),
+        pytest.param(("protocol", "diameter"), "abc", id="diameter-string"),
+        pytest.param(("graph", "n"), "ten", id="graph.n-string"),
+        pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
+        pytest.param(("protocol", "exact_counting"), "yes",
+                     id="exact_counting-string"),
     ]
 
     @pytest.mark.parametrize("path,value", BAD_VALUES)
@@ -131,6 +137,41 @@ class TestConfigValidation:
         node[key] = value
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(conf).build()
+
+    @staticmethod
+    def hub_star_config(adversary):
+        """Planted n=40 hub star, auto diameter, under ``adversary``."""
+        return {"seed": 5,
+                "graph": {"kind": "planted-dense", "n": 40, "clique": 12,
+                          "noise_p": 0.05, "hub_star": True},
+                "adversary": adversary,
+                "protocol": {"epsilon": 1.0, "k": 0, "diameter": "auto"},
+                "duration": {"passes": 3},
+                "queries": {"mode": "per-pass", "k": 0}, "report": {}}
+
+    @pytest.mark.parametrize("adversary", [
+        # ran into DesyncDetected at round 26 while the hint was trusted
+        {"kind": "random-churn", "rate": 2, "mode": "uniform",
+         "protect": "none"},
+        {"kind": "scripted", "rate": 1,
+         "script": [{"round": 3, "op": "remove", "u": 0, "v": 20}]},
+    ], ids=["random-churn-unprotected", "scripted"])
+    def test_hub_hint_refused_when_hub_edges_can_go(self, adversary):
+        config = ScenarioConfig.from_dict(self.hub_star_config(adversary))
+        with pytest.raises(ConfigError, match="explicit diameter bound"):
+            config.build()
+
+    @pytest.mark.parametrize("adversary", [
+        {"kind": "random-churn", "rate": 2, "mode": "uniform",
+         "protect": "backbone"},
+        {"kind": "targeted-attack-on-dense-core", "rate": 1},
+        {"kind": "scripted", "rate": 0, "script": []},
+    ], ids=["random-churn-backbone", "targeted-default-backbone",
+            "scripted-rate-0"])
+    def test_hub_hint_kept_when_hub_edges_stay(self, adversary):
+        _, params = ScenarioConfig.from_dict(
+            self.hub_star_config(adversary)).build()
+        assert params.diameter == 2
 
     @pytest.mark.parametrize("adversary", [
         {"kind": "random-churn", "rate": 0, "mode": "uniform",
