@@ -66,14 +66,13 @@ class RunReport:
 
 class _RunState:
     """The per-round observer: checks that the nodes agree, and adds a pass
-    row when a family is published and a scored query row when a query is
+    row when a pass closes and a scored query row when a query is
     answered."""
 
     def __init__(self, handlers: list[ProtocolNode], params: ProtocolParams,
-                 churn_rate: int, cache: OracleCache):
+                 cache: OracleCache):
         self.handlers = handlers
         self.params = params
-        self.churn_rate = churn_rate
         self.cache = cache
         self.seen_level_key = (0, 0)
         self.rows: list[dict] = []
@@ -110,7 +109,7 @@ class _RunState:
                 raise DesyncDetected("query outcomes diverge across nodes")
             base = outs[0]
             self.rows.append(_score_query(outs, world.graph, self.params,
-                                          self.churn_rate, self.cache))
+                                          self.cache))
             if world.log:
                 world.log.append({"round": world.round, "event": "query",
                                   "k": base.k, "chosen": base.chosen,
@@ -127,7 +126,7 @@ def _pass_row(fam: FamilySnapshot) -> dict:
 
 
 def _score_query(outs, g: DynamicGraph, params: ProtocolParams,
-                 churn_rate: int, cache: OracleCache) -> dict:
+                 cache: OracleCache) -> dict:
     """One query's row: its answer scored against the exact oracle on ``g``,
     the answer round's graph, timed and tagged against the pass it read."""
     base = outs[0]
@@ -163,7 +162,7 @@ def _score_query(outs, g: DynamicGraph, params: ProtocolParams,
     rec = fam.records[base.chosen]
     t_used = max(fam.end_round - fam.start_round + 1,
                  base.completed_round - rec.edges_start)
-    need = Fraction(24 * t_used * churn_rate) / eps
+    need = Fraction(24 * t_used * g.churn_rate) / eps
     # numeric check of the size bound the analysis leans on
     d = params.delta
     if base.padded:
@@ -207,7 +206,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
     config = conf if isinstance(conf, ScenarioConfig) else ScenarioConfig.from_dict(conf)
     built, params = config.build()
     g = built.graph
-    churn_rate = g.churn_rate = config.churn_rate
+    g.churn_rate = config.churn_rate
     adversary = adversary_from_spec(config.adversary_spec, g, config.seed,
                                     built.protected)
     cache = cache or OracleCache()
@@ -223,7 +222,7 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         handlers = [ProtocolNode(i, g.node_count, params)
                     for i in range(g.node_count)]
         world = World(g, handlers, seed=config.seed, adversary=adversary, log=log)
-        state = _RunState(handlers, params, churn_rate, cache)
+        state = _RunState(handlers, params, cache)
         world.on_compute_end.append(state.on_compute_end)
 
         duration = config.duration

@@ -21,7 +21,7 @@ A level therefore costs exactly ``4D + 1`` communication rounds.
 Pass closure.  A pass completes when a level counts to zero, when nobody
 dropped at the previous threshold (a fixed point - detected by OR-flooding a
 1-bit "someone dropped" marker on the next level's coarse rounds), or when
-``p_cap`` levels fill up.  On closure the finished family is published
+``p_cap`` levels fill up.  On closure the finished family becomes current
 (double-buffered; queries always read the last complete one) and the next
 pass restarts at level 0 *without* recounting n_0: node counts never change,
 so the retained estimate stays valid and level 0 of later passes costs only
@@ -29,7 +29,7 @@ so the retained estimate stays valid and level 0 of later passes costs only
 the would-be next level, which keeps every pass within ``p_cap * (4D + 1)``
 rounds.
 
-Queries snapshot the published family, pick ``argmax_i m_i / max(k, n_i)``
+Queries snapshot the current family, pick ``argmax_i m_i / max(k, n_i)``
 (ties to the smallest index), and either answer immediately or run the
 padding loop: non-members enroll with probability ``delta_target / n_0``,
 the enrolled set is counted by a second pipeline beside the maintenance
@@ -442,7 +442,7 @@ class ProtocolNode:
 
 
 def membership_query(node: ProtocolNode, snapshot_id: int) -> dict[int, bool]:
-    """Local read of this node's flags for a published snapshot."""
+    """Local read of this node's flags for the current snapshot."""
     fam = node.family
     if fam is None or fam.pass_index != snapshot_id:
         raise UnknownSnapshot(f"snapshot {snapshot_id} is not current")
