@@ -253,7 +253,8 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
                     fired += 1
             if due and due[0] <= r and h0.query is None:
                 due.pop(0)
-                world.inject_query(r, qspec["k"])
+                for h in handlers:
+                    h.query_k = qspec["k"]
             elif h0.query is None and not due and (
                     (target_rounds is not None and r >= target_rounds)
                     or (target_passes is not None

@@ -12,16 +12,18 @@ Each round has three phases, always in this order:
   dynamic diameter for a flood to reach every node in D rounds.
 * **churn** - the adversary edits up to ``churn_rate`` edges.
 
-A step function may read only its own state, its inbox, its current neighbor
-count and its private RNG stream; the engine hands it exactly those through
-:class:`StepContext`.  All node streams derive from one global seed, so a run
-is a pure function of (config, seed).
+A step sees its own state and what :class:`StepContext` holds: the round,
+its inbox, its current neighbor count and its private RNG stream.  The
+engine knows no protocol; queries reach the nodes from the harness.  All
+node streams derive from one global seed, so a run is a pure function of
+(config, seed).
 
 A broadcast is a tuple of message parts: anything with a tag, a
 ``bit_size`` and ``canonical_bytes`` (:class:`MessagePart`).  The engine
 meters every part from its payload, never trusting the sender.  It defines
-only the flag and blob parts; the flood-merge tuple parts, with their dtypes,
-wire prefixes and bit rules, live in ``counting.KINDS``.
+only the blob part; the flag parts live in ``protocol``, the flood-merge
+tuple parts, with their dtypes, wire prefixes and bit rules, in
+``counting.KINDS``.
 
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
@@ -54,21 +56,6 @@ class MessagePart(Protocol):
 
 
 @dataclass(frozen=True)
-class FlagsPart:
-    """One-bit markers: subgraph membership and the did-anyone-drop bit."""
-
-    tag: str
-    member: bool = False
-    dropped: bool = False
-
-    def bit_size(self) -> int:
-        return int(self.member) + int(self.dropped)
-
-    def canonical_bytes(self) -> bytes:
-        return b"F" + self.tag.encode() + bytes([self.member, self.dropped])
-
-
-@dataclass(frozen=True)
 class BlobPart:
     """Opaque payload for flood experiments."""
 
@@ -85,7 +72,6 @@ class BlobPart:
 @dataclass(frozen=True)
 class RoundMessage:
     sender: int
-    round: int
     parts: tuple[MessagePart, ...]
 
     def bit_size(self) -> int:
@@ -203,22 +189,13 @@ class StepContext:
     """Everything a step function is allowed to see."""
 
     round: int
-    node_id: int
     inbox: list[RoundMessage]
     neighbor_count: int
     rng: np.random.Generator
-    query_inject: int | None = None  # k of a query fired this round, if any
 
 
 class Handler(Protocol):
     def step(self, ctx: StepContext) -> list[MessagePart] | None: ...
-
-
-@dataclass
-class NodeHandle:
-    id: int
-    rng: np.random.Generator
-    handler: Handler
 
 
 def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
@@ -236,39 +213,28 @@ class World:
             raise ValueError("one handler per node required")
         self.graph = graph
         self.adversary = adversary or Adversary()
-        self.nodes = [NodeHandle(i, node_rng(seed, i), h)
-                      for i, h in enumerate(handlers)]
+        self.handlers = list(handlers)
+        self.rngs = [node_rng(seed, i) for i in range(len(handlers))]
         self.round = 0
         self.ledger = BandwidthLedger()
         self.log = log
         self._inboxes: list[list[RoundMessage]] = [[] for _ in handlers]
-        self._pending_query: dict[int, int] = {}  # round -> k
         self.on_compute_end: list[Callable[["World"], None]] = []
-
-    # queries are injected globally: every node sees the same trigger round
-    def inject_query(self, round_: int, k: int) -> None:
-        if round_ < self.round:
-            raise ValueError("cannot inject a query in the past")
-        if round_ in self._pending_query:
-            raise ValueError(f"round {round_} already holds a query")
-        self._pending_query[round_] = k
 
     def run_round(self) -> None:
         r = self.round
-        inboxes, self._inboxes = self._inboxes, [[] for _ in self.nodes]
-        inject = self._pending_query.pop(r, None)
+        inboxes, self._inboxes = self._inboxes, [[] for _ in self.handlers]
         staged: list[RoundMessage] = []
-        for h in self.nodes:
-            ctx = StepContext(round=r, node_id=h.id, inbox=inboxes[h.id],
-                              neighbor_count=self.graph.degree(h.id),
-                              rng=h.rng, query_inject=inject)
-            inboxes[h.id] = None  # senders' arrays die with their last reader
+        for i, (handler, rng) in enumerate(zip(self.handlers, self.rngs)):
+            ctx = StepContext(round=r, inbox=inboxes[i],
+                              neighbor_count=self.graph.degree(i), rng=rng)
+            inboxes[i] = None  # senders' arrays die with their last reader
             try:
-                parts = h.handler.step(ctx)
+                parts = handler.step(ctx)
             except Exception as exc:  # surfaced with node id and round
-                raise HandlerPanic(h.id, r, repr(exc)) from exc
+                raise HandlerPanic(i, r, repr(exc)) from exc
             if parts:
-                staged.append(RoundMessage(h.id, r, tuple(parts)))
+                staged.append(RoundMessage(i, tuple(parts)))
         for cb in self.on_compute_end:
             cb(self)
         for msg in staged:
@@ -330,10 +296,6 @@ def flood(graph: DynamicGraph, origins: Iterable[int], payload: bytes,
                 for i in range(graph.node_count)]
     world = World(graph, handlers, seed=seed, adversary=adversary)
     world.run(rounds)
-    # one extra compute so the final deliveries are absorbed, without churn
-    for h, nh in zip(handlers, world.nodes):
-        ctx = StepContext(round=world.round, node_id=nh.id,
-                          inbox=world._inboxes[nh.id],
-                          neighbor_count=graph.degree(nh.id), rng=nh.rng)
-        h.step(ctx)
-    return {i for i, h in enumerate(handlers) if h.has_payload}
+    # only holders broadcast, so a pending delivery reaches a node too
+    return {i for i, h in enumerate(handlers)
+            if h.has_payload or world._inboxes[i]}

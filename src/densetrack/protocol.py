@@ -37,11 +37,13 @@ one (2D rounds per attempt), and the loop accepts when the count lands in
 ``[(1+d)*target, (1+2d)*target]``.  After ``pad_cap`` attempts the attempt
 closest to the window centre (earliest on ties) is returned with a loud
 warning flag instead of looping forever.  The harness fires one query at a
-time; each is one ``_QueryRun``, and ``ProtocolNode._answer`` alone closes
-it, answered at once, accepted or capped, so the chosen ratio
+time, setting ``query_k`` on every node for the next step to start; each
+is one ``_QueryRun``, and ``ProtocolNode._answer`` alone closes it,
+answered at once, accepted or capped, so the chosen ratio
 (:func:`query_ratio`), the ``in_answer`` rule and that tie rule are each
 written once.  Only a query fired before any pass closes answers
-elsewhere, as ``no_family``.
+elsewhere, as ``no_family``.  The one-bit flag parts (:class:`FlagsPart`)
+live here beside their tags; the tuple parts live in ``counting``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .counting import CountPipeline
 # counting.stage layer); the stages themselves are built in counting
 from .counting import degs_stage, exp_stage, geo_stage, ids_stage  # noqa: F401
 from .errors import ConfigError, UnknownSnapshot
-from .netsim import FlagsPart, MessagePart, StepContext
+from .netsim import MessagePart, StepContext
 
 # (coarse, fine) tag pairs of the three counting windows
 NODE_TAGS = ("m.nc", "m.nf")
@@ -62,6 +64,21 @@ EDGE_TAGS = ("m.ec", "m.ef")
 QUERY_TAGS = ("q.pc", "q.pf")
 MEMBER_TAG = "m.member"
 DROP_TAG = "m.drop"
+
+
+@dataclass(frozen=True)
+class FlagsPart:
+    """One-bit markers: subgraph membership and the did-anyone-drop bit."""
+
+    tag: str
+    member: bool = False
+    dropped: bool = False
+
+    def bit_size(self) -> int:
+        return int(self.member) + int(self.dropped)
+
+    def canonical_bytes(self) -> bytes:
+        return b"F" + self.tag.encode() + bytes([self.member, self.dropped])
 
 
 def threshold_value(ratio: float, factor: float) -> float:
@@ -238,7 +255,8 @@ class ProtocolNode:
                           exact=params.exact_counting,
                           strict=params.strict_congest)
             for _ in range(2))
-        # query machine
+        # query machine; the harness sets query_k for the next step to fire
+        self.query_k: int | None = None
         self.query: _QueryRun | None = None
         self.outcomes: list[QueryOutcome] = []
 
@@ -434,8 +452,9 @@ class ProtocolNode:
         else:
             self._advance(ctx)
         parts = self._emit(ctx)
-        if ctx.query_inject is not None:
-            self._start_query(ctx, ctx.query_inject)
+        if self.query_k is not None:
+            self._start_query(ctx, self.query_k)
+            self.query_k = None
         if self.query is not None:
             parts.extend(self._query_advance_emit(ctx))
         return parts or None

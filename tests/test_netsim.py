@@ -3,8 +3,8 @@ import pytest
 from densetrack.adversary import ScriptedAdversary
 from densetrack.errors import HandlerPanic
 from densetrack.graph import DynamicGraph
-from densetrack.netsim import (BlobPart, EventLog, FlagsPart, World,
-                               assert_bandwidth, flood)
+from densetrack.netsim import BlobPart, EventLog, World, assert_bandwidth, flood
+from densetrack.protocol import FlagsPart
 
 
 class Chatter:
@@ -155,10 +155,3 @@ def test_flags_part_bit_size():
     assert FlagsPart("f", member=True).bit_size() == 1
     assert FlagsPart("f", member=True, dropped=True).bit_size() == 2
 
-
-def test_second_query_in_one_round_is_rejected():
-    g = DynamicGraph.from_edges(2, [(0, 1)])
-    w = World(g, [Quiet(), Quiet()], seed=0)
-    w.inject_query(3, 0)
-    with pytest.raises(ValueError, match="already holds a query"):
-        w.inject_query(3, 5)

@@ -26,7 +26,8 @@ def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0, k=0,
 
 
 def run_query(world, handlers, k, max_rounds=20000):
-    world.inject_query(world.round, k)
+    for h in handlers:
+        h.query_k = k
     before = len(handlers[0].outcomes)
     while len(handlers[0].outcomes) == before:
         world.run_round()
@@ -245,7 +246,8 @@ class TestQueries:
         handlers = [ProtocolNode(i, 4, params) for i in range(4)]
         world = World(g, handlers, seed=0)
         world.run_round()
-        world.inject_query(world.round, 0)
+        for h in handlers:
+            h.query_k = 0
         world.run_round()
         assert all(h.outcomes and h.outcomes[0].no_family for h in handlers)
 
