@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+from .errors import ChurnBudgetExceeded, ConfigError, EmptySubset, InvalidEdit
 
 Edge = tuple[int, int]
 Edit = tuple[str, int, int]  # ("add" | "remove", u, v)
@@ -168,34 +172,14 @@ def induced_density(g: DynamicGraph, members: Iterable[int]) -> SubsetDensity:
 # -- diameters ----------------------------------------------------------------
 
 
-def bfs_distances(adj: Sequence[set[int]], src: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def static_diameter(g: DynamicGraph) -> int | float:
-    """Largest BFS eccentricity; ``inf`` when disconnected."""
-    if g.node_count == 1:
-        return 0
-    worst = 0
-    for u in range(g.node_count):
-        dist = bfs_distances(g.adj, u)
-        if min(dist) < 0:
-            return INFINITE_DIAMETER
-        worst = max(worst, max(dist))
-    return worst
+    """Largest hop eccentricity; ``inf`` when disconnected."""
+    n = g.node_count
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                     shape=(n, n))
+    worst = shortest_path(adj, directed=False, unweighted=True).max()
+    return INFINITE_DIAMETER if math.isinf(worst) else int(worst)
 
 
 def measure_dynamic_diameter(trace: Sequence[Iterable[Edge]],
@@ -276,5 +260,10 @@ def parse_edge_list(text: str, node_count: int | None = None,
 
 def load_edge_list(path: str, node_count: int | None = None,
                    churn_rate: int = 0) -> tuple[DynamicGraph, dict[int, int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), node_count, churn_rate)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"cannot read edge list {path}: {reason}") from exc
+    return parse_edge_list(text, node_count, churn_rate)

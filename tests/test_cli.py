@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from densetrack.cli import main
 
 
@@ -127,3 +129,18 @@ def test_round_cap_exits_two(tmp_path, capsys):
         "queries": {"mode": "at-rounds", "rounds": [58], "k": 7}}))
     assert main(["run", "--config", str(path)]) == 2
     assert "hard round cap 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_missing_edge_list_exits_two(tmp_path, capsys, command):
+    missing = tmp_path / "nope.txt"
+    if command == "run":
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({
+            "seed": 1, "graph": {"kind": "edge-list", "path": str(missing)},
+            "protocol": {"epsilon": 1.0}, "duration": {"passes": 1}}))
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = ["oracle", "--graph", str(missing)]
+    assert main(argv) == 2
+    assert f"error: cannot read edge list {missing}" in capsys.readouterr().err

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from densetrack import counting
 from densetrack.adversary import ScriptedAdversary
-from densetrack.graph import DynamicGraph, bfs_distances
+from densetrack.graph import DynamicGraph
 from densetrack.counting import TuplePart
 from densetrack.netsim import assert_bandwidth
 
@@ -239,10 +241,12 @@ class TestBroadcastValues:
         g = static_graph(kind, n, rng)
         members = {v for v in range(n) if rng.random() < 0.6}
         res = counting.run_node_count(g, members, d, exact=True)
-        want = []
-        for u in range(n):
-            dist = bfs_distances(g.adj, u)
-            want.append(float(sum(1 for v in members if dist[v] <= 2 * d)))
+        rows, cols = zip(*g.edges())
+        dist = shortest_path(csr_matrix(([1] * len(rows), (rows, cols)),
+                                        shape=(n, n)),
+                             directed=False, unweighted=True)
+        want = [float(sum(1 for v in members if dist[u, v] <= 2 * d))
+                for u in range(n)]
         assert res.estimates == want
 
     @pytest.mark.parametrize("kind", KIND_NAMES)
