@@ -38,7 +38,7 @@ range-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class BuiltGraph:
     graph: DynamicGraph
     protected: frozenset[Edge]
     diameter_hint: int | None  # structural bound valid under churn, if any
-    clique: frozenset[int] = field(default_factory=frozenset)
 
 
 def build_gnp(rng: np.random.Generator, n: int, p: float) -> BuiltGraph:
@@ -144,8 +143,7 @@ def build_planted(rng: np.random.Generator, n: int, clique: int,
                 edges.add((i, j))
     g = DynamicGraph.from_edges(n, sorted(edges))
     hint = 2 if hub_star and n > 1 else None
-    return BuiltGraph(g, frozenset(protected), hint,
-                      frozenset(range(clique)))
+    return BuiltGraph(g, frozenset(protected), hint)
 
 
 def build_clique_plus_noise(rng: np.random.Generator, n: int, clique: int,
@@ -165,7 +163,7 @@ def build_clique_plus_noise(rng: np.random.Generator, n: int, clique: int,
         edges.add(e)
         extra_edges -= 1
     return BuiltGraph(DynamicGraph.from_edges(n, sorted(edges)),
-                      frozenset(), None, frozenset(range(clique)))
+                      frozenset(), None)
 
 
 _GRAPH_SCHEMAS = {
