@@ -1,9 +1,15 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from densetrack import netsim
 from densetrack.adversary import ScriptedAdversary
 from densetrack.errors import HandlerPanic
 from densetrack.graph import DynamicGraph
-from densetrack.netsim import BlobPart, EventLog, World, assert_bandwidth, flood
+from densetrack.netsim import (BlobPart, EventLog, StepContext, World,
+                               assert_bandwidth, flood)
 from densetrack.protocol import FlagsPart
 
 
@@ -155,3 +161,18 @@ def test_flags_part_bit_size():
     assert FlagsPart("f", member=True).bit_size() == 1
     assert FlagsPart("f", member=True, dropped=True).bit_size() == 2
 
+
+
+def test_engine_knows_no_protocol():
+    tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            assert not any(n.startswith("densetrack") for n in names)
+    assert local <= {"adversary", "errors", "graph"}
+    assert [f.name for f in dataclasses.fields(StepContext)] == [
+        "round", "inbox", "neighbor_count", "rng"]
