@@ -162,7 +162,6 @@ def test_flags_part_bit_size():
     assert FlagsPart("f", member=True, dropped=True).bit_size() == 2
 
 
-
 def test_engine_knows_no_protocol():
     tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
     local = set()
