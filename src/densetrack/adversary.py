@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChurnBudgetExceeded, ConfigError
+from .errors import ChurnBudgetExceeded
 from .graph import ADD, REMOVE, DynamicGraph, Edge, Edit, edge_key
 
 
 class Adversary:
     """Base class; the default adversary never edits anything."""
-
-    rate: int = 0
 
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
         return []
@@ -30,21 +28,16 @@ class Adversary:
 @dataclass
 class ScriptedAdversary(Adversary):
     edits_by_round: dict[int, tuple[Edit, ...]]
-    rate: int = 0
 
     @classmethod
     def load(cls, script: list[dict], graph: DynamicGraph,
              rate: int) -> "ScriptedAdversary":
+        """The adversary of a script whose items are checked ``round``,
+        ``op``, ``u`` and ``v`` keys."""
         by_round: dict[int, list[Edit]] = {}
         for item in script:
-            unknown = set(item) - {"round", "op", "u", "v"}
-            if unknown:
-                raise ConfigError(f"unknown script keys {sorted(unknown)}")
-            rnd = int(item["round"])
-            op = item["op"]
-            if op not in (ADD, REMOVE):
-                raise ConfigError(f"script op must be add/remove, got {op!r}")
-            by_round.setdefault(rnd, []).append((op, int(item["u"]), int(item["v"])))
+            by_round.setdefault(item["round"], []).append(
+                (item["op"], item["u"], item["v"]))
         # replay against a scratch copy so no-op edits fail at load time
         scratch = graph.copy()
         scratch.churn_rate = rate
@@ -56,7 +49,7 @@ class ScriptedAdversary(Adversary):
                 raise ChurnBudgetExceeded(
                     f"round {rnd}: {len(batch)} edits exceed rate {rate}")
             scratch.apply_churn(batch)
-        return cls({r: tuple(b) for r, b in by_round.items()}, rate=rate)
+        return cls({r: tuple(b) for r, b in by_round.items()})
 
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
         return list(self.edits_by_round.get(round_, ()))
@@ -73,7 +66,7 @@ class RandomChurnAdversary(Adversary):
     """
 
     rng: np.random.Generator
-    rate: int = 1
+    rate: int
     mode: str = "balanced"
     protected: frozenset[Edge] = field(default_factory=frozenset)
 
@@ -174,47 +167,3 @@ class TargetedAdversary(RandomChurnAdversary):
             touched.update(edge_key(u, v) for _, u, v in edits)
             batch.extend(edits)
         return batch
-
-
-_SPEC_KEYS = {
-    "scripted": {"kind", "rate", "script"},
-    "random-churn": {"kind", "rate", "mode", "protect"},
-    "targeted-attack-on-dense-core": {"kind", "rate", "protect",
-                                      "refresh_every", "bias"},
-}
-
-
-def check_adversary_spec(spec: dict) -> None:
-    """Raise :class:`ConfigError` for an unknown kind, key, mode or protect."""
-    kind = spec.get("kind")
-    if kind not in _SPEC_KEYS:
-        raise ConfigError(f"unknown adversary kind {kind!r}")
-    unknown = set(spec) - _SPEC_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown adversary keys {sorted(unknown)}")
-    for key, values in (("mode", ("balanced", "uniform")),
-                        ("protect", ("backbone", "none"))):
-        if spec.get(key, values[0]) not in values:
-            raise ConfigError(f"adversary {key} must be one of {values}")
-
-
-def adversary_from_spec(spec: dict | None, graph: DynamicGraph, seed: int,
-                        protected: frozenset[Edge]) -> Adversary:
-    """Build the runtime adversary from a scenario spec."""
-    if spec is None:
-        return Adversary()
-    check_adversary_spec(spec)
-    kind = spec["kind"]
-    rate = int(spec.get("rate", 0))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, 0xAD))))
-    protect = protected if spec.get("protect", "backbone") == "backbone" else frozenset()
-    if kind == "scripted":
-        return ScriptedAdversary.load(spec.get("script", []), graph, rate)
-    if kind == "random-churn":
-        return RandomChurnAdversary(rng=rng, rate=rate,
-                                    mode=spec.get("mode", "balanced"),
-                                    protected=protect)
-    return TargetedAdversary(rng=rng, rate=rate, protected=protect,
-                             refresh_every=int(spec.get("refresh_every", 10)),
-                             bias=float(spec.get("bias", 0.8)))

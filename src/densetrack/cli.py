@@ -19,7 +19,7 @@ from .errors import DensetrackError
 from .graph import load_edge_list
 from .harness import check_round_budget, emit_report, replay_log, run_scenario
 from .oracle import OracleCache, exact_at_least_k, exact_densest
-from .scenarios import solve_planted_scenario
+from .scenarios import ScenarioConfig, solve_planted_scenario
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -40,9 +40,10 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
 
 
 def _run_one(conf: dict) -> tuple[dict, bool]:
-    out_dir = (conf.get("report") or {}).get("out")
+    config = ScenarioConfig.from_dict(conf)
+    out_dir = config.report["out"]
     cache_dir = os.path.join(out_dir, "oracle-cache") if out_dir else None
-    report = run_scenario(conf, cache=OracleCache(cache_dir))
+    report = run_scenario(config, cache=OracleCache(cache_dir))
     budget = check_round_budget(report)
     ok = (report.flags["guarantee_failures"] == 0
           and report.flags["size_failures"] == 0 and budget.ok)

@@ -28,14 +28,13 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .adversary import adversary_from_spec
 from .errors import ConfigError, DesyncDetected, RoundCapExceeded
 from .graph import DynamicGraph, induced_density
 from .netsim import EventLog, World
 from .oracle import ENUMERATION_LIMIT, OracleCache, at_least_k_bounds
 from .protocol import (FamilySnapshot, ProtocolNode, ProtocolParams,
                        level_round_cost)
-from .scenarios import ScenarioConfig
+from .scenarios import ScenarioConfig, adversary_from_spec
 
 
 def _frac_str(x: Fraction) -> str:
@@ -207,13 +206,13 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
     built, params = config.build()
     g = built.graph
     g.churn_rate = config.churn_rate
-    adversary = adversary_from_spec(config.adversary_spec, g, config.seed,
+    adversary = adversary_from_spec(config.adversary, g, config.seed,
                                     built.protected)
     cache = cache or OracleCache()
     log = None
-    if log_path or config.report.get("emit_log"):
-        out_dir = config.report.get("out") or "."
-        path = log_path or os.path.join(out_dir, "events.ndjson")
+    if log_path or config.report["emit_log"]:
+        path = log_path or os.path.join(config.report["out"] or ".",
+                                        "events.ndjson")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         log = EventLog(path)
         log.append({"event": "config", "config": config.raw,
@@ -225,9 +224,8 @@ def run_scenario(conf: dict | ScenarioConfig, *, cache: OracleCache | None = Non
         state = _RunState(handlers, params, cache)
         world.on_compute_end.append(state.on_compute_end)
 
-        duration = config.duration
-        target_passes = duration.get("passes")
-        target_rounds = duration.get("rounds")
+        target_passes = config.duration["passes"]
+        target_rounds = config.duration["rounds"]
         qspec = config.queries
         per_pass = bool(qspec) and qspec["mode"] == "per-pass"
         # every query waits here as its round, in order; the head fires at

@@ -1,31 +1,14 @@
-"""Scenario configuration: strict-schema validation, seeded graph builders,
-and a solver that sizes planted-dense instances to clear the density
-precondition with margin.
+"""Scenario configuration: the checked config schema, seeded graph
+builders, and a solver that sizes planted-dense instances to clear the
+density precondition with margin.
 
-Config schema (JSON; unknown keys and wrong-typed values are rejected)::
-
-    {
-      "seed": 123,
-      "graph": {"kind": "gnp", "n": 60, "p": 0.1}
-               | {"kind": "regular", "n": 40, "d": 6}
-               | {"kind": "planted-dense", "n": 100, "clique": 30,
-                  "noise_p": 0.02, "hub_star": true}
-               | {"kind": "clique-plus-noise", "n": 50, "clique": 10,
-                  "extra_edges": 80}
-               | {"kind": "edge-list", "path": "graph.txt"},
-      "adversary": null | {"kind": "random-churn", "rate": 1,
-                           "mode": "balanced", "protect": "backbone"}
-                 | {"kind": "scripted", "rate": 2, "script": [
-                       {"round": 4, "op": "remove", "u": 0, "v": 1}]}
-                 | {"kind": "targeted-attack-on-dense-core", "rate": 1,
-                    "protect": "backbone", "refresh_every": 10, "bias": 0.8},
-      "protocol": {"epsilon": 0.5, "k": 0, "diameter": "auto", ...},
-      "duration": {"passes": 3} | {"rounds": 500},
-      "queries": null | {"mode": "per-pass", "k": 0, "start_pass": 1,
-                         "limit": 20}
-               | {"mode": "at-rounds", "rounds": [10, 50], "k": 0},
-      "report": {"emit_log": false, "out": null}
-    }
+A config is a JSON object whose sections are JSON objects (``adversary``
+and ``queries`` may also be null).  One table per section below gives each
+key's type or allowed values, its default and its lower bound; an unknown,
+missing or wrong-typed key is a ConfigError naming its key path.
+``report.emit_log`` is a boolean (default false); ``report.out`` is a
+directory path string or null (default null: no report files, and an event
+log goes to the working directory).
 
 Every query waits in one queue in round order, duplicates included (a
 per-pass query is due when its pass closes; ``start_pass`` defaults to 1,
@@ -39,42 +22,105 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import check_adversary_spec
+from .adversary import (Adversary, RandomChurnAdversary, ScriptedAdversary,
+                        TargetedAdversary)
 from .errors import ConfigError
-from .graph import DynamicGraph, Edge, edge_key, load_edge_list, static_diameter
+from .graph import (ADD, REMOVE, DynamicGraph, Edge, edge_key, load_edge_list,
+                    static_diameter)
 from .protocol import ProtocolParams, params_for
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          bool: ((bool,), "a boolean"), str: ((str,), "a string")}
 
 
 def _checked(x, kind: type, where: str, low: int | None = None):
     """``x`` converted to ``kind``, or a ConfigError naming the key path
-    ``where``.  An int must be a JSON integer, a float any JSON number and a
-    bool a JSON boolean; ``low`` is an inclusive lower bound."""
-    if kind is bool:
-        ok = isinstance(x, bool)
-    else:
-        ok = not isinstance(x, bool) and isinstance(
-            x, int if kind is int else (int, float))
+    ``where``.  An int must be a JSON integer, a float any JSON number, a
+    bool a JSON boolean and a str a JSON string; ``low`` is an inclusive
+    lower bound."""
+    types, name = _KINDS[kind]
+    ok = isinstance(x, types) and (kind is bool or not isinstance(x, bool))
     if not ok or (low is not None and x < low):
         at_least = "" if low is None else f" >= {low}"
-        raise ConfigError(
-            f"{where} must be {_KIND_NAMES[kind]}{at_least}, got {x!r}")
+        raise ConfigError(f"{where} must be {name}{at_least}, got {x!r}")
     return kind(x)
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str],
-                  where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+_REQUIRED = object()  # the section must have the key
+_ABSENT = object()    # an absent key stays absent; its receiver has a default
+
+
+class _Key(NamedTuple):
+    """One key of a section: its kind (see :func:`_value`), its default and
+    an inclusive lower bound."""
+    kind: object
+    default: object = _REQUIRED
+    low: int | None = None
+
+
+@dataclass(frozen=True)
+class _Variants:
+    """A section whose ``key`` names the table of its other keys."""
+    key: str
+    tables: dict
+
+
+def _section(d, fields: dict, where: str) -> dict:
+    """``d`` checked against the table ``fields``: a JSON object with no
+    unknown or missing key, each value converted by :func:`_value` and each
+    absent key given its default.  ``where`` is the key path, empty at the
+    top level."""
+    name = where or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {d!r}")
+    for what, keys in (("unknown", set(d) - set(fields)),
+                       ("missing", {key for key, f in fields.items()
+                                    if f.default is _REQUIRED} - set(d))):
+        if keys:
+            raise ConfigError(f"{name}: {what} keys {sorted(keys, key=str)}")
+    out = {}
+    for key, (kind, default, low) in fields.items():
+        path = f"{where}.{key}".lstrip(".")
+        if key in d:
+            out[key] = _value(d[key], kind, path, low)
+        elif isinstance(kind, dict):  # an absent section is an empty one
+            out[key] = _section({}, kind, path)
+        elif default is not _ABSENT:
+            out[key] = default
+    return out
+
+
+def _value(x, kind, where: str, low: int | None = None):
+    """``x`` checked against ``kind``: a type (see :func:`_checked`), a
+    table (see :func:`_section`), :class:`_Variants`, a one-item list (a
+    JSON list of that kind) or a tuple of allowed strings or null plus at
+    most one other kind."""
+    if isinstance(kind, _Variants):
+        name = x.get(kind.key) if isinstance(x, dict) else None
+        if isinstance(x, dict) and name not in list(kind.tables):
+            raise ConfigError(f"unknown {where} {kind.key} {name!r}")
+        return _section(x, {kind.key: _Key(str), **kind.tables.get(name, {})},
+                        where)
+    if isinstance(kind, dict):
+        return _section(x, kind, where)
+    if isinstance(kind, list):
+        if not isinstance(x, list):
+            raise ConfigError(f"{where} must be a list, got {x!r}")
+        return [_value(v, kind[0], f"{where}[{i}]", low)
+                for i, v in enumerate(x)]
+    if isinstance(kind, tuple):
+        if (x is None or isinstance(x, str)) and x in kind:
+            return x
+        rest = [k for k in kind if not (k is None or isinstance(k, str))]
+        if not rest:
+            raise ConfigError(f"{where} must be one of {kind}, got {x!r}")
+        return _value(x, rest[0], where, low)
+    return _checked(x, kind, where, low)
 
 
 # -- graph builders --------------------------------------------------------------
@@ -166,159 +212,132 @@ def build_clique_plus_noise(rng: np.random.Generator, n: int, clique: int,
                       frozenset(), None)
 
 
-_GRAPH_SCHEMAS = {
-    "gnp": ({"kind", "n", "p"}, {"n", "p"}),
-    "regular": ({"kind", "n", "d"}, {"n", "d"}),
-    "planted-dense": ({"kind", "n", "clique", "noise_p", "hub_star"},
-                      {"n", "clique", "noise_p"}),
-    "clique-plus-noise": ({"kind", "n", "clique", "extra_edges"},
-                          {"n", "clique", "extra_edges"}),
-    "edge-list": ({"kind", "path", "n"}, {"path"}),
-}
+# -- config schema: one table per section ----------------------------------
+
+_GRAPH = _Variants("kind", {
+    "gnp": {"n": _Key(int, low=1), "p": _Key(float)},
+    "regular": {"n": _Key(int, low=1), "d": _Key(int, low=0)},
+    "planted-dense": {"n": _Key(int, low=1), "clique": _Key(int),
+                      "noise_p": _Key(float), "hub_star": _Key(bool, _ABSENT)},
+    "clique-plus-noise": {"n": _Key(int, low=1), "clique": _Key(int),
+                          "extra_edges": _Key(int, low=0)},
+    "edge-list": {"path": _Key(str), "n": _Key(int, _ABSENT, 1)},
+})
+_RATE = _Key(int, 0, 0)
+_PROTECT = _Key(("backbone", "none"), "backbone")
+_SCRIPT_ITEM = {"round": _Key(int), "op": _Key((ADD, REMOVE)),
+                "u": _Key(int), "v": _Key(int)}
+_ADVERSARY = _Variants("kind", {
+    "scripted": {"rate": _RATE, "script": _Key([_SCRIPT_ITEM], ())},
+    "random-churn": {"rate": _RATE, "protect": _PROTECT,
+                     "mode": _Key(("balanced", "uniform"), _ABSENT)},
+    "targeted-attack-on-dense-core": {
+        "rate": _RATE, "protect": _PROTECT,
+        "refresh_every": _Key(int, _ABSENT), "bias": _Key(float, _ABSENT)},
+})
+# absent protocol keys stay absent: ProtocolParams owns their defaults
+_PROTOCOL = {"epsilon": _Key(float), "diameter": _Key(("auto", int), "auto"),
+             **{key: _Key(kind, _ABSENT) for key, kind in (
+                 ("k", int), ("count_eps", float), ("delta_fail", float),
+                 ("c", float), ("p_cap", int), ("pad_cap", int),
+                 ("exact_counting", bool), ("strict_congest", bool),
+                 ("threshold_factor", float))}}
+_DURATION = {"passes": _Key(int, None, 0), "rounds": _Key(int, None, 0)}
+_QUERIES = _Variants("mode", {
+    "per-pass": {"k": _Key(int, low=0), "start_pass": _Key(int, 1, 0),
+                 "limit": _Key(int, math.inf, 1)},
+    "at-rounds": {"k": _Key(int, low=0), "rounds": _Key([int], low=0)},
+})
+_REPORT = {"emit_log": _Key(bool, False), "out": _Key((None, str), None)}
+_CONFIG = {"seed": _Key(int, low=0), "graph": _Key(_GRAPH),
+           "adversary": _Key((None, _ADVERSARY), None),
+           "protocol": _Key(_PROTOCOL), "duration": _Key(_DURATION),
+           "queries": _Key((None, _QUERIES), None),
+           "report": _Key(_REPORT, {})}
+
+_BUILDERS = {"gnp": build_gnp, "regular": build_regular,
+             "planted-dense": build_planted,
+             "clique-plus-noise": build_clique_plus_noise}
 
 
 def build_graph(spec: dict, seed: int) -> BuiltGraph:
-    kind = spec.get("kind")
-    if kind not in _GRAPH_SCHEMAS:
-        raise ConfigError(f"unknown graph kind {kind!r}")
-    allowed, required = _GRAPH_SCHEMAS[kind]
-    _require_keys(spec, allowed, required, f"graph[{kind}]")
+    """The seeded graph of a graph section, checked here."""
+    spec = _value(spec, _GRAPH, "graph")
+    kind = spec.pop("kind")
+    if kind == "edge-list":
+        g, _ = load_edge_list(spec["path"], node_count=spec.get("n"))
+        return BuiltGraph(g, frozenset(), None)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x67))))
+    return _BUILDERS[kind](rng, **spec)
 
-    def get(key, kind, low=None):
-        return _checked(spec[key], kind, f"graph.{key}", low)
 
-    if kind == "gnp":
-        return build_gnp(rng, get("n", int, 1), get("p", float))
-    if kind == "regular":
-        return build_regular(rng, get("n", int, 1), get("d", int, 0))
-    if kind == "planted-dense":
-        return build_planted(rng, get("n", int, 1), get("clique", int),
-                             get("noise_p", float),
-                             _checked(spec.get("hub_star", True), bool,
-                                      "graph.hub_star"))
-    if kind == "clique-plus-noise":
-        return build_clique_plus_noise(rng, get("n", int, 1), get("clique", int),
-                                       get("extra_edges", int, 0))
-    g, _ = load_edge_list(spec["path"],
-                          node_count=get("n", int, 1) if "n" in spec else None)
-    return BuiltGraph(g, frozenset(), None)
+def adversary_from_spec(spec: dict | None, graph: DynamicGraph, seed: int,
+                        protected: frozenset[Edge]) -> Adversary:
+    """The runtime adversary of a checked adversary section."""
+    if spec is None:
+        return Adversary()
+    fields = dict(spec)
+    kind = fields.pop("kind")
+    if kind == "scripted":
+        return ScriptedAdversary.load(fields["script"], graph, fields["rate"])
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, 0xAD))))
+    if fields.pop("protect") == "none":
+        protected = frozenset()
+    cls = RandomChurnAdversary if kind == "random-churn" else TargetedAdversary
+    return cls(rng=rng, protected=protected, **fields)
 
 
 # -- scenario config --------------------------------------------------------------
 
 
-def _check_adversary(spec: dict) -> None:
-    """:func:`check_adversary_spec` plus the types of the numbers that
-    :func:`adversary_from_spec` converts."""
-    check_adversary_spec(spec)
-    for key, kind, low in (("rate", int, 0), ("refresh_every", int, None),
-                           ("bias", float, None)):
-        if key in spec:
-            _checked(spec[key], kind, f"adversary.{key}", low)
-    script = spec.get("script", [])
-    if not isinstance(script, list) or not all(
-            isinstance(item, dict) for item in script):
-        raise ConfigError("adversary.script must be a list of objects")
-    for i, item in enumerate(script):
-        for key in ("round", "u", "v"):
-            _checked(item.get(key), int, f"adversary.script[{i}].{key}")
-
-
-# protocol key -> the type its value must have ("diameter" may also be "auto")
-_PROTOCOL_KINDS = {"epsilon": float, "k": int, "diameter": int,
-                   "count_eps": float, "delta_fail": float, "c": float,
-                   "p_cap": int, "pad_cap": int, "exact_counting": bool,
-                   "strict_congest": bool, "threshold_factor": float}
-
-
 @dataclass
 class ScenarioConfig:
+    """A config's checked sections, and ``raw``, the config as given."""
     raw: dict
     seed: int
-    graph_spec: dict
-    adversary_spec: dict | None
-    protocol_spec: dict
+    graph: dict
+    adversary: dict | None
+    protocol: dict
     duration: dict
     queries: dict | None
     report: dict
 
     @classmethod
     def from_dict(cls, conf: dict) -> "ScenarioConfig":
-        _require_keys(conf, {"seed", "graph", "adversary", "protocol",
-                             "duration", "queries", "report"},
-                      {"seed", "graph", "protocol", "duration"}, "config")
-        protocol = dict(conf["protocol"])
-        _require_keys(protocol, set(_PROTOCOL_KINDS), {"epsilon"}, "protocol")
-        duration = dict(conf["duration"])
-        _require_keys(duration, {"passes", "rounds"}, set(), "duration")
-        if len(duration) != 1:
+        config = cls(raw=conf, **_section(conf, _CONFIG, ""))
+        if sum(v is not None for v in config.duration.values()) != 1:
             raise ConfigError("duration needs exactly one of passes/rounds")
-        for key, value in duration.items():
-            _checked(value, int, f"duration.{key}", 0)
-        queries = conf.get("queries")
-        if queries is not None:
-            queries = dict(queries)
-            mode = queries.get("mode")
-            if mode == "per-pass":
-                _require_keys(queries, {"mode", "k", "start_pass", "limit"},
-                              {"mode", "k"}, "queries")
-                for key, low in (("start_pass", 0), ("limit", 1)):
-                    if key in queries:
-                        _checked(queries[key], int, f"queries.{key}", low)
-                queries = {"start_pass": 1, "limit": math.inf, **queries}
-            elif mode == "at-rounds":
-                _require_keys(queries, {"mode", "rounds", "k"},
-                              {"mode", "rounds", "k"}, "queries")
-                if not isinstance(queries["rounds"], list):
-                    raise ConfigError("queries.rounds must be a list")
-                for r in queries["rounds"]:
-                    _checked(r, int, "queries.rounds", 0)
-            else:
-                raise ConfigError(f"unknown query mode {mode!r}")
-            _checked(queries["k"], int, "queries.k", 0)
-        if conf.get("adversary"):
-            _check_adversary(conf["adversary"])
-        report = dict(conf.get("report") or {})
-        _require_keys(report, {"emit_log", "out"}, set(), "report")
-        return cls(raw=conf, seed=_checked(conf["seed"], int, "seed", 0),
-                   graph_spec=dict(conf["graph"]),
-                   adversary_spec=(dict(conf["adversary"])
-                                   if conf.get("adversary") else None),
-                   protocol_spec=protocol, duration=duration, queries=queries,
-                   report=report)
+        return config
 
     @property
     def churn_rate(self) -> int:
-        return self.adversary_spec.get("rate", 0) if self.adversary_spec else 0
+        return self.adversary["rate"] if self.adversary else 0
 
     def build(self) -> tuple[BuiltGraph, ProtocolParams]:
-        pspec = dict(self.protocol_spec)
-        diameter = pspec.pop("diameter", "auto")
-        pspec = {key: _checked(value, _PROTOCOL_KINDS[key], f"protocol.{key}")
-                 for key, value in pspec.items()}
-        built = build_graph(self.graph_spec, self.seed)
+        pspec = dict(self.protocol)
+        diameter = pspec.pop("diameter")
+        built = build_graph(self.graph, self.seed)
         n = built.graph.node_count
-        # the hub-star hint holds only while no edit can cut a hub edge;
-        # a script is not checked against the protected edges
-        spec = self.adversary_spec
-        hub_kept = not self.churn_rate or (
-            spec["kind"] != "scripted"
-            and spec.get("protect", "backbone") == "backbone")
-        if diameter != "auto":
-            diameter = _checked(diameter, int, "protocol.diameter")
-        elif built.diameter_hint is not None and hub_kept:
-            diameter = built.diameter_hint
-        elif self.churn_rate:
-            raise ConfigError(
-                "under churn, supply an explicit diameter bound or use a "
-                "hub-star planted graph whose backbone the adversary protects")
-        else:
-            d = static_diameter(built.graph)
-            if d == float("inf"):
+        if diameter == "auto":
+            # the hub-star hint holds only while no edit can cut a hub edge;
+            # a script is not checked against the protected edges
+            spec = self.adversary
+            hub_kept = not self.churn_rate or (
+                spec["kind"] != "scripted" and spec["protect"] == "backbone")
+            if built.diameter_hint is not None and hub_kept:
+                diameter = built.diameter_hint
+            elif self.churn_rate:
                 raise ConfigError(
-                    "auto diameter needs a connected initial graph")
-            diameter = max(1, int(d))
+                    "under churn, supply an explicit diameter bound or use a "
+                    "hub-star planted graph whose backbone the adversary "
+                    "protects")
+            else:
+                d = static_diameter(built.graph)
+                if d == float("inf"):
+                    raise ConfigError(
+                        "auto diameter needs a connected initial graph")
+                diameter = max(1, int(d))
         params = params_for(n, diameter=diameter, **pspec)
         if params.k > n:
             raise ConfigError(f"protocol.k={params.k} exceeds n={n}")

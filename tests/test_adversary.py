@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from densetrack.adversary import (RandomChurnAdversary, ScriptedAdversary,
-                                  TargetedAdversary, adversary_from_spec)
+                                  TargetedAdversary)
 from densetrack.errors import ChurnBudgetExceeded, ConfigError, InvalidEdit
 from densetrack.graph import DynamicGraph, edge_key
 from densetrack.harness import run_scenario
+from densetrack.scenarios import ScenarioConfig, adversary_from_spec
 
 
 def small_graph():
@@ -106,10 +107,12 @@ def test_targeted_rate_two_never_repeats_an_edge(seed, tmp_path):
 
 def test_spec_validation():
     g = small_graph()
-    with pytest.raises(ConfigError):
-        adversary_from_spec({"kind": "random-churn", "rate": 1,
-                             "bogus": True}, g, 0, frozenset())
-    with pytest.raises(ConfigError):
-        adversary_from_spec({"kind": "mystery"}, g, 0, frozenset())
+    for spec in ({"kind": "random-churn", "rate": 1, "bogus": True},
+                 {"kind": "mystery"}):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({
+                "seed": 0, "graph": {"kind": "gnp", "n": 6, "p": 0.5},
+                "adversary": spec, "protocol": {"epsilon": 1.0},
+                "duration": {"passes": 1}})
     adv = adversary_from_spec(None, g, 0, frozenset())
     assert adv.edits_for_round(g, 0) == []

@@ -284,8 +284,7 @@ class TestRunScenario:
 
     def test_hub_star_bounds_measured_dynamic_diameter(self):
         from densetrack.graph import measure_dynamic_diameter
-        from densetrack.scenarios import build_graph
-        from densetrack.adversary import adversary_from_spec
+        from densetrack.scenarios import adversary_from_spec, build_graph
         from densetrack.netsim import World
 
         class Idle:
