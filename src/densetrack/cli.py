@@ -15,7 +15,7 @@ import multiprocessing
 import os
 import sys
 
-from .errors import DensetrackError
+from .errors import ConfigError, DensetrackError, parse_json, read_text
 from .graph import load_edge_list
 from .harness import check_round_budget, emit_report, replay_log, run_scenario
 from .oracle import OracleCache, exact_at_least_k, exact_densest
@@ -23,19 +23,22 @@ from .scenarios import ScenarioConfig, solve_planted_scenario
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        conf = json.load(fh)
+    conf = parse_json(read_text(path, "config"), f"config {path}")
+    if not isinstance(conf, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     if overrides.seed is not None:
         conf["seed"] = overrides.seed
-    proto = conf.setdefault("protocol", {})
-    if overrides.exact_counting:
-        proto["exact_counting"] = True
-    if overrides.strict_congest:
-        proto["strict_congest"] = True
-    if overrides.threshold_factor is not None:
-        proto["threshold_factor"] = overrides.threshold_factor
-    if overrides.out is not None:
-        conf.setdefault("report", {})["out"] = overrides.out
+    for name, key, value in (
+            ("protocol", "exact_counting", overrides.exact_counting or None),
+            ("protocol", "strict_congest", overrides.strict_congest or None),
+            ("protocol", "threshold_factor", overrides.threshold_factor),
+            ("report", "out", overrides.out)):
+        if value is not None:
+            section = conf.setdefault(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(
+                    f"{name} must be a JSON object, got {section!r}")
+            section[key] = value
     return conf
 
 
@@ -94,18 +97,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = json.loads(args.grid)
-    unknown = set(grid) - {"epsilon", "rate", "n"}
-    if unknown:
-        raise DensetrackError(f"sweep grid supports epsilon/rate/n, got {sorted(unknown)}")
-    eps_values = grid.get("epsilon", [1.0])
-    rate_values = grid.get("rate", [0])
-    n_values = grid.get("n", [60])
+    grid = parse_json(args.grid, "sweep grid")
+    axes = {"epsilon": [1.0], "rate": [0], "n": [60]}
+    if not isinstance(grid, dict) or set(grid) - set(axes) or not all(
+            isinstance(values, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in values) for values in grid.values()):
+        raise ConfigError("sweep grid must map epsilon, rate and n to lists "
+                          f"of numbers, got {args.grid}")
+    axes.update(grid)
     combos = []
     skipped = []
-    for n in n_values:
-        for rate in rate_values:
-            for eps in eps_values:
+    for n in axes["n"]:
+        for rate in axes["rate"]:
+            for eps in axes["epsilon"]:
                 k = max(2, int(0.8 * n))
                 key = (int(n), int(rate), float(eps))
                 try:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of input
+files that raise them."""
+
+import json
 
 
 class DensetrackError(Exception):
@@ -44,3 +47,21 @@ class TooLargeForEnumeration(DensetrackError):
 
 class ConfigError(DensetrackError, ValueError):
     """Scenario configuration failed validation (the CLI exits 2)."""
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of the file ``path``, or a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
+
+
+def parse_json(text: str, what: str):
+    """The JSON value of ``text``, or a ConfigError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not JSON: {exc}") from exc

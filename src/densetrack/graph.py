@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ChurnBudgetExceeded, ConfigError, EmptySubset, InvalidEdit
+from .errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit, read_text
 
 Edge = tuple[int, int]
 Edit = tuple[str, int, int]  # ("add" | "remove", u, v)
@@ -234,10 +234,12 @@ def parse_edge_list(text: str, node_count: int | None = None,
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise InvalidEdit(f"line {lineno}: expected 'u v', got {raw!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise InvalidEdit(f"line {lineno}: expected integer labels "
+                              f"'u v', got {raw!r}") from None
+        pairs.append((u, v))
     labels = sorted({x for p in pairs for x in p})
     if node_count is not None and all(0 <= x < node_count for x in labels):
         mapping = {x: x for x in labels}
@@ -260,10 +262,5 @@ def parse_edge_list(text: str, node_count: int | None = None,
 
 def load_edge_list(path: str, node_count: int | None = None,
                    churn_rate: int = 0) -> tuple[DynamicGraph, dict[int, int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-        raise ConfigError(f"cannot read edge list {path}: {reason}") from exc
-    return parse_edge_list(text, node_count, churn_rate)
+    return parse_edge_list(read_text(path, "edge list"), node_count,
+                           churn_rate)

@@ -28,7 +28,8 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, DesyncDetected, RoundCapExceeded
+from .errors import (ConfigError, DesyncDetected, RoundCapExceeded,
+                     parse_json, read_text)
 from .graph import DynamicGraph, induced_density
 from .netsim import EventLog, World
 from .oracle import ENUMERATION_LIMIT, OracleCache, at_least_k_bounds
@@ -393,14 +394,13 @@ class ReplayResult:
 
 def replay_log(path: str, replay_out: str) -> ReplayResult:
     """Re-execute the run embedded in an event log and diff line by line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        original = fh.read().splitlines()
+    original = read_text(path, "event log").splitlines()
     if not original:
-        raise ConfigError("empty event log")
-    header = json.loads(original[0])
-    if header.get("event") != "config":
-        raise ConfigError("event log lacks a config header")
-    run_scenario(header["config"], log_path=replay_out)
+        raise ConfigError(f"event log {path} is empty")
+    header = parse_json(original[0], f"event log {path} header")
+    if not isinstance(header, dict) or header.get("event") != "config":
+        raise ConfigError(f"event log {path} lacks a config header")
+    run_scenario(header.get("config"), log_path=replay_out)
     with open(replay_out, "r", encoding="utf-8") as fh:
         replayed = fh.read().splitlines()
     first = None

@@ -133,14 +133,44 @@ def test_round_cap_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_missing_edge_list_exits_two(tmp_path, capsys, command):
-    missing = tmp_path / "nope.txt"
-    if command == "run":
+    def argv(graph):
+        if command == "oracle":
+            return ["oracle", "--graph", str(graph)]
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({
-            "seed": 1, "graph": {"kind": "edge-list", "path": str(missing)},
+            "seed": 1, "graph": {"kind": "edge-list", "path": str(graph)},
             "protocol": {"epsilon": 1.0}, "duration": {"passes": 1}}))
-        argv = ["run", "--config", str(path)]
-    else:
-        argv = ["oracle", "--graph", str(missing)]
-    assert main(argv) == 2
+        return ["run", "--config", str(path)]
+
+    missing = tmp_path / "nope.txt"
+    assert main(argv(missing)) == 2
     assert f"error: cannot read edge list {missing}" in capsys.readouterr().err
+    # a non-integer label
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0 1\na b\n")
+    assert main(argv(labels)) == 2
+    assert "error: line 2: expected integer labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,text,message", [
+    ("run", "--config", None, "cannot read config"),
+    ("run", "--config", "{seed: 1}", "is not JSON"),
+    ("run", "--config", "[1, 2]", "must hold a JSON object"),
+    ("sweep", "--grid", "{epsilon: [1.0]}", "sweep grid is not JSON"),
+    ("sweep", "--grid", '{"n": 5}', "sweep grid must map"),
+    ("replay", "--replay", None, "cannot read event log"),
+    ("replay", "--replay", '{"event": "config"\n', "header is not JSON"),
+    ("replay", "--replay", "[1]\n", "lacks a config header"),
+], ids=["config-missing", "config-not-json", "config-not-object",
+        "grid-not-json", "grid-value-not-list", "log-missing",
+        "log-header-not-json", "log-header-not-object"])
+def test_bad_input_file_exits_two(tmp_path, capsys, command, flag, text,
+                                  message):
+    # the sweep grid is the argument itself; the others name a file
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    arg = text if command == "sweep" else str(path)
+    assert main([command, flag, arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
