@@ -4,7 +4,9 @@ Every drawn config either yields a report or fails with a
 ``DensetrackError``, and a second run of it gives the same report bytes
 (which carry the event-log digest) or the same error.  Most draws build:
 hub-star planted graphs under churn that keeps the backbone, or static
-graphs with the auto diameter.  The rest probe the config checks.
+graphs with the auto diameter.  The rest probe the config checks, as do
+drawn configs with one section or leaf replaced by a JSON value of another
+type.
 """
 
 import os
@@ -95,3 +97,43 @@ def test_runs_report_or_fail_typed_and_repeat_byte_identical(conf):
     with tempfile.TemporaryDirectory() as a, \
             tempfile.TemporaryDirectory() as b:
         assert outcome(conf, a) == outcome(conf, b)
+
+
+# small values: a replaced leaf that still checks (an integer diameter, a
+# float that became an integer) should keep its run short
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def paths(node, prefix=()):
+    """The key path of ``node`` and of every section, item and leaf in it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+@st.composite
+def malformed_configs(draw):
+    # the holder gives the whole config a parent, so it can be replaced too
+    holder = {"config": draw(configs())}
+    *parents, key = draw(st.sampled_from(list(paths(holder))[1:]))
+    node = holder
+    for p in parents:
+        node = node[p]
+    old = node[key]
+    node[key] = draw(JSON.filter(lambda v: type(v) is not type(old)))
+    return holder["config"]
+
+
+@given(malformed_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_configs_report_or_fail_typed(conf):
+    with tempfile.TemporaryDirectory() as out_dir:
+        outcome(conf, out_dir)

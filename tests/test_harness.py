@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,18 +126,48 @@ class TestConfigValidation:
         pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
         pytest.param(("protocol", "exact_counting"), "yes",
                      id="exact_counting-string"),
+        *(pytest.param((section,), value, id=f"{section}-not-an-object")
+          for section, value in (("graph", "x"), ("adversary", 5),
+                                 ("protocol", 5), ("duration", 5),
+                                 ("queries", 5), ("report", 5))),
+        pytest.param((), 5, id="config-not-an-object"),
+        pytest.param(("report", "out"), 5, id="report.out-int"),
+        pytest.param(("report", "emit_log"), "no",
+                     id="report.emit_log-string"),
+        pytest.param(("graph",), {"kind": "edge-list", "path": 5},
+                     id="graph.path-int"),
+        # rate 0 keeps the auto diameter legal, so only the script is bad
+        *(pytest.param(("adversary",), {"kind": "scripted", "rate": 0,
+                                        "script": script},
+                       id=f"adversary.script-{name}")
+          for name, script in (
+              ("not-a-list", {"round": 1, "op": "remove", "u": 0, "v": 1}),
+              ("op-typo", [{"round": 1, "op": "cut", "u": 0, "v": 1}]),
+              ("op-missing", [{"round": 1, "u": 0, "v": 1}]),
+              ("unknown-key", [{"round": 1, "op": "remove", "u": 0, "v": 1,
+                                "w": 2}]))),
     ]
 
     @pytest.mark.parametrize("path,value", BAD_VALUES)
     def test_bad_value_rejected_at_build(self, path, value):
         conf = k5_config()
-        *parents, key = path
-        node = conf
-        for p in parents:
-            node = node[p]
-        node[key] = value
+        if not path:
+            conf = value
+        else:
+            *parents, key = path
+            node = conf
+            for p in parents:
+                node = node[p]
+            node[key] = value
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(conf).build()
+
+    def test_readme_sample_config_builds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Scenario config", 1)[1]
+        sample = section.split("```json", 1)[1].split("```", 1)[0]
+        built, params = ScenarioConfig.from_dict(json.loads(sample)).build()
+        assert built.graph.node_count == 100 and params.diameter == 2
 
     @staticmethod
     def hub_star_config(adversary):
