@@ -19,7 +19,7 @@ from .errors import ConfigError, DensetrackError, parse_json, read_text
 from .graph import load_edge_list
 from .harness import check_round_budget, emit_report, replay_log, run_scenario
 from .oracle import OracleCache, exact_at_least_k, exact_densest
-from .scenarios import ScenarioConfig, solve_planted_scenario
+from .scenarios import ScenarioConfig, solve_planted_scenario, sweep_grid
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -33,12 +33,9 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             ("protocol", "strict_congest", overrides.strict_congest or None),
             ("protocol", "threshold_factor", overrides.threshold_factor),
             ("report", "out", overrides.out)):
-        if value is not None:
-            section = conf.setdefault(name, {})
-            if not isinstance(section, dict):
-                raise ConfigError(
-                    f"{name} must be a JSON object, got {section!r}")
-            section[key] = value
+        # a section that is not an object fails the config check
+        if value is not None and isinstance(conf.setdefault(name, {}), dict):
+            conf[name][key] = value
     return conf
 
 
@@ -97,25 +94,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = parse_json(args.grid, "sweep grid")
-    axes = {"epsilon": [1.0], "rate": [0], "n": [60]}
-    if not isinstance(grid, dict) or set(grid) - set(axes) or not all(
-            isinstance(values, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in values) for values in grid.values()):
-        raise ConfigError("sweep grid must map epsilon, rate and n to lists "
-                          f"of numbers, got {args.grid}")
-    axes.update(grid)
+    grid = sweep_grid(parse_json(args.grid, "sweep grid"))
     combos = []
     skipped = []
-    for n in axes["n"]:
-        for rate in axes["rate"]:
-            for eps in axes["epsilon"]:
+    for n in grid["n"]:
+        for rate in grid["rate"]:
+            for eps in grid["epsilon"]:
                 k = max(2, int(0.8 * n))
-                key = (int(n), int(rate), float(eps))
+                key = (n, rate, eps)
                 try:
-                    conf = solve_planted_scenario(n=int(n), k=k, rate=int(rate),
-                                                  epsilon=float(eps),
+                    conf = solve_planted_scenario(n=n, k=k, rate=rate,
+                                                  epsilon=eps,
                                                   seed=args.seed or 0,
                                                   passes=args.passes)
                 except DensetrackError as exc:

@@ -225,7 +225,7 @@ _GRAPH = _Variants("kind", {
 })
 _RATE = _Key(int, 0, 0)
 _PROTECT = _Key(("backbone", "none"), "backbone")
-_SCRIPT_ITEM = {"round": _Key(int), "op": _Key((ADD, REMOVE)),
+_SCRIPT_ITEM = {"round": _Key(int, low=0), "op": _Key((ADD, REMOVE)),
                 "u": _Key(int), "v": _Key(int)}
 _ADVERSARY = _Variants("kind", {
     "scripted": {"rate": _RATE, "script": _Key([_SCRIPT_ITEM], ())},
@@ -261,7 +261,8 @@ _BUILDERS = {"gnp": build_gnp, "regular": build_regular,
 
 
 def build_graph(spec: dict, seed: int) -> BuiltGraph:
-    """The seeded graph of a graph section, checked here."""
+    """The seeded graph of a graph section, raw or already checked (a
+    checked section passes the check unchanged)."""
     spec = _value(spec, _GRAPH, "graph")
     kind = spec.pop("kind")
     if kind == "edge-list":
@@ -344,6 +345,15 @@ class ScenarioConfig:
         if self.queries and self.queries["k"] > n:
             raise ConfigError(f"queries.k={self.queries['k']} exceeds n={n}")
         return built, params
+
+
+_SWEEP_GRID = {"epsilon": _Key([float], [1.0]), "rate": _Key([int], [0], 0),
+               "n": _Key([int], [60])}
+
+
+def sweep_grid(grid) -> dict:
+    """The checked epsilon, rate and n lists of a sweep grid."""
+    return _section(grid, _SWEEP_GRID, "grid")
 
 
 def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,

@@ -157,7 +157,7 @@ def test_missing_edge_list_exits_two(tmp_path, capsys, command):
     ("run", "--config", "{seed: 1}", "is not JSON"),
     ("run", "--config", "[1, 2]", "must hold a JSON object"),
     ("sweep", "--grid", "{epsilon: [1.0]}", "sweep grid is not JSON"),
-    ("sweep", "--grid", '{"n": 5}', "sweep grid must map"),
+    ("sweep", "--grid", '{"n": 5}', "grid.n must be a list"),
     ("replay", "--replay", None, "cannot read event log"),
     ("replay", "--replay", '{"event": "config"\n', "header is not JSON"),
     ("replay", "--replay", "[1]\n", "lacks a config header"),
@@ -174,3 +174,12 @@ def test_bad_input_file_exits_two(tmp_path, capsys, command, flag, text,
     assert main([command, flag, arg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+def test_override_into_non_object_section_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": 1,
+                                "graph": {"kind": "gnp", "n": 10, "p": 0.5},
+                                "protocol": 5, "duration": {"passes": 1}}))
+    assert main(["run", "--config", str(path), "--exact-counting"]) == 2
+    assert "error: protocol must be a JSON object" in capsys.readouterr().err

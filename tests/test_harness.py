@@ -145,7 +145,10 @@ class TestConfigValidation:
               ("op-typo", [{"round": 1, "op": "cut", "u": 0, "v": 1}]),
               ("op-missing", [{"round": 1, "u": 0, "v": 1}]),
               ("unknown-key", [{"round": 1, "op": "remove", "u": 0, "v": 1,
-                                "w": 2}]))),
+                                "w": 2}]),
+              # an edit before round 0 would never be made
+              ("negative-round", [{"round": -1, "op": "remove", "u": 0,
+                                   "v": 1}]))),
     ]
 
     @pytest.mark.parametrize("path,value", BAD_VALUES)
