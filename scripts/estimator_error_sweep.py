@@ -30,10 +30,11 @@ def main() -> None:
             est = counting.sample_fine_estimates(rng, true_n, eps, args.trials)
             rel = np.abs(est / true_n - 1.0)
             length = counting.fine_tuple_len(2.0 * true_n, eps)
-            rows = [(i, true_n, float(e), length, 0)
-                    for i, e in enumerate(est)]
             path = os.path.join(args.out, f"fine-n{true_n}-eps{eps}.csv")
-            counting.write_estimator_trace(path, rows)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("trial,true_value,estimate,tuple_len,rounds\n")
+                fh.writelines(f"{i},{true_n},{e!r},{length},0\n"
+                              for i, e in enumerate(est.tolist()))
             print(f"{'fine':>9} {true_n:>6} {eps:>5} {length:>6} "
                   f"{rel.mean():>12.4f} {np.percentile(rel, 99):>12.4f}")
 

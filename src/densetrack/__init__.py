@@ -2,7 +2,7 @@
 edge-dynamic broadcast networks, with exact oracles for verification."""
 
 from .graph import (DynamicGraph, SubsetDensity, induced_density,
-                    measure_dynamic_diameter, static_diameter)
+                    static_diameter)
 from .harness import RunReport, check_round_budget, emit_report, run_scenario
 from .oracle import (OracleCache, OracleResult, exact_at_least_k,
                      exact_densest, peel_reference)
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DynamicGraph", "SubsetDensity", "induced_density",
-    "measure_dynamic_diameter", "static_diameter",
+    "static_diameter",
     "RunReport", "check_round_budget", "emit_report", "run_scenario",
     "OracleCache", "OracleResult", "exact_at_least_k", "exact_densest",
     "peel_reference",

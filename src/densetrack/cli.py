@@ -15,7 +15,8 @@ import multiprocessing
 import os
 import sys
 
-from .errors import ConfigError, DensetrackError, parse_json, read_text
+from .errors import (ConfigError, DensetrackError, InfeasibleScenario,
+                     parse_json, read_text)
 from .graph import load_edge_list
 from .harness import check_round_budget, emit_report, replay_log, run_scenario
 from .oracle import OracleCache, exact_at_least_k, exact_densest
@@ -107,7 +108,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                                   epsilon=eps,
                                                   seed=args.seed or 0,
                                                   passes=args.passes)
-                except DensetrackError as exc:
+                except InfeasibleScenario as exc:
                     skipped.append((key, str(exc)))
                     continue
                 if args.out:

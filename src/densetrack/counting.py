@@ -37,8 +37,7 @@ per round (l*D rounds instead of D) for literal per-edge bandwidth limits.
 
 :class:`CountPipeline` is the one implementation of a counting window
 (coarse, ``N = 2 * coarse``, fine, finalize, or the exact union on the same
-schedule).  The protocol's node, edge and padding counts and the standalone
-:func:`run_node_count` / :func:`run_edge_count` all drive it.
+schedule).  The protocol's node, edge and padding counts all drive it.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .graph import DynamicGraph
-from .netsim import MessagePart, StepContext, World
 
 GEO_TOSS_CAP = 64
 # LogLog bias of the max of geometric(1/2) toss counts: gamma/ln 2 + 1/2,
@@ -423,99 +419,6 @@ class CountPipeline:
         return None
 
 
-# -- standalone counting runs (used directly by tests) -------------------------
-
-
-@dataclass
-class CountResult:
-    estimates: list[float]       # per node
-    coarse: list[float]
-    rounds_used: int
-    world: World
-    truncated_tosses: int = 0
-
-
-class _CountingHandler:
-    """Runs one counting window for one node, then idles."""
-
-    def __init__(self, count: CountPipeline, member: bool,
-                 degree: int | None):
-        self.count = count
-        self.member = member
-        self.degree = degree
-        self.estimate: float | None = None
-        self.finished_at: int | None = None
-
-    def step(self, ctx: StepContext) -> list[MessagePart] | None:
-        count = self.count
-        st = count.stage
-        if st is None:
-            if self.finished_at is not None:
-                return None
-            count.start(("cnt.c", "cnt.f"), ctx.round, ctx.rng, self.member,
-                        self.degree)
-        else:
-            for msg in ctx.inbox:
-                for part in msg.parts:
-                    if part.tag == st.tag:
-                        st.absorb(part)
-            total = count.step(ctx.round, ctx.rng)
-            if total is not None:
-                self.estimate = total
-                self.finished_at = ctx.round
-                return None
-        part = count.stage.emit()
-        return [part] if part else None
-
-
-def _run_count(graph: DynamicGraph, members: set[int], diameter: int,
-               degrees: dict[int, int] | None, delta_fail: float,
-               epsilon: float, c: float, seed: int, exact: bool, strict: bool,
-               adversary) -> CountResult:
-    handlers = [_CountingHandler(
-        CountPipeline(i, graph.node_count, diameter, delta_fail=delta_fail,
-                      epsilon=epsilon, c=c, exact=exact, strict=strict),
-        i in members, None if degrees is None else degrees[i])
-        for i in range(graph.node_count)]
-    world = World(graph, handlers, seed=seed, adversary=adversary)
-    start = world.round
-    while any(h.finished_at is None for h in handlers):
-        world.run_round()
-    return CountResult([h.estimate for h in handlers],
-                       [h.count.coarse for h in handlers],
-                       handlers[0].finished_at - start, world,
-                       sum(h.count.truncated for h in handlers))
-
-
-def run_node_count(graph: DynamicGraph, members: set[int], diameter: int,
-                   *, delta_fail: float = 0.01, epsilon: float = 0.3,
-                   c: float = 1.0, seed: int = 0, exact: bool = False,
-                   strict: bool = False, adversary=None) -> CountResult:
-    """Run the two-stage node-count pipeline embedded in the simulator.
-
-    The combined coarse+fine window spans exactly ``2*D`` communication
-    rounds (``(l_geo + l_exp) * D`` in strict mode).
-    """
-    return _run_count(graph, members, diameter, None, delta_fail, epsilon, c,
-                      seed, exact, strict, adversary)
-
-
-def run_edge_count(graph: DynamicGraph, members: set[int], diameter: int,
-                   *, delta_fail: float = 0.01, epsilon: float = 0.3,
-                   c: float = 1.0, seed: int = 0, exact: bool = False,
-                   strict: bool = False) -> CountResult:
-    """Degree-weighted count of twice the edges inside ``members``, halved.
-
-    Membership degrees are taken from the static topology up front (the
-    embedded protocol instead piggybacks a membership round); each member
-    then simulates ``d_u`` copies through the same 2D-round pipeline.
-    """
-    degs = {u: (len(graph.adj[u] & members) if u in members else 0)
-            for u in range(graph.node_count)}
-    return _run_count(graph, members, diameter, degs, delta_fail, epsilon, c,
-                      seed, exact, strict, None)
-
-
 # -- direct-path samplers (distribution oracles for Monte-Carlo tests) ---------
 #
 # After D merge rounds on a trace whose dynamic diameter is at most D, every
@@ -523,8 +426,8 @@ def run_edge_count(graph: DynamicGraph, members: set[int], diameter: int,
 # distribution equals "draw every member's tuple, merge, finalize".  The
 # default samplers collapse the merge with the same exact identities the
 # simulator uses for local degree copies (max-of-c geometrics via its closed
-# CDF, min-of-c exponentials as Exp(c)); the ``*_literal`` variants draw and
-# merge every tuple and exist to cross-check the collapsed law.
+# CDF, min-of-c exponentials as Exp(c)); the tests cross-check that law
+# against drawing and merging every tuple.
 
 
 def sample_coarse_estimates(rng: np.random.Generator, true_count: int,
@@ -534,22 +437,6 @@ def sample_coarse_estimates(rng: np.random.Generator, true_count: int,
         return np.zeros(trials)
     maxima, _ = geometric_max_tosses(rng, true_count, (trials, length))
     return finalize_coarse_rows(maxima)
-
-
-def sample_coarse_literal(rng: np.random.Generator, true_count: int,
-                          delta_fail: float, trials: int) -> np.ndarray:
-    length = coarse_tuple_len(delta_fail)
-    if true_count == 0:
-        return np.zeros(trials)
-    out = np.empty(trials)
-    batch = max(1, (1 << 23) // max(1, true_count * length))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        draws, _ = geometric_tosses(rng, (b, true_count, length))
-        out[done:done + b] = finalize_coarse_rows(draws.max(axis=1))
-        done += b
-    return out
 
 
 def _fine_collapsed(rng, count, length, trials):
@@ -581,21 +468,6 @@ def sample_fine_estimates(rng: np.random.Generator, true_count: int,
     return out
 
 
-def sample_fine_literal(rng: np.random.Generator, true_count: int,
-                        epsilon: float, trials: int, c: float = 1.0,
-                        upper_bound: float = 64.0) -> np.ndarray:
-    length = fine_tuple_len(upper_bound, epsilon, c)
-    out = np.empty(trials)
-    batch = max(1, (1 << 23) // max(1, true_count * length))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        draws = exponential_draws(rng, (b, true_count, length))
-        out[done:done + b] = finalize_fine_rows(draws.min(axis=1))
-        done += b
-    return out
-
-
 def sample_edge_estimates(rng: np.random.Generator, degree_sum: int,
                           epsilon: float, trials: int, c: float = 1.0,
                           delta_fail: float = 0.01) -> np.ndarray:
@@ -604,11 +476,3 @@ def sample_edge_estimates(rng: np.random.Generator, degree_sum: int,
     return sample_fine_estimates(rng, degree_sum, epsilon, trials, c,
                                  delta_fail=delta_fail) / 2.0
 
-
-def write_estimator_trace(path: str, rows: list[tuple]) -> None:
-    """CSV trace (trial, true_value, estimate, tuple_len, rounds)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial,true_value,estimate,tuple_len,rounds\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")

@@ -37,16 +37,17 @@ class DesyncDetected(DensetrackError):
     """Per-level scalar records diverged across nodes (simulator bug)."""
 
 
-class UnknownSnapshot(DensetrackError):
-    """Membership query referenced a snapshot id that is not current."""
-
-
 class TooLargeForEnumeration(DensetrackError):
     """Brute-force oracle asked to enumerate more subsets than allowed."""
 
 
 class ConfigError(DensetrackError, ValueError):
     """Scenario configuration failed validation (the CLI exits 2)."""
+
+
+class InfeasibleScenario(ConfigError):
+    """No planted clique within n clears the density precondition; a sweep
+    skips the cell."""
 
 
 def read_text(path: str, what: str) -> str:

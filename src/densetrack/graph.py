@@ -26,9 +26,6 @@ Edit = tuple[str, int, int]  # ("add" | "remove", u, v)
 ADD = "add"
 REMOVE = "remove"
 
-INFINITE_DIAMETER = math.inf
-
-
 def edge_key(u: int, v: int) -> Edge:
     """Canonical (low, high) form of an undirected edge."""
     if u == v:
@@ -179,42 +176,7 @@ def static_diameter(g: DynamicGraph) -> int | float:
     adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                      shape=(n, n))
     worst = shortest_path(adj, directed=False, unweighted=True).max()
-    return INFINITE_DIAMETER if math.isinf(worst) else int(worst)
-
-
-def measure_dynamic_diameter(trace: Sequence[Iterable[Edge]],
-                             node_count: int) -> int | float:
-    """Smallest D such that a flood launched anywhere covers within D rounds.
-
-    ``trace[t]`` is the edge set in force during round ``t``: a message
-    broadcast in round ``t`` crosses those edges and lands at ``t + 1``.  For
-    every launch time ``s`` the cover time ``c(s)`` is the number of rounds
-    until floods from all sources reach every node; launches that the trace
-    truncates before coverage are skipped.  Returns ``inf`` when no launch
-    window completes (some pair stays unreachable over the whole trace).
-    """
-    n = node_count
-    snapshots = [list(e) for e in trace]
-    if n == 1:
-        return 1 if snapshots else INFINITE_DIAMETER
-    full = (1 << n) - 1
-    best = 0
-    any_complete = False
-    for s in range(len(snapshots)):
-        holders = [1 << v for v in range(n)]
-        for t in range(s, len(snapshots)):
-            nxt = list(holders)
-            for u, v in snapshots[t]:
-                nxt[u] |= holders[v]
-                nxt[v] |= holders[u]
-            holders = nxt
-            if all(h == full for h in holders):
-                best = max(best, t - s + 1)
-                any_complete = True
-                break
-    if not any_complete:
-        return INFINITE_DIAMETER
-    return max(best, 1)
+    return worst if math.isinf(worst) else int(worst)
 
 
 # -- edge-list ingestion -------------------------------------------------------

@@ -21,9 +21,8 @@ node streams derive from one global seed, so a run is a pure function of
 A broadcast is a tuple of message parts: anything with a tag, a
 ``bit_size`` and ``canonical_bytes`` (:class:`MessagePart`).  The engine
 meters every part from its payload, never trusting the sender.  It defines
-only the blob part; the flag parts live in ``protocol``, the flood-merge
-tuple parts, with their dtypes, wire prefixes and bit rules, in
-``counting.KINDS``.
+no part: the flag parts live in ``protocol``, the flood-merge tuple parts,
+with their dtypes, wire prefixes and bit rules, in ``counting.KINDS``.
 
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
@@ -35,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -53,20 +52,6 @@ class MessagePart(Protocol):
     def bit_size(self) -> int: ...
 
     def canonical_bytes(self) -> bytes: ...
-
-
-@dataclass(frozen=True)
-class BlobPart:
-    """Opaque payload for flood experiments."""
-
-    tag: str
-    data: bytes
-
-    def bit_size(self) -> int:
-        return 8 * len(self.data)
-
-    def canonical_bytes(self) -> bytes:
-        return b"B" + self.tag.encode() + self.data
 
 
 @dataclass(frozen=True)
@@ -133,28 +118,6 @@ class BandwidthLedger:
                          "messages": s.messages}
                      for t, s in sorted(self.per_tag.items())},
         }
-
-
-@dataclass(frozen=True)
-class BandwidthRow:
-    tag: str
-    max_bits: int
-    bound_bits: int | None
-    ok: bool
-
-
-def assert_bandwidth(ledger: BandwidthLedger,
-                     bounds: dict[str, int]) -> list[BandwidthRow]:
-    """Per-tag max-bits table checked against configured bounds.
-
-    Violations are listed in the returned rows, never dropped.
-    """
-    rows = []
-    for tag, st in sorted(ledger.per_tag.items()):
-        bound = bounds.get(tag)
-        ok = bound is None or st.max_bits <= bound
-        rows.append(BandwidthRow(tag, st.max_bits, bound, ok))
-    return rows
 
 
 class EventLog:
@@ -260,42 +223,3 @@ class World:
         for _ in range(rounds):
             self.run_round()
 
-
-# -- flooding ------------------------------------------------------------------
-
-
-class FloodHandler:
-    """Forwards an opaque payload once seen; used for reachability probes."""
-
-    def __init__(self, origin: bool, payload: bytes):
-        self.has_payload = origin
-        self.payload = payload
-
-    def step(self, ctx: StepContext) -> list[MessagePart] | None:
-        for msg in ctx.inbox:
-            for part in msg.parts:
-                if isinstance(part, BlobPart) and part.tag == "flood":
-                    self.has_payload = True
-        if self.has_payload:
-            return [BlobPart("flood", self.payload)]
-        return None
-
-
-def flood(graph: DynamicGraph, origins: Iterable[int], payload: bytes,
-          rounds: int, adversary: Adversary | None = None,
-          seed: int = 0) -> set[int]:
-    """Run a flood for ``rounds`` rounds; returns the reached node set.
-
-    With ``rounds`` at least the trace's dynamic diameter the reached set is
-    the whole node set.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    origin_set = set(origins)
-    handlers = [FloodHandler(i in origin_set, payload)
-                for i in range(graph.node_count)]
-    world = World(graph, handlers, seed=seed, adversary=adversary)
-    world.run(rounds)
-    # only holders broadcast, so a pending delivery reaches a node too
-    return {i for i, h in enumerate(handlers)
-            if h.has_payload or world._inboxes[i]}

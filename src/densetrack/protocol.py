@@ -55,7 +55,7 @@ from .counting import CountPipeline
 # bench/tracer.py wraps these four names in this module's namespace (its
 # counting.stage layer); the stages themselves are built in counting
 from .counting import degs_stage, exp_stage, geo_stage, ids_stage  # noqa: F401
-from .errors import ConfigError, UnknownSnapshot
+from .errors import ConfigError
 from .netsim import MessagePart, StepContext
 
 # (coarse, fine) tag pairs of the three counting windows
@@ -459,10 +459,3 @@ class ProtocolNode:
             parts.extend(self._query_advance_emit(ctx))
         return parts or None
 
-
-def membership_query(node: ProtocolNode, snapshot_id: int) -> dict[int, bool]:
-    """Local read of this node's flags for the current snapshot."""
-    fam = node.family
-    if fam is None or fam.pass_index != snapshot_id:
-        raise UnknownSnapshot(f"snapshot {snapshot_id} is not current")
-    return {rec.j: fam.flags[i] for i, rec in enumerate(fam.records)}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .adversary import (Adversary, RandomChurnAdversary, ScriptedAdversary,
                         TargetedAdversary)
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleScenario
 from .graph import (ADD, REMOVE, DynamicGraph, Edge, edge_key, load_edge_list,
                     static_diameter)
 from .protocol import ProtocolParams, params_for
@@ -368,9 +368,10 @@ def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
     construction raises when no feasible clique fits inside ``n``.
     """
     diameter = 2
+    # ProtocolParams range-checks epsilon before anything divides by it
+    delta = ProtocolParams(epsilon=epsilon, diameter=diameter).delta
     t_rounds = 8 * diameter + 2
     need = margin * 24.0 * t_rounds * rate / (max(k, 1) * epsilon)
-    delta = epsilon / 24.0
     # keep the clique comfortably above (1+delta)k so the chosen level never
     # needs padding even with estimator wobble
     q_floor = max(3, int(1.1 * (1.0 + delta) * k) + 1)
@@ -380,7 +381,7 @@ def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
             q = cand
             break
     if q is None:
-        raise ConfigError(
+        raise InfeasibleScenario(
             f"no clique within n={n} clears precondition {need:.1f}; "
             f"raise n or k, or lower rate")
     return {

@@ -62,6 +62,15 @@ def test_sweep_subcommand(capsys):
     assert row["ok"] is True
 
 
+def test_sweep_epsilon_out_of_range_exits_two(capsys):
+    # a zero epsilon used to divide by zero while sizing the clique; a cell
+    # with no feasible clique is still only skipped
+    assert main(["sweep", "--grid", '{"epsilon": [0]}']) == 2
+    assert "error: epsilon must be in (0,1]" in capsys.readouterr().err
+    assert main(["sweep", "--grid", '{"rate": [3], "n": [10]}']) == 0
+    assert '"skipped": "no clique within n=10' in capsys.readouterr().out
+
+
 def test_threshold_factor_override(tmp_path, capsys):
     # a factor above 2 drains levels completely, so passes shrink to a
     # single recorded level closed by the empty branch

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -11,7 +11,8 @@ from densetrack import counting
 from densetrack.adversary import ScriptedAdversary
 from densetrack.graph import DynamicGraph
 from densetrack.counting import TuplePart
-from densetrack.netsim import assert_bandwidth
+from support import (count_window, measure_dynamic_diameter, member_degrees,
+                     round_start_edges, run_script)
 
 
 class StubRng:
@@ -74,7 +75,7 @@ class TestForcedDraws:
 class TestEmptySubset:
     def test_nodes_empty_everywhere(self):
         g = complete_graph(5)
-        res = counting.run_node_count(g, set(), 1, epsilon=0.5)
+        res = count_window(g, set(), 1, epsilon=0.5)
         assert res.estimates == [0.0] * 5
 
     @pytest.mark.parametrize("kind", KIND_NAMES)
@@ -84,30 +85,36 @@ class TestEmptySubset:
 
     def test_edges_edgeless_subset(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        res = counting.run_edge_count(g, {0, 3}, 3, epsilon=0.5, seed=2)
+        res = count_window(g, {0, 3}, 3, degrees=member_degrees(g, {0, 3}),
+                           epsilon=0.5, seed=2)
         assert res.estimates == [0.0] * 4
 
 
 class TestExactMode:
     def test_nodes_exact(self):
         g = complete_graph(6)
-        res = counting.run_node_count(g, {0, 2, 4}, 1, exact=True)
+        res = count_window(g, {0, 2, 4}, 1, exact=True)
         assert res.estimates == [3.0] * 6
 
     def test_single_edge(self):
         g = DynamicGraph.from_edges(2, [(0, 1)])
-        res = counting.run_edge_count(g, {0, 1}, 1, exact=True)
+        res = count_window(g, {0, 1}, 1, degrees=member_degrees(g, {0, 1}),
+                           exact=True)
         assert res.estimates == [1.0, 1.0]
 
     def test_triangle_edges(self):
         g = complete_graph(3)
-        res = counting.run_edge_count(g, {0, 1, 2}, 1, exact=True)
+        res = count_window(g, {0, 1, 2}, 1,
+                           degrees=member_degrees(g, {0, 1, 2}), exact=True)
         assert res.estimates == [3.0] * 3
 
     def test_exact_vs_estimate_k10(self):
         g = complete_graph(10)
-        exact = counting.run_edge_count(g, set(range(10)), 1, exact=True)
-        est = counting.run_edge_count(g, set(range(10)), 1, epsilon=0.1, seed=4)
+        members = set(range(10))
+        degrees = member_degrees(g, members)
+        exact = count_window(g, members, 1, degrees=degrees, exact=True)
+        est = count_window(g, members, 1, degrees=degrees, epsilon=0.1,
+                           seed=4)
         assert exact.estimates[0] == 45.0
         assert abs(est.estimates[0] - 45.0) <= 0.1 * 45.0
 
@@ -115,16 +122,18 @@ class TestExactMode:
 class TestScheduleAndAgreement:
     def test_two_stage_window_is_exactly_2d(self):
         g = complete_graph(8)
+        members = set(range(8))
         for d in (1, 2, 3):
-            res = counting.run_node_count(g, set(range(8)), d, epsilon=0.5)
-            assert res.rounds_used == 2 * d
-            res = counting.run_edge_count(g, set(range(8)), d, epsilon=0.5)
-            assert res.rounds_used == 2 * d
+            res = count_window(g, members, d, epsilon=0.5)
+            assert res.rounds == 2 * d
+            res = count_window(g, members, d,
+                               degrees=member_degrees(g, members), epsilon=0.5)
+            assert res.rounds == 2 * d
 
     def test_agreement_static(self):
         g = DynamicGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4),
                                         (4, 5), (5, 6), (0, 6)])
-        res = counting.run_node_count(g, {1, 3, 5}, 4, epsilon=0.5, seed=8)
+        res = count_window(g, {1, 3, 5}, 4, epsilon=0.5, seed=8)
         assert len(set(res.estimates)) == 1
 
     def test_agreement_under_churn(self):
@@ -139,8 +148,8 @@ class TestScheduleAndAgreement:
                         "u": 1, "v": 2})
             present = not present
         adv = ScriptedAdversary.load(ops, g, rate=1)
-        res = counting.run_node_count(g, {1, 3, 5}, 2, epsilon=0.5, seed=3,
-                                      adversary=adv)
+        res = count_window(g, {1, 3, 5}, 2, epsilon=0.5, seed=3,
+                           adversary=adv)
         assert len(set(res.estimates)) == 1
 
 
@@ -229,7 +238,7 @@ class TestBroadcastValues:
 
     def test_path_counts_only_the_2d_ball(self):
         g = static_graph("path", 8, None)
-        res = counting.run_node_count(g, set(range(8)), 1, exact=True)
+        res = count_window(g, set(range(8)), 1, exact=True)
         assert res.estimates == [3.0, 4.0, 5.0, 5.0, 5.0, 5.0, 4.0, 3.0]
 
     @given(st.sampled_from(["path", "cycle", "tree"]), st.integers(3, 12),
@@ -240,7 +249,7 @@ class TestBroadcastValues:
         rng = np.random.default_rng(seed)
         g = static_graph(kind, n, rng)
         members = {v for v in range(n) if rng.random() < 0.6}
-        res = counting.run_node_count(g, members, d, exact=True)
+        res = count_window(g, members, d, exact=True)
         rows, cols = zip(*g.edges())
         dist = shortest_path(csr_matrix(([1] * len(rows), (rows, cols)),
                                         shape=(n, n)),
@@ -313,6 +322,17 @@ COARSE_WINDOW_RATES = {
 }
 
 
+def literal_estimates(draw, merge, finalize, members, length, trials):
+    """Estimates from drawing every member's tuple, merging and finalizing:
+    the law the collapsed samplers of counting reach in closed form.
+    ``draw(shape)`` returns iid coordinates; batches stay near 8 M draws."""
+    batch = max(1, (1 << 23) // (members * length))
+    return np.concatenate([
+        finalize(merge(draw((min(batch, trials - done), members, length)),
+                       axis=1))
+        for done in range(0, trials, batch)])
+
+
 class TestEstimatorStatistics:
     def test_coarse_window_rates_match_oracle(self):
         rng = np.random.default_rng(42)
@@ -359,12 +379,19 @@ class TestEstimatorStatistics:
 
     def test_collapsed_matches_literal(self):
         a = counting.sample_coarse_estimates(np.random.default_rng(1), 20, 0.1, 2000)
-        b = counting.sample_coarse_literal(np.random.default_rng(2), 20, 0.1, 2000)
+        rng = np.random.default_rng(2)
+        b = literal_estimates(
+            lambda shape: counting.geometric_tosses(rng, shape)[0], np.max,
+            counting.finalize_coarse_rows, 20, counting.coarse_tuple_len(0.1),
+            2000)
         assert stats.ks_2samp(a, b).pvalue > 0.01
         c1 = counting.sample_fine_estimates(np.random.default_rng(3), 30, 0.5,
                                             1000, upper_bound=100)
-        c2 = counting.sample_fine_literal(np.random.default_rng(4), 30, 0.5,
-                                          1000, upper_bound=100)
+        rng = np.random.default_rng(4)
+        c2 = literal_estimates(
+            lambda shape: counting.exponential_draws(rng, shape), np.min,
+            counting.finalize_fine_rows, 30, counting.fine_tuple_len(100, 0.5),
+            1000)
         assert stats.ks_2samp(c1, c2).pvalue > 0.01
 
     def test_edge_estimates_planted_clique(self):
@@ -388,15 +415,15 @@ class TestStrictMode:
     def test_strict_equals_logical_and_small_messages(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         members = {0, 2}
-        logical = counting.run_node_count(g, members, 3, epsilon=1.0,
-                                          delta_fail=0.5, seed=6)
-        strict = counting.run_node_count(g, members, 3, epsilon=1.0,
-                                         delta_fail=0.5, seed=6, strict=True)
+        logical = count_window(g, members, 3, epsilon=1.0, delta_fail=0.5,
+                               seed=6)
+        strict = count_window(g, members, 3, epsilon=1.0, delta_fail=0.5,
+                              seed=6, strict=True)
         assert logical.estimates == strict.estimates
         assert strict.world.ledger.global_max_bits <= 64
         lg, lf = counting.coarse_tuple_len(0.5), counting.fine_tuple_len(
             2 * logical.coarse[0], 1.0)
-        assert strict.rounds_used == 3 * (lg + lf)
+        assert strict.rounds == 3 * (lg + lf)
 
 
 class TestBandwidth:
@@ -410,12 +437,11 @@ class TestBandwidth:
         # calibrated once on this reference run and frozen: merged toss
         # tuples stay within 110 * ln(1/delta) * log2(log2 n) bits
         g, n = self._reference_graph()
-        res = counting.run_node_count(g, set(range(n)), 8, delta_fail=0.01,
-                                      epsilon=0.5, seed=1)
+        res = count_window(g, set(range(n)), 8, delta_fail=0.01, epsilon=0.5,
+                           seed=1)
         bound = int(110 * math.log(1 / 0.01) * math.log2(math.log2(n)))
-        rows = assert_bandwidth(res.world.ledger, {"cnt.c": bound})
-        row = next(r for r in rows if r.tag == "cnt.c")
-        assert row.ok, (row.max_bits, bound)
+        max_bits = res.world.ledger.per_tag["cnt.c"].max_bits
+        assert max_bits <= bound, (max_bits, bound)
 
     def test_tuple_parts_metered_per_kind(self):
         # n = 8 nodes: 3 bits per id
@@ -437,19 +463,66 @@ class TestBandwidth:
         # full-tuple broadcasts provably blow an O(log n) budget; the ledger
         # must record the violation rather than dropping it
         g, n = self._reference_graph()
-        res = counting.run_node_count(g, set(range(n)), 8, delta_fail=0.01,
-                                      epsilon=0.5, seed=1)
+        res = count_window(g, set(range(n)), 8, delta_fail=0.01, epsilon=0.5,
+                           seed=1)
         bound = 64 * math.ceil(math.log2(n))
-        rows = assert_bandwidth(res.world.ledger, {"cnt.f": bound})
-        row = next(r for r in rows if r.tag == "cnt.f")
-        assert not row.ok
-        assert row.max_bits > bound
+        assert res.world.ledger.per_tag["cnt.f"].max_bits > bound
+
+
+CHURN_RATE = 2
+TRACE_ROUNDS = 12
+
+
+@st.composite
+def churn_scripts(draw):
+    """A graph on 2 to 6 nodes and a legal script toggling up to
+    ``CHURN_RATE`` node pairs in each of ``TRACE_ROUNDS`` rounds."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    initial = sorted(present)
+    script = []
+    for r in range(TRACE_ROUNDS):
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True,
+                                  max_size=CHURN_RATE)):
+            op = "remove" if (u, v) in present else "add"
+            present ^= {(u, v)}
+            script.append({"round": r, "op": op, "u": u, "v": v})
+    return n, initial, script
+
+
+def scripted_graph(n, initial, script):
+    g = DynamicGraph.from_edges(n, initial, churn_rate=CHURN_RATE)
+    return g, ScriptedAdversary.load(script, g, rate=CHURN_RATE)
+
+
+@given(churn_scripts(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_count_covers_the_measured_dynamic_diameter(spec, data):
+    # the trace oracle and the engine agree: when D bounds the dynamic
+    # diameter of the round-start edge sets, every member reaches every
+    # node within the 2 * ceil(D / 2) >= D rounds of an exact count
+    n, initial, script = spec
+    trace = round_start_edges(*scripted_graph(n, initial, script),
+                              TRACE_ROUNDS)
+    d = measure_dynamic_diameter(trace, n)
+    assume(d != math.inf)  # then 2 * ceil(D / 2) <= TRACE_ROUNDS
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    g, adv = scripted_graph(n, initial, script)
+    res = count_window(g, members, math.ceil(d / 2), exact=True,
+                       adversary=adv)
+    assert res.estimates == [float(len(members))] * n
 
 
 def test_estimator_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    counting.write_estimator_trace(str(path), [(0, 10, 9.5, 300, 4),
-                                               (1, 10, 11.25, 300, 4)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "trial,true_value,estimate,tuple_len,rounds"
-    assert lines[1] == "0,10,9.5,300,4"
+    # the estimator sweep writes one trace per (n, eps) cell
+    out = tmp_path / "traces"
+    proc = run_script("estimator_error_sweep.py", "--trials", 50,
+                      "--out", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    paths = sorted(out.glob("fine-n*.csv"))
+    assert len(paths) == 12
+    for path in paths:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "trial,true_value,estimate,tuple_len,rounds"
+        assert len(lines) == 51 and lines[1].startswith("0,")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densetrack.errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit
-from densetrack.graph import (DynamicGraph, induced_density,
-                              measure_dynamic_diameter, parse_edge_list,
+from densetrack.graph import (DynamicGraph, induced_density, parse_edge_list,
                               static_diameter)
+from support import measure_dynamic_diameter
 
 
 def triangle():

@@ -9,7 +9,9 @@ from densetrack.errors import ConfigError, DensetrackError, RoundCapExceeded
 from densetrack.harness import (check_round_budget, emit_report, queries_csv,
                                 replay_log, run_scenario)
 from densetrack.netsim import EventLog
-from densetrack.scenarios import ScenarioConfig, build_graph, solve_planted_scenario
+from densetrack.scenarios import (ScenarioConfig, adversary_from_spec,
+                                  build_graph, solve_planted_scenario)
+from support import measure_dynamic_diameter, round_start_edges, run_script
 
 
 def k5_config(exact=True, epsilon=0.5):
@@ -317,14 +319,6 @@ class TestRunScenario:
         assert rows[1]["round_fired"] == rows[0]["round_answered"] + 1
 
     def test_hub_star_bounds_measured_dynamic_diameter(self):
-        from densetrack.graph import measure_dynamic_diameter
-        from densetrack.scenarios import adversary_from_spec, build_graph
-        from densetrack.netsim import World
-
-        class Idle:
-            def step(self, ctx):
-                return None
-
         built = build_graph({"kind": "planted-dense", "n": 24, "clique": 8,
                              "noise_p": 0.05}, seed=2)
         g = built.graph
@@ -332,12 +326,8 @@ class TestRunScenario:
         adv = adversary_from_spec({"kind": "random-churn", "rate": 2,
                                    "mode": "balanced", "protect": "backbone"},
                                   g, 2, built.protected)
-        trace = [g.snapshot()]
-        world = World(g, [Idle() for _ in range(24)], seed=2, adversary=adv)
-        for _ in range(40):
-            world.run_round()
-            trace.append(g.snapshot())
-        measured = measure_dynamic_diameter(trace[:-1], 24)
+        trace = round_start_edges(g, adv, 40)
+        measured = measure_dynamic_diameter(trace, 24)
         assert measured <= 2  # the protected star pins the flooding time
 
     def test_answer_density_recomputed_exactly(self):
@@ -518,6 +508,12 @@ class TestPlantedSolver:
     def test_infeasible_raises(self):
         with pytest.raises(ConfigError):
             solve_planted_scenario(n=30, k=10, rate=4, epsilon=1.0)
+
+    def test_demo_script_runs(self, tmp_path):
+        proc = run_script("demo_dynamic.py", "--passes", 1, "--n", 60,
+                          "--k", 30, "--rate", 0, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "passes: 1" in proc.stdout
 
     def test_hub_star_pins_diameter(self):
         built = build_graph({"kind": "planted-dense", "n": 30, "clique": 10,

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from densetrack.errors import UnknownSnapshot
 from densetrack.graph import DynamicGraph
 from densetrack.netsim import World
 from densetrack.oracle import peel_reference
 from densetrack.protocol import (LevelRecord, ProtocolNode, level_round_cost,
-                                 membership_query, params_for, query_argmax,
-                                 threshold_value)
+                                 params_for, query_argmax, threshold_value)
 
 
 def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0, k=0,
@@ -232,13 +230,12 @@ class TestQueries:
     def test_membership_query(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         _, handlers, _ = run_passes(g, 0.24, 2)
-        snap = handlers[0].family.pass_index
-        flags = membership_query(handlers[3], snap)
-        assert flags[0] is True and flags[1] is False  # pendant drops
-        flags0 = membership_query(handlers[0], snap)
-        assert flags0[1] is True
-        with pytest.raises(UnknownSnapshot):
-            membership_query(handlers[0], snap + 5)
+        # a node reads its membership of level j from its own flags of the
+        # current family, with no message
+        fam3, fam0 = handlers[3].family, handlers[0].family
+        assert [rec.j for rec in fam3.records] == list(range(len(fam3.flags)))
+        assert fam3.flags[0] is True and fam3.flags[1] is False  # pendant drops
+        assert fam0.flags[1] is True
 
     def test_query_before_first_pass(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
