@@ -358,6 +358,8 @@ class CountPipeline:
     def __init__(self, node_id: int, node_count: int, diameter: int, *,
                  delta_fail: float, epsilon: float, c: float, exact: bool,
                  strict: bool):
+        if diameter < 1:  # a 0-round window never closes
+            raise ValueError("diameter must be >= 1")
         self.node_id = node_id
         self.node_count = node_count
         self.diameter = diameter

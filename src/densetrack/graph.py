@@ -176,7 +176,7 @@ def static_diameter(g: DynamicGraph) -> int | float:
     adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                      shape=(n, n))
     worst = shortest_path(adj, directed=False, unweighted=True).max()
-    return worst if math.isinf(worst) else int(worst)
+    return math.inf if math.isinf(worst) else int(worst)
 
 
 # -- edge-list ingestion -------------------------------------------------------

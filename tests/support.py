@@ -11,11 +11,13 @@ import subprocess
 import sys
 from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Collection, Sequence
 
 from densetrack.counting import CountPipeline
 from densetrack.graph import DynamicGraph, Edge
 from densetrack.netsim import World
+from densetrack.protocol import ProtocolNode
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -26,7 +28,12 @@ Window = namedtuple("Window", "estimates coarse rounds world")
 
 
 class _WindowNode:
-    """Runs one counting window, then idles."""
+    """Runs one counting window, then idles.  Its inbox goes through the
+    production dispatch, ``ProtocolNode._absorb``, which reads only
+    ``count`` and ``query_count`` here: a window sends no flag parts."""
+
+    query_count = SimpleNamespace(stage=None)
+    _absorb = ProtocolNode._absorb
 
     def __init__(self, count: CountPipeline, member: bool,
                  degree: int | None):
@@ -43,10 +50,7 @@ class _WindowNode:
             count.start(("cnt.c", "cnt.f"), ctx.round, ctx.rng, self.member,
                         self.degree)
         else:
-            for msg in ctx.inbox:
-                for part in msg.parts:
-                    if part.tag == count.stage.tag:
-                        count.stage.absorb(part)
+            self._absorb(ctx)
             self.total = count.step(ctx.round, ctx.rng)
             if self.total is not None:
                 return None
@@ -62,8 +66,6 @@ def count_window(graph: DynamicGraph, members: set[int], diameter: int, *,
     0 (``(l_geo + l_exp) * diameter`` in strict mode); with ``degrees``
     (see :func:`member_degrees`) count edges instead.  ``estimator_kw`` sets
     ``delta_fail`` (default 0.01), ``epsilon`` (0.3) and ``c`` (1.0)."""
-    if diameter < 1:
-        raise ValueError("diameter must be >= 1")
     kw = {"delta_fail": 0.01, "epsilon": 0.3, "c": 1.0, **estimator_kw}
     nodes = [_WindowNode(
         CountPipeline(i, graph.node_count, diameter, exact=exact,
@@ -111,16 +113,12 @@ def measure_dynamic_diameter(trace: Sequence[Collection[Edge]],
     return max(covers, default=math.inf)
 
 
-class _Idle:
-    def step(self, ctx):
-        return None
-
-
 def round_start_edges(graph: DynamicGraph, adversary,
                       rounds: int) -> list[frozenset[Edge]]:
     """The edge set in force during each of ``rounds`` rounds of a run whose
     nodes send nothing: the trace :func:`measure_dynamic_diameter` reads."""
-    world = World(graph, [_Idle()] * graph.node_count, seed=0,
+    idle = SimpleNamespace(step=lambda ctx: None)
+    world = World(graph, [idle] * graph.node_count, seed=0,
                   adversary=adversary)
     trace = []
     for _ in range(rounds):

@@ -124,11 +124,9 @@ class TestScheduleAndAgreement:
         g = complete_graph(8)
         members = set(range(8))
         for d in (1, 2, 3):
-            res = count_window(g, members, d, epsilon=0.5)
-            assert res.rounds == 2 * d
-            res = count_window(g, members, d,
-                               degrees=member_degrees(g, members), epsilon=0.5)
-            assert res.rounds == 2 * d
+            for degrees in (None, member_degrees(g, members)):
+                res = count_window(g, members, d, degrees=degrees, epsilon=0.5)
+                assert res.rounds == 2 * d
 
     def test_agreement_static(self):
         g = DynamicGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4),
@@ -141,12 +139,8 @@ class TestScheduleAndAgreement:
         # flaps every round
         edges = [(0, i) for i in range(1, 6)] + [(1, 2)]
         g = DynamicGraph.from_edges(6, edges, churn_rate=1)
-        ops = []
-        present = True
-        for r in range(30):
-            ops.append({"round": r, "op": "remove" if present else "add",
-                        "u": 1, "v": 2})
-            present = not present
+        ops = [{"round": r, "op": ("remove", "add")[r % 2], "u": 1, "v": 2}
+               for r in range(30)]
         adv = ScriptedAdversary.load(ops, g, rate=1)
         res = count_window(g, {1, 3, 5}, 2, epsilon=0.5, seed=3,
                            adversary=adv)
@@ -515,14 +509,19 @@ def test_exact_count_covers_the_measured_dynamic_diameter(spec, data):
 
 
 def test_estimator_trace_csv(tmp_path):
-    # the estimator sweep writes one trace per (n, eps) cell
-    out = tmp_path / "traces"
+    # one trace per (n, eps) cell: a row per trial holding n, the estimate
+    # drawn under the script's seed (written exactly), the fine tuple
+    # length and 0 rounds
     proc = run_script("estimator_error_sweep.py", "--trials", 50,
-                      "--out", out, cwd=tmp_path)
+                      "--seed", 3, "--out", tmp_path, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    paths = sorted(out.glob("fine-n*.csv"))
-    assert len(paths) == 12
-    for path in paths:
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial,true_value,estimate,tuple_len,rounds"
-        assert len(lines) == 51 and lines[1].startswith("0,")
+    cells = [(n, eps) for n in (10, 50, 200, 1000) for eps in (0.1, 0.3, 1.0)]
+    assert len(list(tmp_path.glob("*.csv"))) == len(cells)
+    for n, eps in cells:
+        rng = np.random.default_rng((3, n))
+        est = counting.sample_fine_estimates(rng, n, eps, 50).tolist()
+        length = counting.fine_tuple_len(2.0 * n, eps)
+        rows = [",".join(map(str, (i, n, e, length, 0)))
+                for i, e in enumerate(est)]
+        lines = (tmp_path / f"fine-n{n}-eps{eps}.csv").read_text().splitlines()
+        assert lines == ["trial,true_value,estimate,tuple_len,rounds", *rows]

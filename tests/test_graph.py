@@ -125,6 +125,8 @@ class TestDiameters:
 
     def test_never_connected(self):
         assert measure_dynamic_diameter([frozenset()] * 5, 2) == math.inf
+        d = static_diameter(DynamicGraph(2))
+        assert type(d) is float and d == math.inf
 
     def test_random_static_cross_check(self):
         import numpy as np

@@ -7,10 +7,10 @@ import pytest
 
 from densetrack import netsim
 from densetrack.adversary import ScriptedAdversary
-from densetrack.errors import HandlerPanic
+from densetrack.errors import ConfigError, HandlerPanic
 from densetrack.graph import DynamicGraph
 from densetrack.netsim import EventLog, StepContext, World
-from densetrack.protocol import FlagsPart, ProtocolNode
+from densetrack.protocol import FlagsPart, ProtocolNode, ProtocolParams
 from support import count_window
 
 
@@ -117,24 +117,20 @@ class TestFlood:
 
     def test_alternating_trace_covered_at_dynamic_diameter(self):
         # edge alive on even rounds only; D = 2 covers either launch parity
-        for start_present in (True, False):
-            if start_present:
-                g = DynamicGraph.from_edges(2, [(0, 1)], churn_rate=1)
-            else:
-                g = DynamicGraph(2, churn_rate=1)
-            present = start_present
-            ops = []
-            for r in range(4):
-                ops.append({"round": r, "op": "remove" if present else "add",
-                            "u": 0, "v": 1})
-                present = not present
+        for present in (1, 0):
+            g = DynamicGraph.from_edges(2, [(0, 1)] * present, churn_rate=1)
+            ops = [{"round": r, "op": ("add", "remove")[(r + present) % 2],
+                    "u": 0, "v": 1} for r in range(4)]
             adv = ScriptedAdversary.load(ops, g, rate=1)
             assert reached(g, 1, adv) == {0, 1}
 
     def test_rounds_must_be_positive(self):
+        # a 0-round window never closes; a run's parameters refuse D = 0 too
         g = DynamicGraph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="diameter"):
             reached(g, 0)
+        with pytest.raises(ConfigError, match="diameter"):
+            ProtocolParams(epsilon=0.5, diameter=0)
 
 
 class TestLedger:
