@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Compare the benchmark of a revision with that of the worktree, in pairs.
+
+Usage: python3 scripts/bench_pairs.py REV [--workload W ...] [--pairs 10]
+       [--seconds 20] [--input-seed S] [--tmp DIR]
+
+Both sides are exported with ``git archive`` into a temporary directory:
+REV as committed, and the worktree as ``git add -A`` would stage it (through
+a scratch index, so the real index is left alone).  For every workload (all
+of ``BENCHMARK.json`` by default) it runs ``--pairs`` untraced pairs of
+``bench/run.py --workload W --trace 0``, REV first in even pairs and the
+worktree first in odd ones, and prints, per end-to-end metric, both sides'
+medians and quartiles, the worktree's wins and its verdict against the
+metric's bound: ``WORSE`` when its median is worse than REV's by more than
+the bound, and ``gain`` when it wins at least nine pairs in ten and its
+median is better by more than REV's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def export(rev: str | None, dest: Path) -> None:
+    """Write the tree of ``rev``, or of the worktree when None, to ``dest``."""
+    git = ["git", "-C", str(REPO)]
+    env = None
+    if rev is None:
+        env = {**os.environ, "GIT_INDEX_FILE": str(dest) + ".index"}
+        subprocess.run(git + ["add", "-A"], env=env, check=True)
+        rev = subprocess.run(git + ["write-tree"], env=env, check=True,
+                             capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.run(git + ["archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def parse_result(stdout: str) -> dict:
+    """The result object on the last line of a ``bench/run.py`` run."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("bench printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> list[dict]:
+    """One row per end-to-end metric of ``spec`` over (base, change)
+    result pairs."""
+    rows = []
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        b_q1, b_med, b_q3 = quartiles(base)
+        c_q1, c_med, c_q3 = quartiles(change)
+        wins = sum((c < b) if lower else (c > b)
+                   for b, c in zip(base, change))
+        worse = (c_med - b_med) if lower else (b_med - c_med)
+        if b_med and worse > metric["bound"] * abs(b_med):
+            verdict = "WORSE"
+        elif wins >= 0.9 * len(pairs) and -worse > b_q3 - b_q1:
+            verdict = "gain"
+        else:
+            verdict = "ok"
+        rows.append({"metric": name, "unit": metric["unit"],
+                     "base": (b_q1, b_med, b_q3),
+                     "change": (c_q1, c_med, c_q3),
+                     "ratio": c_med / b_med if b_med else None,
+                     "wins": wins, "pairs": len(pairs),
+                     "bound": metric["bound"], "verdict": verdict})
+    return rows
+
+
+def format_summary(workload: str, pairs: list[tuple[dict, dict]],
+                   rows: list[dict]) -> str:
+    def ops(side):
+        return "/".join(str(sum(p[side][key] for p in pairs))
+                        for key in ("failed", "attempted"))
+
+    def cell(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    out = [f"{workload}: {len(pairs)} pairs; failed/attempted operations "
+           f"base {ops(0)}, change {ops(1)}",
+           f"  {'metric':16s} {'base median [q1, q3]':>30s} "
+           f"{'change median [q1, q3]':>30s} {'ratio':>7s} {'wins':>6s} "
+           f"{'bound':>6s}  verdict"]
+    for r in rows:
+        ratio = f"{r['ratio']:.3f}" if r["ratio"] is not None else "-"
+        out.append(f"  {r['metric']:16s} {cell(r['base']):>30s} "
+                   f"{cell(r['change']):>30s} {ratio:>7s} "
+                   f"{r['wins']:>3d}/{r['pairs']:<2d} "
+                   f"{r['bound'] * 100:>5.0f}%  {r['verdict']}")
+    return "\n".join(out)
+
+
+def run_bench(tree: Path, workload: str, args) -> dict:
+    cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload",
+           workload, "--trace", "0", "--seconds", str(args.seconds)]
+    if args.input_seed is not None:
+        cmd += ["--input-seed", str(args.input_seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    return parse_result(proc.stdout)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="the revision to compare the worktree with")
+    ap.add_argument("--workload", action="append",
+                    help="repeatable; default: every workload")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--input-seed", type=int, default=None)
+    ap.add_argument("--tmp", default=None,
+                    help="directory for the two exported trees")
+    args = ap.parse_args()
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
+        base, change = Path(tmp) / "base", Path(tmp) / "change"
+        export(args.rev, base)
+        export(None, change)
+        for workload in workloads:
+            pairs = []
+            for i in range(args.pairs):
+                order = (base, change) if i % 2 == 0 else (change, base)
+                res = {tree: run_bench(tree, workload, args) for tree in order}
+                pairs.append((res[base], res[change]))
+                print(f"{workload} pair {i + 1}: wall_s "
+                      f"{res[base]['metrics']['wall_s']['value']:.3f} / "
+                      f"{res[change]['metrics']['wall_s']['value']:.3f}",
+                      file=sys.stderr, flush=True)
+            print(format_summary(workload, pairs, summarize(pairs, spec)),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

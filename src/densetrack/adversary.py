@@ -10,6 +10,7 @@ present one) are rejected before a run starts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,30 @@ class RandomChurnAdversary(Adversary):
     rate: int
     mode: str = "balanced"
     protected: frozenset[Edge] = field(default_factory=frozenset)
+    # the sorted non-protected edges after the last batch, and the graph,
+    # round counter and edge count that batch leaves; a graph in any other
+    # state rebuilds the pool
+    _pool: list[Edge] = field(default_factory=list, repr=False,
+                              compare=False)
+    _pool_for: tuple = field(default=(None, -1, -1), repr=False,
+                             compare=False)
+
+    def _sorted_pool(self, g: DynamicGraph) -> list[Edge]:
+        graph, time, edges = self._pool_for
+        if graph is not g or (time, edges) != (g.time, g.edge_count):
+            self._pool = [e for e in g.edges() if e not in self.protected]
+        return self._pool
+
+    def _patch_pool(self, g: DynamicGraph, batch: list[Edit]) -> None:
+        """Apply this round's batch to the sorted pool, as the graph will."""
+        pool = self._pool
+        for op, u, v in batch:
+            if op == ADD:
+                insort(pool, (u, v))
+            else:
+                del pool[bisect_left(pool, (u, v))]
+        self._pool_for = (g, g.time + 1, g.edge_count + sum(
+            1 if op == ADD else -1 for op, _, _ in batch))
 
     def _sample_absent(self, g: DynamicGraph, removed: set[Edge],
                        added: set[Edge]) -> Edge | None:
@@ -90,8 +115,9 @@ class RandomChurnAdversary(Adversary):
         batch: list[Edit] = []
         removed: set[Edge] = set()
         added: set[Edge] = set()
-        # one scan per round; the pool is patched in place as edits accrue
-        pool = [e for e in g.edges() if e not in self.protected]
+        # a copy of the sorted pool, patched in place as edits accrue, so
+        # every draw is what a fresh scan of the graph would give
+        pool = list(self._sorted_pool(g))
         for _ in range(self.rate):
             n_present = g.edge_count - len(removed) + len(added)
             n_absent = total_pairs - n_present
@@ -124,6 +150,7 @@ class RandomChurnAdversary(Adversary):
                 removed.discard(e)
                 pool.append(e)
                 batch.append((ADD, e[0], e[1]))
+        self._patch_pool(g, batch)
         return batch
 
 

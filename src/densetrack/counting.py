@@ -200,12 +200,20 @@ KINDS = {
 
 @dataclass(frozen=True)
 class TuplePart:
-    """A whole merge tuple of one kind of :data:`KINDS`."""
+    """A whole merge tuple of one kind of :data:`KINDS`; its ``merge`` makes
+    the engine deliver it merged (``netsim.MergePart``)."""
 
     tag: str
     kind: str
     values: np.ndarray
     id_bits: int = 0  # ids/degs metering
+
+    @property
+    def merge(self) -> np.ufunc:
+        return KINDS[self.kind].merge
+
+    def with_values(self, values: np.ndarray) -> TuplePart:
+        return TuplePart(self.tag, self.kind, values, self.id_bits)
 
     def bit_size(self) -> int:
         return KINDS[self.kind].bits(self.values, self.id_bits)
@@ -247,9 +255,14 @@ class MergeStage:
     identity; ``has_data`` says whether anything reached it yet.  Only geo
     and exp stages are ever strict.
 
+    The engine delivers whole tuples merged: a round brings one part per
+    tag and tuple length, the fold of every neighbour's broadcast, so a
+    stage absorbs once per round whatever its fan-in.  Strict coordinates
+    arrive one per sending neighbour.
+
     A broadcast is a value: the stage never writes an array it has emitted
-    (``shared``), so a receiver that steps after the sender still reads what
-    was sent.  The first merge into a shared array is out of place; later
+    (``shared``), so whoever holds an emitted part still reads what was
+    sent.  The first merge into a shared array is out of place; later
     merges that round stay in place.
     """
 

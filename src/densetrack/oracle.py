@@ -240,12 +240,6 @@ class PeelResult:
                 best, best_val = i, ratio
         return best
 
-    def as_oracle_result(self, g: DynamicGraph) -> OracleResult:
-        i = self.best_level()
-        members = self.levels[i]
-        return OracleResult(members, induced_density(g, members).density,
-                            "peeling-reference")
-
 
 def peel_reference(g: DynamicGraph, threshold_factor: float,
                    p_cap: int | None = None) -> PeelResult:

@@ -1,0 +1,73 @@
+"""``scripts/bench_pairs.py`` summarizes canned bench result lines; nothing
+here runs the benchmark."""
+
+import importlib.util
+import json
+
+from support import REPO
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", REPO / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+    {"name": "answer_ratio", "unit": "ratio", "better": "lower",
+     "bound": 0.01}]}
+
+
+def line(wall, rss, failed=1):
+    """The last stdout line of one ``bench/run.py`` run, after a log line."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"},
+               "answer_ratio": {"value": 1.0, "unit": "ratio"}}
+    return "operations: ...\n" + json.dumps(
+        {"correct": True, "attempted": 19, "failed": failed,
+         "metrics": metrics}) + "\n"
+
+
+def canned_pairs():
+    base = [7.6, 7.7, 7.5, 7.8, 7.6, 7.7, 7.65, 7.55, 7.7, 7.6]
+    change = [4.2, 4.3, 4.25, 4.2, 7.9, 4.3, 4.2, 4.25, 4.3, 4.2]
+    return [(bench_pairs.parse_result(line(b, 74.0)),
+             bench_pairs.parse_result(line(c, 80.0)))
+            for b, c in zip(base, change)]
+
+
+def test_summary_medians_wins_and_verdicts():
+    rows = {r["metric"]: r
+            for r in bench_pairs.summarize(canned_pairs(), SPEC)}
+    wall = rows["wall_s"]
+    assert wall["base"][1] == 7.625 and wall["change"][1] == 4.25
+    assert wall["wins"] == 9 and wall["pairs"] == 10
+    assert wall["verdict"] == "gain"
+    assert abs(wall["ratio"] - 4.25 / 7.625) < 1e-12
+    # 74 -> 80 MB is 8 % worse, past its 5 % bound; never a win
+    assert rows["peak_rss_mb"]["verdict"] == "WORSE"
+    assert rows["peak_rss_mb"]["wins"] == 0
+    # equal on every pair: neither a win nor worse
+    assert rows["answer_ratio"]["verdict"] == "ok"
+    assert rows["answer_ratio"]["wins"] == 0
+
+
+def test_formatted_summary_names_every_metric_and_operation_counts():
+    pairs = canned_pairs()
+    text = bench_pairs.format_summary(
+        "churn-dense", pairs, bench_pairs.summarize(pairs, SPEC))
+    lines = text.splitlines()
+    assert lines[0] == ("churn-dense: 10 pairs; failed/attempted operations "
+                        "base 10/190, change 10/190")
+    wall = next(s for s in lines if s.split()[0] == "wall_s")
+    assert "7.625 [" in wall and "4.25 [" in wall
+    assert wall.split()[-4:] == ["0.557", "9/10", "20%", "gain"]
+    assert [s.split()[0] for s in lines[2:]] == [
+        "wall_s", "peak_rss_mb", "answer_ratio"]
+
+
+def test_gain_needs_nine_wins_in_ten():
+    pairs = canned_pairs()
+    pairs[0] = (pairs[0][0], bench_pairs.parse_result(line(8.0, 80.0)))
+    rows = bench_pairs.summarize(pairs, SPEC)
+    assert rows[0]["wins"] == 8 and rows[0]["verdict"] == "ok"

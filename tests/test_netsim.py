@@ -1,15 +1,21 @@
 import ast
 import dataclasses
 import inspect
+import json
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densetrack import netsim
 from densetrack.adversary import ScriptedAdversary
+from densetrack.counting import KINDS, MergeStage, TuplePart, id_bit_width
 from densetrack.errors import ConfigError, HandlerPanic
-from densetrack.graph import DynamicGraph
-from densetrack.netsim import EventLog, StepContext, World
+from densetrack.graph import ADD, REMOVE, DynamicGraph
+from densetrack.netsim import (MERGED_SENDER, EventLog, StepContext, World,
+                               broadcast_line)
 from densetrack.protocol import FlagsPart, ProtocolNode, ProtocolParams
 from support import count_window
 
@@ -173,6 +179,135 @@ def test_event_log_deterministic(tmp_path):
     d1, b1 = run(tmp_path / "a.ndjson")
     d2, b2 = run(tmp_path / "b.ndjson")
     assert d1 == d2 and b1 == b2
+
+
+@given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 6),
+       st.text("0123456789abcdef", min_size=16, max_size=16),
+       st.integers(0, 10 ** 12))
+@settings(max_examples=100, deadline=None)
+def test_broadcast_line_is_the_json_record(round_, node, payload_hash, bits):
+    rec = {"round": round_, "node": node, "event": "broadcast",
+           "payload_hash": payload_hash, "bits": bits}
+    assert broadcast_line(round_, node, payload_hash, bits) == json.dumps(
+        rec, sort_keys=True, separators=(",", ":"))
+
+
+def kind_values(draw, kind, n, length):
+    """One sender's tuple of ``kind``: ids and degs are sized by n."""
+    if kind == "geo":
+        return np.array(draw(st.lists(st.integers(0, 64), min_size=length,
+                                      max_size=length)), np.uint8)
+    if kind == "exp":
+        return np.array(draw(st.lists(
+            st.floats(1e-6, 50.0) | st.just(np.inf), min_size=length,
+            max_size=length)))
+    if kind == "ids":
+        words = (n + 63) // 64
+        return np.array(draw(st.lists(st.integers(0, 2 ** 64 - 1),
+                                      min_size=words, max_size=words)),
+                        np.uint64)
+    return np.array(draw(st.lists(st.integers(-1, 40), min_size=n,
+                                  max_size=n)), np.int32)
+
+
+class Sender:
+    """Broadcasts its drawn parts in rounds 0 and 1 and folds every part it
+    hears in rounds 1 and 2 into a fresh stage per round."""
+
+    def __init__(self, sends, kind, length):
+        self.sends = sends  # round -> part or None
+        self.kind = kind
+        self.length = length
+        self.heard = {}
+
+    def step(self, ctx):
+        if ctx.round:
+            stage = MergeStage.empty("t", self.kind, 1, self.length)
+            merged = [m for m in ctx.inbox if m.sender == MERGED_SENDER]
+            assert len(merged) <= 1 and len(merged) == len(ctx.inbox)
+            for msg in ctx.inbox:
+                assert [p.tag for p in msg.parts] == ["t"]
+                stage.absorb(msg.parts[0])
+            self.heard[ctx.round] = stage
+        part = self.sends.get(ctx.round)
+        return [part] if part is not None else None
+
+
+@st.composite
+def merge_rounds(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    length = {"ids": (n + 63) // 64, "degs": n}.get(
+        kind, draw(st.integers(1, 6)))
+    sends = [{r: TuplePart("t", kind, kind_values(draw, kind, n, length),
+                           id_bit_width(n))
+              for r in (0, 1) if draw(st.booleans())} for _ in range(n)]
+    # round 0's churn: the round-1 broadcasts cross the churned graph
+    flips = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) \
+        if pairs else []
+    script = [{"round": 0, "op": REMOVE if e in edges else ADD, "u": e[0],
+               "v": e[1]} for e in flips]
+    return n, edges, kind, length, sends, script
+
+
+# each way of making a fold: batched at delivery from a copy of the rows
+# (the default at these sizes), or as the receiver steps, gathered from the
+# copy, gathered from the senders' arrays, or merged pairwise from them
+FOLDS = {"batched": {"EAGER_BYTES": netsim.EAGER_BYTES},
+         "copy": {"EAGER_BYTES": 0},
+         "arrays": {"EAGER_BYTES": 0, "COPY_BYTES": 0},
+         "pairwise": {"EAGER_BYTES": 0, "COPY_BYTES": 0,
+                      "GATHER_ROW_BYTES": -1}}
+
+
+@given(merge_rounds(), st.sampled_from(sorted(FOLDS)))
+@settings(max_examples=200, deadline=None)
+def test_merged_delivery_is_the_fold_over_round_start_neighbours(
+        case, folds):
+    n, edges, kind, length, sends, script = case
+    g = DynamicGraph.from_edges(n, edges, churn_rate=3)
+    adv = ScriptedAdversary.load(script, g, rate=3)
+    graphs = [g.copy()]
+    nodes = [Sender(sends[i], kind, length) for i in range(n)]
+    world = World(g, nodes, seed=0, adversary=adv)
+    with mock.patch.multiple(netsim, **FOLDS[folds]):
+        world.run_round()
+        graphs.append(g.copy())
+        world.run(2)
+    for r in (1, 2):
+        for v, node in enumerate(nodes):
+            want = MergeStage.empty("t", kind, 1, length)
+            for u in sorted(graphs[r - 1].adj[v]):
+                if r - 1 in sends[u]:
+                    want.absorb(sends[u][r - 1])
+            got = node.heard[r]
+            assert got.has_data == want.has_data
+            assert np.array_equal(got.acc, want.acc)
+
+
+def test_fine_lengths_that_differ_still_panic():
+    # a receiver hears two fine tuples of one tag but different lengths:
+    # they are merged apart, and folding the second one fails
+    class Fine:
+        def __init__(self, length):
+            self.length = length
+            self.stage = MergeStage.empty("t", "exp", 1, 4)
+
+        def step(self, ctx):
+            for msg in ctx.inbox:
+                for part in msg.parts:
+                    self.stage.absorb(part)
+            if self.length:
+                return [TuplePart("t", "exp", np.ones(self.length))]
+            return None
+
+    g = DynamicGraph.from_edges(3, [(0, 1), (1, 2)])
+    w = World(g, [Fine(4), Fine(0), Fine(5)], seed=0)
+    with pytest.raises(HandlerPanic) as err:
+        w.run(2)
+    assert err.value.node == 1 and err.value.round == 1
 
 
 def test_flags_part_bit_size():

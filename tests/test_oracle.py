@@ -191,7 +191,7 @@ class TestPeelReference:
     def test_best_level_result(self):
         g = k4_plus_pendant()
         res = peel_reference(g, 1.02)
-        best = res.as_oracle_result(g)
+        best = induced_density(g, res.levels[res.best_level()])
         assert best.density == Fraction(3, 2)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from densetrack.graph import DynamicGraph
+from densetrack.harness import run_scenario
 from densetrack.netsim import World
 from densetrack.oracle import peel_reference
 from densetrack.protocol import (LevelRecord, ProtocolNode, level_round_cost,
@@ -258,22 +259,103 @@ class TestLocality:
 
         def trace(node_count, extra_edges):
             g = DynamicGraph.from_edges(node_count, core_edges + extra_edges)
-            handlers = [ProtocolNode(i, node_count, params)
+            seen = {i: [] for i in range(4)}
+
+            class Heard(ProtocolNode):
+                # what a core node hears, read while it steps: a merged
+                # part lives only that long
+                def step(self, ctx):
+                    if self.node_id in seen:
+                        seen[self.node_id].append(tuple(
+                            (m.sender, m.payload_hash()) for m in ctx.inbox))
+                    return super().step(ctx)
+
+            handlers = [Heard(i, node_count, params)
                         for i in range(node_count)]
             world = World(g, handlers, seed=3)
-            seen = {i: [] for i in range(4)}
-            for _ in range(40):
-                world.run_round()
-                for i in range(4):
-                    msgs = [m for m in world._inboxes[i]]
-                    seen[i].append(tuple(
-                        (m.sender, m.payload_hash()) for m in msgs))
+            world.run(40)
             return seen
 
         alone = trace(4, [])
         crowded = trace(7, [(4, 5), (5, 6)])
+        assert all(any(heard) for heard in alone.values())
         assert alone == crowded
 
 
 def test_threshold_value_is_shared_binary64():
     assert threshold_value(4 / 3, 1.01) == 1.01 * (4 / 3)
+
+
+def induced_degree(edges, u, members):
+    return sum(1 for a, b in edges
+               if (a == u and b in members) or (b == u and a in members))
+
+
+def check_family_against_truth(records, flags, closed_by, graphs, factor):
+    """Replay one exact-mode pass on the round-start edge sets it ran on:
+    every level's counts are the true ones, and its survivors are the peel
+    of its members on the threshold round's graph."""
+    n = len(flags)
+    for j, rec in enumerate(records):
+        members = {u for u in range(n) if flags[u][j]}
+        assert rec.node_est == len(members), (j, rec)
+        # degrees are read where the membership marker travels, one round
+        # before the edge count; the reused level 0 reads them at its start
+        t = rec.edges_start - (rec.nodes_start is not None)
+        true_edges = sum(1 for a, b in graphs[t]
+                         if a in members and b in members)
+        assert rec.edge_est == true_edges, (j, rec)
+        if rec.threshold_round is None:
+            continue  # closed by the level cap
+        thr = threshold_value(rec.ratio, factor)
+        edges = graphs[rec.threshold_round]
+        survivors = {u for u in members
+                     if induced_degree(edges, u, members) >= thr}
+        if j + 1 < len(records):
+            want = {u for u in range(n) if flags[u][j + 1]}
+        else:
+            want = set() if closed_by == "empty" else members
+        assert survivors == want, (j, rec)
+
+
+@pytest.mark.parametrize("n, clique, kind, rate, seed", [
+    (8, 5, "random-churn", 1, 0),
+    (12, 7, "targeted-attack-on-dense-core", 2, 1),
+    (15, 9, "random-churn", 3, 2),
+    (18, 10, "targeted-attack-on-dense-core", 1, 3),
+    (21, 12, "random-churn", 2, 4),
+    (24, 13, "targeted-attack-on-dense-core", 3, 5),
+    (27, 15, "random-churn", 1, 6),
+    (30, 16, "targeted-attack-on-dense-core", 2, 7),
+    (33, 18, "random-churn", 3, 8),
+    (35, 20, "targeted-attack-on-dense-core", 3, 9),
+])
+def test_exact_levels_equal_the_truth_under_churn(monkeypatch, n, clique,
+                                                 kind, rate, seed):
+    graphs = []    # edge set of each round, as the round starts
+    families = {}  # pass index -> (records, each node's flags, closed_by)
+    run_round = World.run_round
+
+    def recording_round(world):
+        graphs.append(world.graph.snapshot())
+        run_round(world)
+        fam = world.handlers[0].family
+        if fam is not None and fam.pass_index not in families:
+            families[fam.pass_index] = (
+                fam.records, [h.family.flags for h in world.handlers],
+                fam.closed_by)
+
+    monkeypatch.setattr(World, "run_round", recording_round)
+    conf = {"seed": seed,
+            "graph": {"kind": "planted-dense", "n": n, "clique": clique,
+                      "noise_p": 0.1, "hub_star": True},
+            "adversary": {"kind": kind, "rate": rate, "protect": "backbone"},
+            "protocol": {"epsilon": 1.0, "diameter": 2,
+                         "exact_counting": True},
+            "duration": {"passes": 4}, "queries": None, "report": {}}
+    report = run_scenario(conf)
+    assert sorted(families) == [0, 1, 2, 3]
+    assert report.rounds_run == len(graphs)
+    for records, flags, closed_by in families.values():
+        check_family_against_truth(records, flags, closed_by, graphs,
+                                   report.params.factor)
