@@ -26,16 +26,16 @@ flood-merge tuple parts, with their dtypes, wire prefixes and bit rules, in
 ``counting.KINDS``.
 
 A part that also declares an exact, order-free ``merge`` ufunc (max, min,
-or, add) and its ``values`` (:class:`MergePart`) is delivered merged.  A
+or) and its ``values`` (:class:`MergePart`) is delivered merged.  A
 receiver finds one part per (tag, dtype, length), the fold of what its
 round-start neighbours sent, in one message with sender
 :data:`MERGED_SENDER` after the per-sender ones.  Folding that part equals
 folding every neighbour's part in any order, so a receiver merges once per
 tag, not once per neighbour; the ledger and the log still see every
-sender's broadcast.  Every other part (a strict mode coordinate) reaches
-each neighbour as a message from its sender.  A merged part's values live
-in a row the engine refills for each receiver, so they are valid during
-the receiving step only.
+sender's broadcast.  Every other part (the flags, a strict mode
+coordinate) reaches each neighbour as a message from its sender.  A merged
+part's values live in a row the engine refills for each receiver, so they
+are valid during the receiving step only.
 
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
@@ -68,7 +68,7 @@ class MessagePart(Protocol):
 
 
 class MergePart(MessagePart, Protocol):
-    merge: np.ufunc  # exact and order-free: max, min, or, add
+    merge: np.ufunc  # exact and order-free: max, min, or
     values: np.ndarray
 
     def with_values(self, values: np.ndarray) -> MergePart:
@@ -79,21 +79,13 @@ class MergePart(MessagePart, Protocol):
 # sender of the one message per receiver that holds its merged parts
 MERGED_SENDER = -1
 
-# How a receiver's fold is made, by what it costs: row bytes times fan-in.
-# Folds of up to EAGER_BYTES are reduced at delivery, many receivers of one
-# fan-in per ufunc call; larger ones as each receiver steps, gathered and
-# reduced up to GATHER_BYTES and rows of GATHER_ROW_BYTES, merged pairwise
-# beyond.  Gathers read a copy of all sent rows when it takes at most
-# COPY_BYTES, else the senders' own arrays.  On a 2-vCPU VM with numpy 2.4:
-# a fold at fan-in 6 cost 0.3-5 us per receiver in a batch against 4-8 us
-# alone; gathering was 3x faster than pairwise merges at 4.8 KB rows and
-# fan-in 92, and 1.5-2x slower at 44-57 KB rows or once the gathered rows
-# outgrew about 1 MB; gathering from the arrays took 1.3-2x as long as from
-# a copy.
-EAGER_BYTES = 64 << 10
-GATHER_ROW_BYTES = 16 << 10
-GATHER_BYTES = 1 << 20
-COPY_BYTES = 256 << 10
+# A receiver's fold is one gather and one reduce while the rows it gathers
+# take at most GATHER_BYTES, else a chain of pairwise merges.  A gather
+# costs about 1.5 us and then copies every row once more; a merge costs
+# about 0.5 us.  On a 2-vCPU VM with numpy 2.4, gathering took 6-9 us
+# against 10-20 us of merges at fan-in 32-64 and rows of 32 B-1 KB, and
+# twice as long as merging at rows of 8-57 KB whatever the fan-in.
+GATHER_BYTES = 32 << 10
 
 
 @dataclass(frozen=True)
@@ -220,8 +212,7 @@ def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
 
 class _Topology:
     """The round-start graph as the folds read it: each node's sorted
-    neighbour ids, all of them in one array with the node each belongs to,
-    and the fold layout when every node sends."""
+    neighbour ids, and all of them in one array in node order."""
 
     def __init__(self, nbrs: list[np.ndarray]):
         self.nbrs = list(nbrs)  # the engine patches its own list
@@ -231,10 +222,8 @@ class _Topology:
         self.everyone: tuple | None = None
 
     def layout(self, senders: list[int]) -> tuple:
-        """Every receiver's sending neighbours, as sender positions: the
-        receivers ordered by fan-in, so that equal fan-ins are adjacent;
-        the positions of each in turn; its fan-in, start and end there; and
-        each node's place in that order, -1 for no sending neighbour."""
+        """Every node's sending neighbours, as positions in ``senders``:
+        node v's are ``found[starts[v]:ends[v]]``."""
         n = len(self.nbrs)
         if len(senders) == n and self.everyone is not None:
             return self.everyone
@@ -242,114 +231,70 @@ class _Topology:
         position[senders] = np.arange(len(senders))
         found = position[self.indices]
         sending = found >= 0
-        found, owner = found[sending], self.owners[sending]
-        counts = np.bincount(owner, minlength=n)
-        order = np.flatnonzero(counts)
-        order = order[np.argsort(counts[order], kind="stable")]
-        fan = counts[order]
-        ends = np.cumsum(fan)
-        slot = np.full(n, -1, np.intp)
-        slot[order] = np.arange(len(order))
-        found = found[np.argsort(slot[owner], kind="stable")]
-        layout = (found, fan, (ends - fan).tolist(), ends.tolist(),
-                  slot.tolist())
+        ends = np.cumsum(np.bincount(self.owners[sending], minlength=n))
+        layout = (found[sending].tolist(), [0, *ends[:-1].tolist()],
+                  ends.tolist())
         if len(senders) == n:
             self.everyone = layout
         return layout
 
 
 class _Merges:
-    """The merge parts of one round's broadcasts and their folds, handed to
-    each receiver right before it steps in the next round.
+    """The merge parts of one round's broadcasts, folded for each receiver
+    right before it steps in the next round.
 
     A group is the parts of one (tag, dtype, length), its senders indexed
-    by position.  Small folds are made at delivery, a block of receivers of
-    one fan-in at a time; the rest as each receiver steps.  Folds read a
-    copy of the sent rows when it is small, else the senders' own arrays,
-    each let go after its last receiver as a per-sender inbox would, so a
-    round holds no more of them than one message per sender did.  A
-    receiver's fold is copied or merged into one row per group, which the
-    group's part views.
+    by position.  A receiver's fold is written into one row per group,
+    which the group's part views.  Each sender's array is let go after its
+    last receiver has stepped, as a per-sender inbox would be, so a round
+    holds no more of them than one message per sender did.
     """
 
-    def __init__(self, groups: dict, topology: _Topology, buffers: dict):
-        self.buffers: dict = {}  # this round's, reused by the next one
+    def __init__(self, groups: dict, topology: _Topology):
         self.groups: list[tuple] = []
         self.parts: list[MergePart] = []  # each group's part, viewing its row
         self.releases: dict[int, list] = {}  # receiver -> (group, position)
-        for key, (first, senders, sent) in groups.items():
-            merge, shape = first.merge, key[2]
-            found, fan, starts, ends, slot = topology.layout(senders)
-            copy, folds, row = buffers.get(key) or (
-                None, None, np.empty(shape, key[1]))
-            width = max(row.nbytes, 1)
-            if len(topology.nbrs) * width <= COPY_BYTES:
-                if copy is None:
-                    copy = np.empty((len(topology.nbrs), *shape), key[1])
-                rows = np.stack(sent, out=copy[:len(sent)])
-            else:
-                copy, rows = None, sent
-                for i, u in enumerate(senders):
-                    last = topology.nbrs[u]
-                    if last.size:
-                        self.releases.setdefault(int(last[-1]), []).append(
-                            (len(self.groups), i))
-            # receivers come in rising fan-in, so the eager ones first
-            eager = int(np.searchsorted(fan, EAGER_BYTES // width,
-                                        side="right"))
-            if folds is None or len(folds) < eager:
-                folds = np.empty((eager, *shape), key[1])
-            lo = 0
-            while lo < eager:
-                d = int(fan[lo])
-                hi = min(int(np.searchsorted(fan, d, side="right")),
-                         lo + max(1, GATHER_BYTES // (d * width)))
-                merge.reduce(_gather(rows, found[starts[lo]:ends[hi - 1]])
-                             .reshape(hi - lo, d, *shape), axis=1,
-                             out=folds[lo:hi])
-                lo = hi
-            self.buffers[key] = (copy, folds, row)
-            gather = (GATHER_BYTES // width if width <= GATHER_ROW_BYTES
-                      else 1)
-            self.groups.append((merge, row, eager, folds, rows, gather,
-                                found, starts, ends, slot))
+        for (_, dtype, shape), (first, senders, sent) in groups.items():
+            row = np.empty(shape, dtype)
+            for i, u in enumerate(senders):
+                last = topology.nbrs[u]
+                if last.size:
+                    self.releases.setdefault(int(last[-1]), []).append(
+                        (len(self.groups), i))
+            gather = GATHER_BYTES // max(row.nbytes, 1)
+            self.groups.append((first.merge, row, sent, gather,
+                                *topology.layout(senders)))
             self.parts.append(first.with_values(row))
         self.everything = RoundMessage(MERGED_SENDER, tuple(self.parts))
 
     def message(self, v: int) -> RoundMessage | None:
         """Receiver ``v``'s merged parts, valid during its step only."""
-        parts = []
-        for (merge, row, eager, folds, rows, gather, found, starts, ends,
-             slot), part in zip(self.groups, self.parts):
-            j = slot[v]
-            if j < 0:
+        parts, whole = [], True
+        for (merge, row, sent, gather, found, starts, ends), part in zip(
+                self.groups, self.parts):
+            index = found[starts[v]:ends[v]]
+            if len(index) < 2:
+                whole = False
+                if index:  # a fold of one part is that part
+                    parts.append(sent[index[0]])
                 continue
-            if j < eager:
-                np.copyto(row, folds[j])
-            elif ends[j] - starts[j] <= gather:
-                merge.reduce(_gather(rows, found[starts[j]:ends[j]]).reshape(
-                    -1, *row.shape), axis=0, out=row)
+            if len(index) <= gather:
+                merge.reduce(np.concatenate([sent[i].values for i in index])
+                             .reshape(len(index), -1), axis=0, out=row)
             else:
-                a, b, *rest = found[starts[j]:ends[j]].tolist()
-                merge(rows[a], rows[b], out=row)
+                a, b, *rest = index
+                merge(sent[a].values, sent[b].values, out=row)
                 for i in rest:
-                    merge(row, rows[i], out=row)
+                    merge(row, sent[i].values, out=row)
             parts.append(part)
-        if len(parts) == len(self.parts):
+        if whole:
             return self.everything
         return RoundMessage(MERGED_SENDER, tuple(parts)) if parts else None
 
     def release(self, v: int) -> None:
         """Let go of the sender arrays that ``v`` was the last to read."""
         for g, i in self.releases.pop(v):
-            self.groups[g][4][i] = None
-
-
-def _gather(rows: np.ndarray | list, index: np.ndarray) -> np.ndarray:
-    """The rows at ``index``, one after another, from a matrix or a list."""
-    if isinstance(rows, np.ndarray):
-        return rows[index]
-    return np.concatenate([rows[i] for i in index.tolist()])
+            self.groups[g][2][i] = None
 
 
 class World:
@@ -400,7 +345,8 @@ class World:
                 staged.append(RoundMessage(i, tuple(parts)))
         for cb in self.on_compute_end:
             cb(self)
-        self._deliver(r, staged, merges.buffers if merges else {})
+        del merges  # its rows go before this round's are made
+        self._deliver(r, staged)
         edits = self.adversary.edits_for_round(self.graph, r)
         self.graph.apply_churn(edits)
         self._patch_neighbors(edits)
@@ -413,8 +359,7 @@ class World:
         for _ in range(rounds):
             self.run_round()
 
-    def _deliver(self, r: int, staged: list[RoundMessage],
-                 buffers: dict) -> None:
+    def _deliver(self, r: int, staged: list[RoundMessage]) -> None:
         """Meter and log every broadcast; queue its merge parts by group for
         the next round, its other parts for each neighbour."""
         groups: dict[tuple, tuple[MergePart, list[int], list]] = {}
@@ -435,14 +380,14 @@ class World:
                 _, senders, sent = groups.setdefault(
                     (part.tag, vals.dtype, vals.shape), (part, [], []))
                 senders.append(msg.sender)
-                sent.append(vals)
+                sent.append(part)
             if rest:
                 one = msg if len(rest) == len(msg.parts) \
                     else RoundMessage(msg.sender, tuple(rest))
                 for v in nbrs:
                     self._inboxes[v].append(one)
         if groups:
-            self._merges = _Merges(groups, self._round_topology(), buffers)
+            self._merges = _Merges(groups, self._round_topology())
 
     def _round_topology(self) -> _Topology:
         if self.graph.time != self._nbrs_time:

@@ -49,9 +49,7 @@ live here beside their tags; the tuple parts live in ``counting``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from .counting import CountPipeline
 # bench/tracer.py wraps these four names in this module's namespace (its
@@ -70,30 +68,17 @@ DROP_TAG = "m.drop"
 
 @dataclass(frozen=True)
 class FlagsPart:
-    """One-bit markers, subgraph membership and the did-anyone-drop bit, as
-    the two counts of ``values``.  The engine delivers them summed, so a
-    received part counts the neighbours that set each bit."""
+    """One-bit markers: subgraph membership and the did-anyone-drop bit."""
 
     tag: str
-    member: InitVar[bool] = False
-    dropped: InitVar[bool] = False
-    values: np.ndarray | None = None
-    merge = np.add
-
-    def __post_init__(self, member: bool, dropped: bool) -> None:
-        if self.values is None:
-            object.__setattr__(self, "values",
-                               np.array([member, dropped], np.int64))
-
-    def with_values(self, values: np.ndarray) -> FlagsPart:
-        return FlagsPart(self.tag, values=values)
+    member: bool = False
+    dropped: bool = False
 
     def bit_size(self) -> int:
-        return int(self.values.sum())
+        return int(self.member) + int(self.dropped)
 
     def canonical_bytes(self) -> bytes:
-        return (b"F" + self.tag.encode()
-                + self.values.astype(np.uint8).tobytes())
+        return b"F" + self.tag.encode() + bytes([self.member, self.dropped])
 
 
 def threshold_value(ratio: float, factor: float) -> float:
@@ -287,9 +272,9 @@ class ProtocolNode:
         for msg in ctx.inbox:
             for part in msg.parts:
                 if isinstance(part, FlagsPart):
-                    if part.tag == MEMBER_TAG:
-                        self._member_flags_heard += int(part.values[0])
-                    if part.tag == DROP_TAG and part.values[1]:
+                    if part.tag == MEMBER_TAG and part.member:
+                        self._member_flags_heard += 1
+                    if part.tag == DROP_TAG and part.dropped:
                         self.drop_seen = True
                 elif st is not None and part.tag == st.tag:
                     st.absorb(part)

@@ -252,14 +252,9 @@ def merge_rounds(draw):
     return n, edges, kind, length, sends, script
 
 
-# each way of making a fold: batched at delivery from a copy of the rows
-# (the default at these sizes), or as the receiver steps, gathered from the
-# copy, gathered from the senders' arrays, or merged pairwise from them
-FOLDS = {"batched": {"EAGER_BYTES": netsim.EAGER_BYTES},
-         "copy": {"EAGER_BYTES": 0},
-         "arrays": {"EAGER_BYTES": 0, "COPY_BYTES": 0},
-         "pairwise": {"EAGER_BYTES": 0, "COPY_BYTES": 0,
-                      "GATHER_ROW_BYTES": -1}}
+# each way of making a fold: gathered and reduced (the default at these
+# sizes) or merged pairwise
+FOLDS = {"gathered": netsim.GATHER_BYTES, "pairwise": 0}
 
 
 @given(merge_rounds(), st.sampled_from(sorted(FOLDS)))
@@ -272,7 +267,7 @@ def test_merged_delivery_is_the_fold_over_round_start_neighbours(
     graphs = [g.copy()]
     nodes = [Sender(sends[i], kind, length) for i in range(n)]
     world = World(g, nodes, seed=0, adversary=adv)
-    with mock.patch.multiple(netsim, **FOLDS[folds]):
+    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
         world.run_round()
         graphs.append(g.copy())
         world.run(2)
