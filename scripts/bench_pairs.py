@@ -2,7 +2,7 @@
 """Compare the benchmark of a revision with that of the worktree, in pairs.
 
 Usage: python3 scripts/bench_pairs.py REV [--workload W ...] [--pairs 10]
-       [--seconds 20] [--input-seed S] [--tmp DIR]
+       [--seconds 20] [--input-seed S] [--tmp DIR] [--json PATH]
 
 Both sides are exported with ``git archive`` into a temporary directory:
 REV as committed, and the worktree as ``git add -A`` would stage it (through
@@ -14,6 +14,11 @@ medians and quartiles, the worktree's wins and its verdict against the
 metric's bound: ``WORSE`` when its median is worse than REV's by more than
 the bound, and ``gain`` when it wins at least nine pairs in ten and its
 median is better by more than REV's interquartile range.
+
+``--json PATH`` also writes that summary to PATH: per workload, the
+operation counts, every pair's end-to-end values and each metric's row;
+the two revisions; and the Python, numpy and scipy versions and CPU model
+of the machine that ran them.
 """
 
 from __future__ import annotations
@@ -21,17 +26,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def export(rev: str | None, dest: Path) -> None:
-    """Write the tree of ``rev``, or of the worktree when None, to ``dest``."""
+def export(rev: str | None, dest: Path) -> str:
+    """Write the tree of ``rev``, or of the worktree when None, to ``dest``;
+    return the commit or tree id written."""
     git = ["git", "-C", str(REPO)]
     env = None
     if rev is None:
@@ -39,10 +47,15 @@ def export(rev: str | None, dest: Path) -> None:
         subprocess.run(git + ["add", "-A"], env=env, check=True)
         rev = subprocess.run(git + ["write-tree"], env=env, check=True,
                              capture_output=True, text=True).stdout.strip()
+    else:
+        rev = subprocess.run(
+            git + ["rev-parse", "--verify", rev + "^{commit}"], check=True,
+            capture_output=True, text=True).stdout.strip()
     dest.mkdir(parents=True)
     archive = subprocess.run(git + ["archive", rev], check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return rev
 
 
 def parse_result(stdout: str) -> dict:
@@ -91,8 +104,7 @@ def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> list[dict]:
 def format_summary(workload: str, pairs: list[tuple[dict, dict]],
                    rows: list[dict]) -> str:
     def ops(side):
-        return "/".join(str(sum(p[side][key] for p in pairs))
-                        for key in ("failed", "attempted"))
+        return "{failed}/{attempted}".format(**operations(pairs, side))
 
     def cell(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -109,6 +121,47 @@ def format_summary(workload: str, pairs: list[tuple[dict, dict]],
                    f"{r['wins']:>3d}/{r['pairs']:<2d} "
                    f"{r['bound'] * 100:>5.0f}%  {r['verdict']}")
     return "\n".join(out)
+
+
+def operations(pairs: list[tuple[dict, dict]], side: int) -> dict:
+    return {key: sum(p[side][key] for p in pairs)
+            for key in ("failed", "attempted")}
+
+
+def cpu_model() -> str:
+    """The CPU model named in ``/proc/cpuinfo``, else the platform's."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for row in fh:
+                if row.startswith("model name"):
+                    return row.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def machine() -> dict:
+    return {"python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy"), "cpu": cpu_model()}
+
+
+def record(revisions: dict, settings: dict,
+           results: dict[str, tuple[list, list[dict]]]) -> dict:
+    """The JSON document of a comparison: ``results`` maps each workload
+    to its (base, change) result pairs and its summary rows."""
+    workloads = {}
+    for workload, (pairs, rows) in results.items():
+        metrics = [r["metric"] for r in rows]
+        workloads[workload] = {
+            "pairs": len(pairs),
+            "operations": {"base": operations(pairs, 0),
+                           "change": operations(pairs, 1)},
+            "runs": [{side: {m: res["metrics"][m]["value"] for m in metrics}
+                      for side, res in zip(("base", "change"), pair)}
+                     for pair in pairs],
+            "metrics": rows}
+    return {"revisions": revisions, "settings": settings,
+            "machine": machine(), "workloads": workloads}
 
 
 def run_bench(tree: Path, workload: str, args) -> dict:
@@ -130,13 +183,17 @@ def main() -> int:
     ap.add_argument("--input-seed", type=int, default=None)
     ap.add_argument("--tmp", default=None,
                     help="directory for the two exported trees")
+    ap.add_argument("--json", default=None, metavar="PATH",
+                    help="also write the summary to PATH as JSON")
     args = ap.parse_args()
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    results = {}
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         base, change = Path(tmp) / "base", Path(tmp) / "change"
-        export(args.rev, base)
-        export(None, change)
+        revisions = {
+            "base": {"rev": args.rev, "commit": export(args.rev, base)},
+            "change": {"rev": "worktree", "tree": export(None, change)}}
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):
@@ -147,8 +204,15 @@ def main() -> int:
                       f"{res[base]['metrics']['wall_s']['value']:.3f} / "
                       f"{res[change]['metrics']['wall_s']['value']:.3f}",
                       file=sys.stderr, flush=True)
-            print(format_summary(workload, pairs, summarize(pairs, spec)),
-                  flush=True)
+            rows = summarize(pairs, spec)
+            results[workload] = (pairs, rows)
+            print(format_summary(workload, pairs, rows), flush=True)
+    if args.json:
+        settings = {"pairs": args.pairs, "seconds": args.seconds,
+                    "input_seed": args.input_seed}
+        Path(args.json).write_text(json.dumps(
+            record(revisions, settings, results), indent=1) + "\n",
+            encoding="utf-8")
     return 0
 
 

@@ -78,9 +78,12 @@ class RandomChurnAdversary(Adversary):
     _pool_for: tuple = field(default=(None, -1, -1), repr=False,
                              compare=False)
 
-    def _sorted_pool(self, g: DynamicGraph) -> list[Edge]:
+    def _pool_is_current(self, g: DynamicGraph) -> bool:
         graph, time, edges = self._pool_for
-        if graph is not g or (time, edges) != (g.time, g.edge_count):
+        return graph is g and (time, edges) == (g.time, g.edge_count)
+
+    def _sorted_pool(self, g: DynamicGraph) -> list[Edge]:
+        if not self._pool_is_current(g):
             self._pool = [e for e in g.edges() if e not in self.protected]
         return self._pool
 
@@ -96,7 +99,8 @@ class RandomChurnAdversary(Adversary):
             1 if op == ADD else -1 for op, _, _ in batch))
 
     def _sample_absent(self, g: DynamicGraph, removed: set[Edge],
-                       added: set[Edge]) -> Edge | None:
+                       added: set[Edge],
+                       protected: frozenset[Edge]) -> Edge | None:
         n = g.node_count
         for _ in range(64):
             u = int(self.rng.integers(n))
@@ -105,23 +109,24 @@ class RandomChurnAdversary(Adversary):
                 continue
             e = edge_key(u, v)
             present = (g.has_edge(u, v) or e in added) and e not in removed
-            if not present and e not in self.protected:
+            if not present and e not in protected:
                 return e
         return None
 
-    def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
+    def _draw(self, g: DynamicGraph, pool: list[Edge], slots: int, mode: str,
+              protected: frozenset[Edge]) -> list[Edit]:
+        """Up to ``slots`` edits off the round-start graph ``g``; ``pool``
+        holds its sorted edges outside ``protected`` and is patched in place
+        as edits accrue, so every draw is what a fresh scan would give."""
         n = g.node_count
         total_pairs = n * (n - 1) // 2
         batch: list[Edit] = []
         removed: set[Edge] = set()
         added: set[Edge] = set()
-        # a copy of the sorted pool, patched in place as edits accrue, so
-        # every draw is what a fresh scan of the graph would give
-        pool = list(self._sorted_pool(g))
-        for _ in range(self.rate):
+        for _ in range(slots):
             n_present = g.edge_count - len(removed) + len(added)
             n_absent = total_pairs - n_present
-            if self.mode == "uniform":
+            if mode == "uniform":
                 legal = len(pool) + n_absent
                 if legal == 0:
                     break
@@ -143,13 +148,18 @@ class RandomChurnAdversary(Adversary):
                 added.discard(e)
                 batch.append((REMOVE, e[0], e[1]))
             else:
-                e = self._sample_absent(g, removed, added)
+                e = self._sample_absent(g, removed, added, protected)
                 if e is None:
                     continue
                 added.add(e)
                 removed.discard(e)
                 pool.append(e)
                 batch.append((ADD, e[0], e[1]))
+        return batch
+
+    def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
+        batch = self._draw(g, list(self._sorted_pool(g)), self.rate,
+                           self.mode, self.protected)
         self._patch_pool(g, batch)
         return batch
 
@@ -164,6 +174,10 @@ class TargetedAdversary(RandomChurnAdversary):
     bias: float = 0.8
     _core: frozenset[int] = field(default_factory=frozenset)
     _core_round: int = -1
+    # the sorted non-protected edges inside the core, kept across rounds
+    # like the pool and rebuilt with it or when the core changes
+    _core_edges: list[Edge] = field(default_factory=list, repr=False,
+                                    compare=False)
 
     def _refresh_core(self, g: DynamicGraph, round_: int) -> None:
         if self._core_round >= 0 and round_ - self._core_round < self.refresh_every:
@@ -173,24 +187,38 @@ class TargetedAdversary(RandomChurnAdversary):
         self._core = frozenset(exact_densest(g).members)
         self._core_round = round_
 
+    def _patch_core_edges(self, batch: list[Edit]) -> None:
+        for op, u, v in batch:
+            if u in self._core and v in self._core:
+                if op == ADD:
+                    insort(self._core_edges, (u, v))
+                else:
+                    del self._core_edges[bisect_left(self._core_edges, (u, v))]
+
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
+        core = self._core
         self._refresh_core(g, round_)
+        if self._core != core or not self._pool_is_current(g):
+            self._core_edges = [
+                (u, v) for u in sorted(self._core)
+                for v in sorted(g.adj[u] & self._core)
+                if u < v and (u, v) not in self.protected]
+        pool = self._sorted_pool(g)
         batch: list[Edit] = []
-        core = sorted(self._core)
-        core_edges = [(u, v) for u in core for v in sorted(g.adj[u] & self._core)
-                      if u < v and (u, v) not in self.protected]
         # every slot sees the round-start graph, so later slots must stay off
         # the edges earlier ones edited or the batch repeats an edit
         touched: set[Edge] = set()
         for _ in range(self.rate):
-            inside = [e for e in core_edges if e not in touched]
+            inside = [e for e in self._core_edges if e not in touched]
             if inside and self.rng.random() < self.bias:
                 e = inside[int(self.rng.integers(len(inside)))]
                 edits = [(REMOVE, e[0], e[1])]
             else:
-                sub = RandomChurnAdversary(rng=self.rng, rate=1, mode="balanced",
-                                           protected=self.protected | touched)
-                edits = sub.edits_for_round(g, round_)
+                # one balanced random-churn slot off the pool
+                edits = self._draw(g, [e for e in pool if e not in touched],
+                                   1, "balanced", self.protected | touched)
             touched.update(edge_key(u, v) for _, u, v in edits)
             batch.extend(edits)
+        self._patch_pool(g, batch)
+        self._patch_core_edges(batch)
         return batch

@@ -41,6 +41,11 @@ class TooLargeForEnumeration(DensetrackError):
     """Brute-force oracle asked to enumerate more subsets than allowed."""
 
 
+class TooLargeForMaxFlow(DensetrackError):
+    """Max-flow oracle asked for a network whose capacities or total flow
+    could exceed the int32 that scipy's ``maximum_flow`` computes in."""
+
+
 class ConfigError(DensetrackError, ValueError):
     """Scenario configuration failed validation (the CLI exits 2)."""
 

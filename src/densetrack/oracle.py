@@ -1,14 +1,22 @@
 """Ground-truth solvers run outside the simulator on graph snapshots.
 
 * :func:`exact_densest` - globally optimal density by Dinkelbach iteration
-  on one closure network (Goldberg's construction): start at rho = m/n as an
-  exact ``Fraction`` p/q, and while some set beats rho (closure value
-  ``max_S q*|E(S)| - p*|S|`` above 0) move rho to the density of the
-  smallest maximizing set read from the min-cut.  A closure value of 0
-  certifies that no set is denser than rho.  The answer is the largest
-  densest subgraph (the union of all optimal sets, which is unique): the
-  vertices that cannot reach the sink in the last residual.  Usually two
-  max-flows; no floating-point in the certification path.
+  on Goldberg's vertex network (n + 2 nodes: the vertices, a source and a
+  sink).  Start at rho = m/n as an exact ``Fraction`` p/q.  The network has
+  arcs source -> v of capacity q*d_v, u -> v and v -> u of capacity q for
+  every edge, and v -> sink of capacity 2p, so the cut of ``{source} | S``
+  is ``q*sum(d_v, v not in S) + q*e(S, V-S) + 2p*|S|``, which equals
+  ``2*q*m - 2*(q*|E(S)| - p*|S|)``.  Every cut, hence the max-flow, is
+  even, and the closure value ``max_S q*|E(S)| - p*|S|`` is
+  ``q*m - maxflow/2``.  While some set beats rho (closure value above 0),
+  move rho to the density of the smallest maximizing set, the vertices the
+  source reaches in the residual.  A closure value of 0 certifies that no
+  set is denser than rho.  The answer is the largest densest subgraph (the
+  union of all optimal sets, which is unique): the vertices that cannot
+  reach the sink in the last residual.  Usually two max-flows; no
+  floating-point in the certification path.  scipy computes flows in
+  int32, so a graph with ``2*n*m >= 2**31`` is refused before any network
+  is built.
 * :func:`exact_at_least_k` - exhaustive enumeration over all subsets of size
   at least k (bounded to n <= 20, about a million subsets).
 * :func:`peel_reference` - centralized, exact-arithmetic replay of the
@@ -26,12 +34,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .errors import TooLargeForEnumeration
+from .errors import TooLargeForEnumeration, TooLargeForMaxFlow
 from .graph import DynamicGraph, induced_density
 from .protocol import threshold_value
 
@@ -64,77 +73,91 @@ def graph_content_hash(g: DynamicGraph) -> str:
 # -- exact densest via max-flow -------------------------------------------------
 
 
-class _FlowTester:
+class _VertexNetwork:
     """Min-cut tests for "exists S with q*|E(S)| - p*|S| > 0", i.e. a set
-    denser than p/q.
+    denser than p/q, on Goldberg's vertex network (module docstring).
 
-    Network: source -> edge-node (cap q), edge-node -> endpoints (cap
-    ``m*n + 1``, more than any source total ``m*q`` since q <= n), vertex ->
-    sink (cap p).  The max closure value is ``m*q - maxflow``.  The arc
-    structure is fixed across the iteration; only source and sink caps move.
+    The CSR holds every arc and its reverse, which is the structure
+    ``maximum_flow`` gives its flow matrix, so a residual is capacities
+    minus flows entry by entry.  A vertex of degree 0 has no source arc:
+    ``maximum_flow`` drops a pair of arcs whose capacities are both 0, and
+    the structures would differ.  Only the data array moves across the
+    iteration.
     """
 
-    def __init__(self, n_nodes: int, edges: list[tuple[int, int]]):
-        m = len(edges)
-        self.n_nodes = n_nodes
+    def __init__(self, g: DynamicGraph):
+        n, m = g.node_count, g.edge_count
+        if 2 * n * m >= 2 ** 31:
+            raise TooLargeForMaxFlow(
+                f"n={n}, m={m}: capacities up to 2*n*m overflow int32")
+        self.n_nodes = n
         self.m = m
-        self.src = 0
-        self.sink = 1 + m + n_nodes
-        earr = np.asarray(edges, dtype=np.int64)
-        heads = np.concatenate([np.zeros(m, np.int64),
-                                1 + np.arange(m),
-                                1 + np.arange(m),
-                                1 + m + np.arange(n_nodes)])
-        tails = np.concatenate([1 + np.arange(m),
-                                1 + m + earr[:, 0],
-                                1 + m + earr[:, 1],
-                                np.full(n_nodes, self.sink, np.int64)])
-        caps = np.concatenate([np.zeros(m, np.int64),
-                               np.full(2 * m, m * n_nodes + 1, np.int64),
-                               np.zeros(n_nodes, np.int64)])
-        rows = np.concatenate([heads, tails])
-        cols = np.concatenate([tails, heads])
-        base = np.concatenate([caps, np.zeros_like(caps)])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        self._caps = base[order].astype(np.int32)
-        # only forward arcs leave the source or enter the sink
-        self._src_arcs = np.nonzero(rows == self.src)[0]
-        self._sink_arcs = np.nonzero(cols == self.sink)[0]
-        self._template = csr_matrix((self._caps, (rows, cols)),
-                                    shape=(self.sink + 1, self.sink + 1))
+        self.src = n
+        self.sink = n + 1
+        size = n + 2
+        deg = np.fromiter(map(len, g.adj), np.int64, n)
+        linked = deg > 0
+        # vertex row v: its neighbours, the source (if d_v > 0), the sink;
+        # then the source row and the sink row
+        lengths = np.concatenate([deg + 1 + linked,
+                                  [np.count_nonzero(linked), n]])
+        indptr = np.zeros(size + 1, np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        rows = np.repeat(np.arange(size), lengths)
+        last = indptr[1:n + 1] - 1
+        src_col = (last - 1)[linked]
+        nbr = rows < n
+        nbr[last] = False
+        nbr[src_col] = False
+        # each row's neighbours sorted in one sort of row-major keys
+        keys = rows[nbr] * size + np.fromiter(
+            chain.from_iterable(g.adj), np.int64, 2 * m)
+        keys.sort()
+        cols = np.empty(indptr[-1], np.int64)
+        cols[nbr] = keys - rows[nbr] * size
+        cols[src_col] = self.src
+        cols[last] = self.sink
+        cols[indptr[n]:indptr[n + 1]] = np.flatnonzero(linked)
+        cols[indptr[n + 1]:] = np.arange(n)
+        # capacity = q * q_coef + p * p_coef, entry by entry
+        self._q_coef = nbr.astype(np.int64)
+        self._q_coef[indptr[n]:indptr[n + 1]] = deg[linked]
+        self._p_coef = np.zeros(len(cols), np.int64)
+        self._p_coef[last] = 2
+        self._graph = csr_matrix((np.zeros(len(cols), np.int32), cols, indptr),
+                                 shape=(size, size))
 
     def run(self, p: int, q: int) -> tuple[int, csr_matrix]:
         """Max closure value ``max_S q*|E(S)| - p*|S|`` and the residual."""
-        graph = self._template.copy()
-        # entries are sorted the same way csr stores them, so assign in place
-        data = self._caps.copy()
-        data[self._src_arcs] = q
-        data[self._sink_arcs] = p
-        graph.data = data
+        graph = self._graph
+        caps = q * self._q_coef + p * self._p_coef
+        graph.data = caps.astype(np.int32)
         res = maximum_flow(graph, self.src, self.sink)
-        residual = graph - res.flow
-        residual.data = np.maximum(residual.data, 0)
+        flow = int(res.flow_value)
+        if flow % 2:
+            raise AssertionError(f"odd max-flow {flow} in the vertex network")
+        # a copy, since eliminate_zeros rewrites indices and indptr in place
+        residual = csr_matrix((caps - res.flow.data, graph.indices,
+                               graph.indptr), shape=graph.shape, copy=True)
         residual.eliminate_zeros()
-        return self.m * q - int(res.flow_value), residual
+        return self.m * q - flow // 2, residual
 
-    def _vertices(self, mask: np.ndarray) -> frozenset[int]:
-        nodes = mask[1 + self.m: 1 + self.m + self.n_nodes]
-        return frozenset(int(v) for v in np.nonzero(nodes)[0])
+    def _vertices(self, residual: csr_matrix, start: int) -> np.ndarray:
+        """Which vertices ``start`` reaches in ``residual``."""
+        reach = np.zeros(self.n_nodes + 2, dtype=bool)
+        reach[breadth_first_order(residual, start, directed=True,
+                                  return_predecessors=False)] = True
+        return reach[:self.n_nodes]
 
     def smallest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
         """Vertices reachable from the source in the residual."""
-        reach = np.zeros(self.sink + 1, dtype=bool)
-        reach[breadth_first_order(residual, self.src, directed=True,
-                                  return_predecessors=False)] = True
-        return self._vertices(reach)
+        return frozenset(np.flatnonzero(
+            self._vertices(residual, self.src)).tolist())
 
     def largest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
         """Vertices that cannot reach the sink in the residual."""
-        reach = np.zeros(self.sink + 1, dtype=bool)
-        reach[breadth_first_order(residual.T.tocsr(), self.sink, directed=True,
-                                  return_predecessors=False)] = True
-        return self._vertices(~reach)
+        return frozenset(np.flatnonzero(
+            ~self._vertices(residual.T.tocsr(), self.sink)).tolist())
 
 
 def exact_densest(g: DynamicGraph) -> OracleResult:
@@ -142,7 +165,7 @@ def exact_densest(g: DynamicGraph) -> OracleResult:
     n, m = g.node_count, g.edge_count
     if m == 0:
         return OracleResult(frozenset({0}), Fraction(0), "maxflow")
-    tester = _FlowTester(n, g.edges())
+    tester = _VertexNetwork(g)
     rho = Fraction(m, n)
     while True:
         value, residual = tester.run(rho.numerator, rho.denominator)

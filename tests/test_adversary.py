@@ -8,7 +8,8 @@ from densetrack.adversary import (RandomChurnAdversary, ScriptedAdversary,
 from densetrack.errors import ChurnBudgetExceeded, ConfigError, InvalidEdit
 from densetrack.graph import DynamicGraph, edge_key
 from densetrack.harness import run_scenario
-from densetrack.scenarios import ScenarioConfig, adversary_from_spec
+from densetrack.scenarios import (ScenarioConfig, adversary_from_spec,
+                                  build_graph)
 
 
 def small_graph():
@@ -103,6 +104,31 @@ def test_targeted_rate_two_never_repeats_an_edge(seed, tmp_path):
     for edits in batches:
         edges = [edge_key(u, v) for _, u, v in edits]
         assert len(set(edges)) == len(edges), edits
+
+
+@pytest.mark.parametrize("rate", [1, 3])
+def test_targeted_pools_kept_across_rounds_draw_as_rebuilt_ones(rate):
+    # the adversary keeps its sorted pool and core edges while the graph is
+    # the one its last batch left; a copy each round forces every rebuild,
+    # and an edge inside the planted clique toggled outside the adversary
+    # every fifth round must make the kept ones rebuild too
+    built = build_graph({"kind": "planted-dense", "n": 40, "clique": 20,
+                         "noise_p": 0.1, "hub_star": True}, 3)
+    kept_g, copied_g = built.graph.copy(), built.graph.copy()
+    kept_g.churn_rate = copied_g.churn_rate = rate
+    kept, copied = (TargetedAdversary(rng=np.random.default_rng(4),
+                                      rate=rate, protected=built.protected,
+                                      refresh_every=3) for _ in range(2))
+    for r in range(200):
+        batch = kept.edits_for_round(kept_g, r)
+        assert batch == copied.edits_for_round(copied_g.copy(), r), r
+        kept_g.apply_churn(batch)
+        copied_g.apply_churn(batch)
+        if r % 5 == 4:
+            toggle = [("remove" if kept_g.has_edge(1, 2) else "add", 1, 2)]
+            kept_g.apply_churn(toggle)
+            copied_g.apply_churn(toggle)
+    assert kept._core_edges == copied._core_edges
 
 
 def test_spec_validation():

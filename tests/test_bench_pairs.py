@@ -71,3 +71,28 @@ def test_gain_needs_nine_wins_in_ten():
     pairs[0] = (pairs[0][0], bench_pairs.parse_result(line(8.0, 80.0)))
     rows = bench_pairs.summarize(pairs, SPEC)
     assert rows[0]["wins"] == 8 and rows[0]["verdict"] == "ok"
+
+
+def test_json_record_holds_the_summary_revisions_and_machine():
+    pairs = canned_pairs()
+    rows = bench_pairs.summarize(pairs, SPEC)
+    revisions = {"base": {"rev": "HEAD", "commit": "a" * 40},
+                 "change": {"rev": "worktree", "tree": "b" * 40}}
+    settings = {"pairs": 10, "seconds": 20.0, "input_seed": None}
+    doc = json.loads(json.dumps(bench_pairs.record(
+        revisions, settings, {"churn-dense": (pairs, rows)})))
+    assert doc["revisions"] == revisions and doc["settings"] == settings
+    assert set(doc["machine"]) == {"python", "numpy", "scipy", "cpu"}
+    assert all(isinstance(v, str) and v for v in doc["machine"].values())
+    work = doc["workloads"]["churn-dense"]
+    assert work["pairs"] == 10
+    assert work["operations"] == {"base": {"failed": 10, "attempted": 190},
+                                  "change": {"failed": 10, "attempted": 190}}
+    assert work["runs"][4] == {
+        "base": {"wall_s": 7.6, "peak_rss_mb": 74.0, "answer_ratio": 1.0},
+        "change": {"wall_s": 7.9, "peak_rss_mb": 80.0, "answer_ratio": 1.0}}
+    wall = work["metrics"][0]
+    assert wall["metric"] == "wall_s" and wall["verdict"] == "gain"
+    assert wall["base"][1] == 7.625 and wall["change"][1] == 4.25
+    assert wall["wins"] == 9
+    assert [r["verdict"] for r in work["metrics"]] == ["gain", "WORSE", "ok"]

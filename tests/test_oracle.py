@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import densetrack.oracle as oracle
-from densetrack.errors import TooLargeForEnumeration
+from densetrack.errors import TooLargeForEnumeration, TooLargeForMaxFlow
 from densetrack.graph import DynamicGraph, induced_density
 from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                at_least_k_bounds, brute_force_densest,
                                exact_at_least_k, exact_densest,
                                graph_content_hash, greedy_at_least_k_witness,
                                peel_reference)
-from densetrack.scenarios import build_graph
+from densetrack.scenarios import build_graph, build_regular
 
 
 def complete(n):
@@ -78,6 +79,20 @@ class TestExactDensest:
                          "noise_p": 0.02, "hub_star": True}, 0).graph
         exact_densest(g)
         assert len(flows) <= 3
+
+    def test_capacities_past_int32_are_refused_before_any_flow(
+            self, monkeypatch):
+        # 2 * 50,000 * 21,475 = 2,147,500,000 >= 2**31: scipy would wrap
+        # such capacities to int32 without a warning
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a max-flow ran")
+
+        monkeypatch.setattr(oracle, "maximum_flow", no_flow)
+        edges = [(i, i + 1) for i in range(0, 42950, 2)]
+        g = DynamicGraph.from_edges(50_000, edges)
+        assert g.edge_count == 21_475
+        with pytest.raises(TooLargeForMaxFlow, match="int32"):
+            exact_densest(g)
 
 
 class TestAtLeastK:
@@ -148,6 +163,66 @@ class TestCrossValidation:
             union = int(np.bitwise_or.reduce(optimal))
             assert res.members == frozenset(
                 v for v in range(n) if union >> v & 1)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_members_are_every_optimal_set_and_keep_the_min_degree(
+            self, data):
+        n = data.draw(st.integers(2, 14), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   min_size=1, max_size=len(pairs)),
+                          label="edges")
+        # isolated vertices: drop every edge at a drawn set of nodes
+        lone = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2),
+                         label="isolated")
+        edges = [(u, v) for u, v in edges if u not in lone and v not in lone]
+        if n >= 4 and data.draw(st.booleans(), label="twins"):
+            # twin halves: each edge of the low half is copied onto the high
+            # half, so every densest set there has a twin and ties abound
+            half = n // 2
+            edges = [e for u, v in edges if v < half
+                     for e in ((u, v), (u + n - half, v + n - half))]
+        if not edges:
+            return
+        g = DynamicGraph.from_edges(n, edges)
+        res = exact_densest(g)
+        masks = np.arange(1 << n, dtype=np.int64)
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        counts = _subset_edge_counts(g).astype(np.int64)
+        dens = res.density
+        assert (counts * dens.denominator <= dens.numerator * sizes).all()
+        optimal = masks[(counts * dens.denominator == dens.numerator * sizes)
+                        & (sizes > 0)]
+        union = int(np.bitwise_or.reduce(optimal))
+        assert res.members == frozenset(v for v in range(n)
+                                        if union >> v & 1)
+        for v in res.members:
+            assert len(g.adj[v] & res.members) >= dens
+
+    @given(st.integers(3, 40), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_regular_graph_takes_one_flow(self, n, d, seed):
+        # m/n = d/2 is already optimal, so the first cut certifies it
+        d = min(d, n - 1)
+        if n * d % 2:
+            d -= 1
+        if d == 0:
+            return
+        g = build_regular(np.random.default_rng(seed), n, d).graph
+        flows = []
+        maximum_flow = oracle.maximum_flow
+
+        def counted(*args, **kwargs):
+            flows.append(1)
+            return maximum_flow(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "maximum_flow", counted)
+            res = exact_densest(g)
+        assert len(flows) == 1
+        assert res.density == Fraction(d, 2)
+        assert res.members == frozenset(range(n))
 
     def test_no_subset_beats_optimum(self):
         rng = np.random.default_rng(8)
