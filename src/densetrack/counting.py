@@ -27,8 +27,10 @@ Every per-kind decision lives in one table, :data:`KINDS`: the merge ufunc,
 the little-endian dtype, the identity, the wire prefix, the bit metering and
 the finalize of geo (max), exp (min), ids (union) and degs (entrywise max)
 tuples.  :class:`TuplePart` (a whole tuple) and :class:`CoordPart` (one
-strict coordinate) are the wire parts built from it, and the Monte-Carlo
-samplers finalize through the same functions as the protocol.
+strict coordinate) are the wire parts built from it; each carries its
+kind's merge, so the engine folds each tag's parts for every receiver.
+The finalizes work along the last axis, so the Monte-Carlo samplers
+finalize many tuples at once through the same functions as the protocol.
 
 ``exact`` mode swaps the tuples for idempotent set unions of (id, degree)
 pairs - same schedule, exact outputs - to isolate protocol logic from
@@ -121,23 +123,16 @@ def finalize_coarse_rows(values: np.ndarray) -> np.ndarray:
 
     ``values`` holds merged toss-count tuples, one per row.  An all-zero row
     is the merge identity (no member contributed) and estimates 0.
+
+    The max of n fair-coin toss counts has mean ``log2 n + gamma/ln 2 +
+    1/2`` up to a small periodic term (Flajolet & Martin 1985), so a row's
+    mean exponent minus ``COARSE_BIAS`` estimates ``log2 n``.  Each
+    coordinate has standard deviation about 1.9, so over the ``65 *
+    ln(1/delta)`` coordinates the mean exponent has standard deviation at
+    most about 0.15, well inside the +-1 of the ``[n/2, 2n]`` window.
     """
     est = np.exp2(values.mean(axis=-1) - COARSE_BIAS)
     return np.where(values.any(axis=-1), est, 0.0)
-
-
-def finalize_coarse(values: np.ndarray) -> float:
-    """LogLog estimate over one merged toss-count tuple; 0 for the identity.
-
-    The max of n fair-coin toss counts has mean
-    ``log2 n + gamma/ln 2 + 1/2`` up to a small periodic term (Flajolet &
-    Martin 1985), so the tuple's mean exponent minus ``COARSE_BIAS``
-    estimates ``log2 n``.  Each coordinate has standard deviation about
-    1.9, so over the ``65 * ln(1/delta)`` coordinates the mean exponent
-    has standard deviation at most about 0.15, well inside the +-1 of the
-    ``[n/2, 2n]`` window.
-    """
-    return float(finalize_coarse_rows(values))
 
 
 def finalize_fine_rows(values: np.ndarray) -> np.ndarray:
@@ -147,11 +142,6 @@ def finalize_fine_rows(values: np.ndarray) -> np.ndarray:
     estimates 0.
     """
     return values.shape[-1] / values.sum(axis=-1)
-
-
-def finalize_fine(values: np.ndarray) -> float:
-    """l / sum over one merged exponential tuple; 0 for the identity."""
-    return float(finalize_fine_rows(values))
 
 
 def id_bit_width(node_count: int) -> int:
@@ -167,8 +157,8 @@ class Kind:
     """One flood-merge tuple kind: its algebra, its wire form, its estimate.
 
     ``bits(values, id_bits)`` meters a tuple (the engine recomputes it from
-    the payload, senders are never trusted); ``finalize`` maps a merged tuple
-    to its estimate, 0 for the identity.
+    the payload, senders are never trusted); ``finalize`` maps merged
+    tuples, along the last axis, to their estimates, 0 for the identity.
     """
 
     prefix: bytes
@@ -176,32 +166,31 @@ class Kind:
     merge: np.ufunc
     identity: int | float
     bits: Callable[[np.ndarray, int], int]
-    finalize: Callable[[np.ndarray], float]
+    finalize: Callable[[np.ndarray], np.ndarray]
 
 
 KINDS = {
     # toss counters at their actual bit length
     "geo": Kind(b"G", np.dtype("<u1"), np.maximum, 0,
-                lambda v, _: int(_TOSS_BITS[v].sum()), finalize_coarse),
+                lambda v, _: int(_TOSS_BITS[v].sum()), finalize_coarse_rows),
     # 64 bits per float coordinate
     "exp": Kind(b"E", np.dtype("<f8"), np.minimum, np.inf,
-                lambda v, _: 64 * v.size, finalize_fine),
+                lambda v, _: 64 * v.size, finalize_fine_rows),
     # member ids as a packed bitset, ceil(log2 n) bits per member
     "ids": Kind(b"I", np.dtype("<u8"), np.bitwise_or, 0,
                 lambda v, id_bits: int(np.bitwise_count(v).sum()) * id_bits,
-                lambda v: float(np.bitwise_count(v).sum())),
+                lambda v: np.bitwise_count(v).sum(axis=-1)),
     # (id, degree) pairs as a vector, -1 where unknown: 2 ceil(log2 n) bits
     # per known entry
     "degs": Kind(b"D", np.dtype("<i4"), np.maximum, -1,
                  lambda v, id_bits: int((v >= 0).sum()) * 2 * id_bits,
-                 lambda v: float(v[v >= 0].sum())),
+                 lambda v: np.maximum(v, 0).sum(axis=-1)),
 }
 
 
 @dataclass(frozen=True)
 class TuplePart:
-    """A whole merge tuple of one kind of :data:`KINDS`; its ``merge`` makes
-    the engine deliver it merged (``netsim.MergePart``)."""
+    """A whole merge tuple of one kind of :data:`KINDS`."""
 
     tag: str
     kind: str
@@ -226,21 +215,30 @@ class TuplePart:
 
 @dataclass(frozen=True)
 class CoordPart:
-    """Strict-bandwidth mode: a single tuple coordinate per round."""
+    """Strict-bandwidth mode: tuple coordinate ``index`` of a geo or exp
+    tuple, as a one-element array of the kind's dtype.  Nodes run in
+    lockstep, so every sender of a tag sends the same index in a round and
+    the engine may fold their coordinates."""
 
     tag: str
     kind: str  # "geo" | "exp"
     index: int
-    value: float
+    values: np.ndarray
+
+    @property
+    def merge(self) -> np.ufunc:
+        return KINDS[self.kind].merge
+
+    def with_values(self, values: np.ndarray) -> CoordPart:
+        return CoordPart(self.tag, self.kind, self.index, values)
 
     def bit_size(self) -> int:
-        k = KINDS[self.kind]
-        return k.bits(np.array([self.value], k.dtype), 0)
+        return KINDS[self.kind].bits(self.values, 0)
 
     def canonical_bytes(self) -> bytes:
         return (b"C" + self.tag.encode() + self.kind.encode()
                 + self.index.to_bytes(4, "little")
-                + np.float64(self.value).tobytes())
+                + np.float64(self.values[0]).tobytes())
 
 
 # -- merge stages ---------------------------------------------------------------
@@ -255,10 +253,11 @@ class MergeStage:
     identity; ``has_data`` says whether anything reached it yet.  Only geo
     and exp stages are ever strict.
 
-    The engine delivers whole tuples merged: a round brings one part per
-    tag and tuple length, the fold of every neighbour's broadcast, so a
-    stage absorbs once per round whatever its fan-in.  Strict coordinates
-    arrive one per sending neighbour.
+    The engine delivers every part merged: a round brings one part per tag
+    and tuple length, the fold of every neighbour's broadcast, so a stage
+    absorbs once per round whatever its fan-in.  A strict stage's folded
+    coordinate must be the one this stage emitted last round: the
+    neighbours sent it in lockstep.
 
     A broadcast is a value: the stage never writes an array it has emitted
     (``shared``), so whoever holds an emitted part still reads what was
@@ -289,8 +288,10 @@ class MergeStage:
     def absorb(self, part: TuplePart | CoordPart) -> None:
         assert part.kind == self.kind, (part.kind, self.kind)
         merge = KINDS[self.kind].merge
-        if isinstance(part, CoordPart):
-            self.acc[part.index] = merge(self.acc[part.index], part.value)
+        if self.strict:
+            i = part.index
+            assert i == (self.emitted - 1) // self.diameter, (i, self.emitted)
+            self.acc[i] = merge(self.acc[i], part.values[0])
         elif self.shared:
             self.acc, self.shared = merge(self.acc, part.values), False
         else:
@@ -303,7 +304,8 @@ class MergeStage:
             return None
         if self.strict:
             i = pos // self.diameter
-            return CoordPart(self.tag, self.kind, i, float(self.acc[i]))
+            return CoordPart(self.tag, self.kind, i,
+                             self.acc[i:i + 1].copy())
         self.shared = True
         return TuplePart(self.tag, self.kind, self.acc, self.id_bits)
 
@@ -418,7 +420,8 @@ class CountPipeline:
         if round_ != self.boundary:
             return None
         st = self.stage
-        total = KINDS[st.kind].finalize(st.acc) if st.has_data else 0.0
+        total = float(KINDS[st.kind].finalize(st.acc)) if st.has_data \
+            else 0.0
         if self.fine:
             self.stage = None
             if self.coarse == 0 and not self.exact:

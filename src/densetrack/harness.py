@@ -102,8 +102,8 @@ class _RunState:
                                   "pass": fam.pass_index,
                                   "closed_by": fam.closed_by,
                                   "levels": len(fam.records)})
-        if len(h0.outcomes) > len(self.rows):
-            outs = [h.outcomes[-1] for h in self.handlers]
+        if h0.answered > len(self.rows):
+            outs = [h.outcome for h in self.handlers]
             if len({(o.completed_round, o.chosen, o.attempts, o.no_family)
                     for o in outs}) > 1:
                 raise DesyncDetected("query outcomes diverge across nodes")

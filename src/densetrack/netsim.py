@@ -18,24 +18,21 @@ engine knows no protocol; queries reach the nodes from the harness.  All
 node streams derive from one global seed, so a run is a pure function of
 (config, seed).
 
-A broadcast is a tuple of message parts: anything with a tag, a
-``bit_size`` and ``canonical_bytes`` (:class:`MessagePart`).  The engine
+A broadcast is a tuple of message parts (:class:`MessagePart`): each has
+a tag, a ``bit_size``, ``canonical_bytes``, its ``values`` and an exact,
+order-free ``merge`` ufunc over them (max, min, or, a count).  The engine
 meters and logs every sender's broadcast from its payload, never trusting
 the sender.  It defines no part: the flag parts live in ``protocol``, the
-flood-merge tuple parts, with their dtypes, wire prefixes and bit rules, in
-``counting.KINDS``.
+flood-merge tuple and coordinate parts, with their dtypes, wire prefixes
+and bit rules, in ``counting``.
 
-A part that also declares an exact, order-free ``merge`` ufunc (max, min,
-or) and its ``values`` (:class:`MergePart`) is delivered merged.  A
-receiver finds one part per (tag, dtype, length), the fold of what its
-round-start neighbours sent, in one message with sender
-:data:`MERGED_SENDER` after the per-sender ones.  Folding that part equals
-folding every neighbour's part in any order, so a receiver merges once per
-tag, not once per neighbour; the ledger and the log still see every
-sender's broadcast.  Every other part (the flags, a strict mode
-coordinate) reaches each neighbour as a message from its sender.  A merged
-part's values live in a row the engine refills for each receiver, so they
-are valid during the receiving step only.
+Every part is delivered merged.  A receiver's inbox is one part per (tag,
+dtype, length), the fold of what its round-start neighbours sent.  Folding
+that part equals folding every neighbour's part in any order, so a
+receiver merges once per tag, not once per neighbour; the ledger and the
+log still see every sender's broadcast.  A folded part's values live in a
+row the engine refills for each receiver, so they are valid during the
+receiving step only.
 
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
@@ -47,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -61,23 +59,17 @@ from .graph import ADD, DynamicGraph
 
 class MessagePart(Protocol):
     tag: str
+    merge: np.ufunc  # exact and order-free: max, min, or, add
+    values: np.ndarray
 
     def bit_size(self) -> int: ...
 
     def canonical_bytes(self) -> bytes: ...
 
-
-class MergePart(MessagePart, Protocol):
-    merge: np.ufunc  # exact and order-free: max, min, or
-    values: np.ndarray
-
-    def with_values(self, values: np.ndarray) -> MergePart:
+    def with_values(self, values: np.ndarray) -> MessagePart:
         """This part carrying ``values`` instead, read when it is used:
         the engine refills that array for every receiver."""
 
-
-# sender of the one message per receiver that holds its merged parts
-MERGED_SENDER = -1
 
 # A receiver's fold is one gather and one reduce while the rows it gathers
 # take at most GATHER_BYTES, else a chain of pairwise merges.  A gather
@@ -196,7 +188,7 @@ class StepContext:
     """Everything a step function is allowed to see."""
 
     round: int
-    inbox: list[RoundMessage]
+    inbox: list[MessagePart]  # one folded part per (tag, dtype, length)
     neighbor_count: int
     rng: np.random.Generator
 
@@ -240,19 +232,18 @@ class _Topology:
 
 
 class _Merges:
-    """The merge parts of one round's broadcasts, folded for each receiver
-    right before it steps in the next round.
+    """The parts of one round's broadcasts, folded for each receiver right
+    before it steps in the next round.
 
-    A group is the parts of one (tag, dtype, length), its senders indexed
-    by position.  A receiver's fold is written into one row per group,
-    which the group's part views.  Each sender's array is let go after its
-    last receiver has stepped, as a per-sender inbox would be, so a round
-    holds no more of them than one message per sender did.
+    A group is the value arrays of one (tag, dtype, length), its senders
+    indexed by position.  A receiver's fold is written into one row per
+    group, which the group's folded part views.  Each sender's array is let
+    go after its last receiver has stepped, as a per-sender inbox would be,
+    so a round holds no more of them than one message per sender did.
     """
 
     def __init__(self, groups: dict, topology: _Topology):
         self.groups: list[tuple] = []
-        self.parts: list[MergePart] = []  # each group's part, viewing its row
         self.releases: dict[int, list] = {}  # receiver -> (group, position)
         for (_, dtype, shape), (first, senders, sent) in groups.items():
             row = np.empty(shape, dtype)
@@ -262,39 +253,35 @@ class _Merges:
                     self.releases.setdefault(int(last[-1]), []).append(
                         (len(self.groups), i))
             gather = GATHER_BYTES // max(row.nbytes, 1)
-            self.groups.append((first.merge, row, sent, gather,
+            self.groups.append((first.merge, first.with_values,
+                                first.with_values(row), row, sent, gather,
                                 *topology.layout(senders)))
-            self.parts.append(first.with_values(row))
-        self.everything = RoundMessage(MERGED_SENDER, tuple(self.parts))
 
-    def message(self, v: int) -> RoundMessage | None:
-        """Receiver ``v``'s merged parts, valid during its step only."""
-        parts, whole = [], True
-        for (merge, row, sent, gather, found, starts, ends), part in zip(
-                self.groups, self.parts):
+    def fold(self, v: int) -> list[MessagePart]:
+        """Receiver ``v``'s folded parts, valid during its step only."""
+        parts = []
+        for (merge, with_values, folded, row, sent, gather, found, starts,
+             ends) in self.groups:
             index = found[starts[v]:ends[v]]
             if len(index) < 2:
-                whole = False
-                if index:  # a fold of one part is that part
-                    parts.append(sent[index[0]])
+                if index:  # a fold of one array is that array
+                    parts.append(with_values(sent[index[0]]))
                 continue
+            arrays = itemgetter(*index)(sent)
             if len(index) <= gather:
-                merge.reduce(np.concatenate([sent[i].values for i in index])
-                             .reshape(len(index), -1), axis=0, out=row)
+                merge.reduce(np.concatenate(arrays).reshape(len(index), -1),
+                             axis=0, out=row)
             else:
-                a, b, *rest = index
-                merge(sent[a].values, sent[b].values, out=row)
-                for i in rest:
-                    merge(row, sent[i].values, out=row)
-            parts.append(part)
-        if whole:
-            return self.everything
-        return RoundMessage(MERGED_SENDER, tuple(parts)) if parts else None
+                merge(arrays[0], arrays[1], out=row)
+                for a in arrays[2:]:
+                    merge(row, a, out=row)
+            parts.append(folded)
+        return parts
 
     def release(self, v: int) -> None:
         """Let go of the sender arrays that ``v`` was the last to read."""
         for g, i in self.releases.pop(v):
-            self.groups[g][2][i] = None
+            self.groups[g][4][i] = None
 
 
 class World:
@@ -312,7 +299,6 @@ class World:
         self.round = 0
         self.ledger = BandwidthLedger()
         self.log = log
-        self._inboxes: list[list[RoundMessage]] = [[] for _ in handlers]
         self._merges: _Merges | None = None
         self.on_compute_end: list[Callable[["World"], None]] = []
         # each node's sorted neighbour ids, patched from the churn edits;
@@ -323,22 +309,17 @@ class World:
 
     def run_round(self) -> None:
         r = self.round
-        inboxes, self._inboxes = self._inboxes, [[] for _ in self.handlers]
         merges, self._merges = self._merges, None
         staged: list[RoundMessage] = []
         for i, (handler, rng) in enumerate(zip(self.handlers, self.rngs)):
-            inbox, inboxes[i] = inboxes[i], None
-            merged = merges.message(i) if merges else None
-            if merged:
-                inbox.append(merged)
+            inbox = merges.fold(i) if merges else []
             ctx = StepContext(round=r, inbox=inbox,
                               neighbor_count=self.graph.degree(i), rng=rng)
-            del inbox, merged  # senders' arrays die with their last reader
             try:
                 parts = handler.step(ctx)
             except Exception as exc:  # surfaced with node id and round
                 raise HandlerPanic(i, r, repr(exc)) from exc
-            del ctx
+            del inbox, ctx  # senders' arrays die with their last reader
             if merges and i in merges.releases:
                 merges.release(i)
             if parts:
@@ -360,32 +341,22 @@ class World:
             self.run_round()
 
     def _deliver(self, r: int, staged: list[RoundMessage]) -> None:
-        """Meter and log every broadcast; queue its merge parts by group for
-        the next round, its other parts for each neighbour."""
-        groups: dict[tuple, tuple[MergePart, list[int], list]] = {}
+        """Meter and log every broadcast; group its parts' values by (tag,
+        dtype, length) for the next round's folds."""
+        groups: dict[tuple, tuple[MessagePart, list[int], list]] = {}
         for msg in staged:
-            # staged is in sender-id order, so each inbox is too; neighbor
-            # iteration order never leaks anywhere
-            nbrs = self.graph.neighbors(msg.sender)
-            bits = self.ledger.record_broadcast(msg, len(nbrs))
+            # staged is in sender-id order, so each group's senders are too
+            bits = self.ledger.record_broadcast(
+                msg, self.graph.degree(msg.sender))
             if self.log:
                 self.log.append(broadcast_line(r, msg.sender,
                                                msg.payload_hash(), bits))
-            rest = []
             for part in msg.parts:
-                if getattr(part, "merge", None) is None:
-                    rest.append(part)
-                    continue
                 vals = part.values
                 _, senders, sent = groups.setdefault(
                     (part.tag, vals.dtype, vals.shape), (part, [], []))
                 senders.append(msg.sender)
-                sent.append(part)
-            if rest:
-                one = msg if len(rest) == len(msg.parts) \
-                    else RoundMessage(msg.sender, tuple(rest))
-                for v in nbrs:
-                    self._inboxes[v].append(one)
+                sent.append(vals)
         if groups:
             self._merges = _Merges(groups, self._round_topology())
 

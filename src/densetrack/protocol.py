@@ -43,13 +43,18 @@ answered at once, accepted or capped, so the chosen ratio
 (:func:`query_ratio`), the ``in_answer`` rule and that tie rule are each
 written once.  Only a query fired before any pass closes answers
 elsewhere, as ``no_family``.  The one-bit flag parts (:class:`FlagsPart`)
-live here beside their tags; the tuple parts live in ``counting``.
+live here beside their tags; the tuple parts live in ``counting``.  Flags
+are delivered like every other part, folded per receiver: a node reads
+its member degree as the folded member count and ``drop_seen`` from the
+folded drop count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .counting import CountPipeline
 # bench/tracer.py wraps these four names in this module's namespace (its
@@ -66,19 +71,32 @@ MEMBER_TAG = "m.member"
 DROP_TAG = "m.drop"
 
 
+# one sender's [member, dropped] counts
+MEMBER_FLAG = np.array([1, 0], np.int64)
+DROP_FLAG = np.array([0, 1], np.int64)
+MEMBER_FLAG.flags.writeable = DROP_FLAG.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FlagsPart:
-    """One-bit markers: subgraph membership and the did-anyone-drop bit."""
+    """One-bit markers, subgraph membership and the did-anyone-drop bit, as
+    int64 counts ``[member, dropped]``.  They are summed, not or-ed, so a
+    folded part counts its senders; a uint8 sum would wrap at 256."""
 
     tag: str
-    member: bool = False
-    dropped: bool = False
+    values: np.ndarray
+
+    merge = np.add
+
+    def with_values(self, values: np.ndarray) -> FlagsPart:
+        return FlagsPart(self.tag, values)
 
     def bit_size(self) -> int:
-        return int(self.member) + int(self.dropped)
+        return int(self.values.sum())
 
     def canonical_bytes(self) -> bytes:
-        return b"F" + self.tag.encode() + bytes([self.member, self.dropped])
+        return (b"F" + self.tag.encode()
+                + self.values.astype(np.uint8).tobytes())
 
 
 def threshold_value(ratio: float, factor: float) -> float:
@@ -258,7 +276,8 @@ class ProtocolNode:
         # query machine; the harness sets query_k for the next step to fire
         self.query_k: int | None = None
         self.query: _QueryRun | None = None
-        self.outcomes: list[QueryOutcome] = []
+        self.outcome: QueryOutcome | None = None  # the newest query's
+        self.answered = 0  # queries closed so far
 
     @property
     def truncated_tosses(self) -> int:
@@ -269,17 +288,16 @@ class ProtocolNode:
     def _absorb(self, ctx: StepContext) -> None:
         st = self.count.stage
         q_st = self.query_count.stage
-        for msg in ctx.inbox:
-            for part in msg.parts:
-                if isinstance(part, FlagsPart):
-                    if part.tag == MEMBER_TAG and part.member:
-                        self._member_flags_heard += 1
-                    if part.tag == DROP_TAG and part.dropped:
-                        self.drop_seen = True
-                elif st is not None and part.tag == st.tag:
-                    st.absorb(part)
-                elif q_st is not None and part.tag == q_st.tag:
-                    q_st.absorb(part)
+        for part in ctx.inbox:
+            tag = part.tag
+            if tag == MEMBER_TAG:
+                self._member_flags_heard += int(part.values[0])
+            elif tag == DROP_TAG:
+                self.drop_seen = self.drop_seen or bool(part.values[1] > 0)
+            elif st is not None and tag == st.tag:
+                st.absorb(part)
+            elif q_st is not None and tag == q_st.tag:
+                q_st.absorb(part)
 
     # -- maintenance transitions -------------------------------------------
 
@@ -360,7 +378,7 @@ class ProtocolNode:
         parts: list[MessagePart] = []
         if self.seg == "threshold":
             if self.member:
-                parts.append(FlagsPart(MEMBER_TAG, member=True))
+                parts.append(FlagsPart(MEMBER_TAG, MEMBER_FLAG))
             return parts
         count = self.count
         part = count.stage.emit()
@@ -370,10 +388,10 @@ class ProtocolNode:
             # the drop bit rides the coarse rounds, the membership marker
             # the last fine round
             if not count.fine and self.drop_seen:
-                parts.append(FlagsPart(DROP_TAG, dropped=True))
+                parts.append(FlagsPart(DROP_TAG, DROP_FLAG))
             if (count.fine and self.member
                     and ctx.round == count.boundary - 1):
-                parts.append(FlagsPart(MEMBER_TAG, member=True))
+                parts.append(FlagsPart(MEMBER_TAG, MEMBER_FLAG))
         return parts
 
     # -- query machine ------------------------------------------------------
@@ -381,8 +399,9 @@ class ProtocolNode:
     def _start_query(self, ctx: StepContext, k: int) -> None:
         assert self.query is None, "the harness fires one query at a time"
         if self.family is None:
-            self.outcomes.append(QueryOutcome(
-                self.node_id, k, ctx.round, ctx.round, no_family=True))
+            self.outcome = QueryOutcome(
+                self.node_id, k, ctx.round, ctx.round, no_family=True)
+            self.answered += 1
             return
         d = self.params.delta
         snap = self.family
@@ -417,14 +436,15 @@ class ProtocolNode:
             target = (q.window[0] + q.window[1]) / 2.0
             best = min(range(len(q.estimates)),
                        key=lambda i: (abs(q.estimates[i] - target), i))
-        self.outcomes.append(QueryOutcome(
+        self.outcome = QueryOutcome(
             self.node_id, q.k, q.fired_round, ctx.round, no_family=False,
             snapshot=q.snapshot, chosen=q.chosen,
             chosen_ratio=query_ratio(q.snapshot.records[q.chosen], q.k),
             in_answer=q.member_vi or (padded and q.coins[best]),
             padded=padded, attempts=q.attempt,
             accepted_attempt=None if accepted is None else accepted + 1,
-            cap_exceeded=padded and accepted is None))
+            cap_exceeded=padded and accepted is None)
+        self.answered += 1
         self.query = None
 
     def _query_advance_emit(self, ctx: StepContext) -> list[MessagePart]:

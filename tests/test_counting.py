@@ -55,7 +55,7 @@ class TestForcedDraws:
         # LogLog law gives 2**(1 - (gamma/ln 2 + 1/2)) ~ 0.794, and twice
         # that still upper-bounds the single member
         st_, _ = counting.geo_stage("t", 1, 1, True, StubRng(geometric_value=1))
-        coarse = counting.finalize_coarse(st_.acc)
+        coarse = counting.finalize_coarse_rows(st_.acc)
         assert coarse == pytest.approx(
             2.0 ** (1.0 - (EULER_GAMMA / math.log(2.0) + 0.5)), rel=1e-12)
         assert 2 * coarse >= 1
@@ -63,7 +63,7 @@ class TestForcedDraws:
     def test_single_member_unit_exponentials(self):
         rng = StubRng(uniform_value=1.0 - math.exp(-1.0))
         stage = counting.exp_stage("t", 1, 8, True, rng)
-        assert counting.finalize_fine(stage.acc) == pytest.approx(1.0, abs=1e-12)
+        assert counting.finalize_fine_rows(stage.acc) == pytest.approx(1.0, abs=1e-12)
 
     def test_toss_cap_truncation_recorded(self):
         vals, truncated = counting.geometric_tosses(
@@ -446,9 +446,9 @@ class TestBandwidth:
             (TuplePart("t", "ids", np.array([0b1011], np.uint64), 3), 3 * 3),
             (TuplePart("t", "degs", np.array([2, -1, 0, 5], np.int32), 3),
              3 * 2 * 3),
-            (counting.CoordPart("t", "geo", 0, 0.0), 1),
-            (counting.CoordPart("t", "geo", 1, 5.0), 3),
-            (counting.CoordPart("t", "exp", 2, 0.25), 64),
+            (counting.CoordPart("t", "geo", 0, np.array([0], np.uint8)), 1),
+            (counting.CoordPart("t", "geo", 1, np.array([5], np.uint8)), 3),
+            (counting.CoordPart("t", "exp", 2, np.array([0.25])), 64),
         ]
         for part, bits in parts:
             assert part.bit_size() == bits, part

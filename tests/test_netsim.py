@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,21 +12,29 @@ from hypothesis import given, settings, strategies as st
 
 from densetrack import netsim
 from densetrack.adversary import ScriptedAdversary
-from densetrack.counting import KINDS, MergeStage, TuplePart, id_bit_width
+from densetrack.counting import (KINDS, CoordPart, MergeStage, TuplePart,
+                                 id_bit_width)
 from densetrack.errors import ConfigError, HandlerPanic
 from densetrack.graph import ADD, REMOVE, DynamicGraph
-from densetrack.netsim import (MERGED_SENDER, EventLog, StepContext, World,
-                               broadcast_line)
-from densetrack.protocol import FlagsPart, ProtocolNode, ProtocolParams
+from densetrack.netsim import EventLog, StepContext, World, broadcast_line
+from densetrack.protocol import (DROP_FLAG, MEMBER_FLAG, MEMBER_TAG,
+                                 FlagsPart, ProtocolNode, ProtocolParams)
 from support import count_window
 
 
 @dataclasses.dataclass(frozen=True)
 class BlobPart:
-    """Opaque payload of ``8 * len(data)`` bits."""
+    """Opaque payload of ``8 * len(data)`` bits that names its senders: its
+    values are a bitset of sender ids, or-ed when parts are folded."""
 
     tag: str
     data: bytes
+    values: np.ndarray
+
+    merge = np.bitwise_or
+
+    def with_values(self, values):
+        return BlobPart(self.tag, self.data, values)
 
     def bit_size(self) -> int:
         return 8 * len(self.data)
@@ -34,16 +43,24 @@ class BlobPart:
         return b"B" + self.tag.encode() + self.data
 
 
+def senders(inbox):
+    """The sender ids a step's folded blob parts name."""
+    bits = 0
+    for part in inbox:
+        bits |= int(part.values[0])
+    return [i for i in range(64) if bits >> i & 1]
+
+
 class Chatter:
     """Broadcasts a fixed payload every round and records its inbox."""
 
-    def __init__(self, data=b"x"):
-        self.data = data
+    def __init__(self, node_id, data=b"x"):
+        self.part = BlobPart("t", data, np.array([1 << node_id], np.uint64))
         self.heard = []
 
     def step(self, ctx):
-        self.heard.append([m.sender for m in ctx.inbox])
-        return [BlobPart("t", self.data)]
+        self.heard.append(senders(ctx.inbox))
+        return [self.part]
 
 
 class Quiet:
@@ -51,13 +68,13 @@ class Quiet:
         self.heard = []
 
     def step(self, ctx):
-        self.heard.append([m.sender for m in ctx.inbox])
+        self.heard.append(senders(ctx.inbox))
         return None
 
 
 def test_broadcast_delivered_next_round_only():
     g = DynamicGraph.from_edges(2, [(0, 1)])
-    h = [Chatter(), Quiet()]
+    h = [Chatter(0), Quiet()]
     w = World(g, h, seed=0)
     w.run_round()
     assert h[1].heard == [[]]  # nothing before the first delivery
@@ -68,7 +85,7 @@ def test_broadcast_delivered_next_round_only():
 def test_isolated_node_broadcast_reaches_nobody():
     g = DynamicGraph(3)
     g.apply_churn([])  # no edges at all
-    h = [Chatter(), Quiet(), Quiet()]
+    h = [Chatter(0), Quiet(), Quiet()]
     w = World(g, h, seed=0)
     w.run(3)
     assert all(msgs == [] for msgs in h[1].heard + h[2].heard)
@@ -80,7 +97,7 @@ def test_delivery_uses_round_start_topology():
     g = DynamicGraph.from_edges(2, [(0, 1)], churn_rate=1)
     adv = ScriptedAdversary.load([{"round": 0, "op": "remove", "u": 0, "v": 1}],
                                  g, rate=1)
-    h = [Chatter(), Quiet()]
+    h = [Chatter(0), Quiet()]
     w = World(g, h, seed=0, adversary=adv)
     w.run(3)
     assert h[1].heard == [[], [0], []]
@@ -149,7 +166,7 @@ class TestLedger:
 
     def test_bits_recomputed_from_payload(self):
         g = DynamicGraph.from_edges(2, [(0, 1)])
-        h = [Chatter(b"abcd"), Quiet()]
+        h = [Chatter(0, b"abcd"), Quiet()]
         w = World(g, h, seed=0)
         w.run(2)
         assert w.ledger.per_tag["t"].max_bits == 32
@@ -158,7 +175,7 @@ class TestLedger:
 
     def test_violations_listed(self):
         g = DynamicGraph.from_edges(2, [(0, 1)])
-        w = World(g, [Chatter(b"abcdefgh"), Quiet()], seed=0)
+        w = World(g, [Chatter(0, b"abcdefgh"), Quiet()], seed=0)
         w.run(1)
         # a part over a 16-bit budget is metered in full, never dropped
         assert w.ledger.per_tag["t"].max_bits == 64
@@ -170,7 +187,7 @@ def test_event_log_deterministic(tmp_path):
         adv = ScriptedAdversary.load(
             [{"round": 1, "op": "add", "u": 0, "v": 2}], g, rate=1)
         log = EventLog(str(path))
-        w = World(g, [Chatter(), Chatter(), Quiet()], seed=9,
+        w = World(g, [Chatter(0), Chatter(1), Quiet()], seed=9,
                   adversary=adv, log=log)
         w.run(4)
         log.close()
@@ -210,9 +227,41 @@ def kind_values(draw, kind, n, length):
                                   max_size=n)), np.int32)
 
 
+# every kind of part, by what it sends: a whole tuple of a KINDS kind, one
+# strict coordinate of a geo or exp tuple, or the flags
+PART_KINDS = [*sorted(KINDS), "coord-geo", "coord-exp", "flags"]
+
+
+def draw_part(draw, kind, n, length, round_):
+    if kind == "flags":
+        return FlagsPart("t", draw(st.sampled_from(
+            [MEMBER_FLAG, DROP_FLAG, MEMBER_FLAG + DROP_FLAG])))
+    if kind.startswith("coord-"):
+        # nodes in lockstep send coordinate round_ in round round_
+        base = kind.removeprefix("coord-")
+        return CoordPart("t", base, round_, kind_values(draw, base, n, 1))
+    return TuplePart("t", kind, kind_values(draw, kind, n, length),
+                     id_bit_width(n))
+
+
+def fold(kind, length, round_, parts):
+    """What a receiver makes of the parts it hears in ``round_``: a fresh
+    stage's accumulator, or for flags the summed counts."""
+    if kind == "flags":
+        return sum((p.values for p in parts), np.zeros(2, np.int64))
+    base = kind.removeprefix("coord-")
+    strict = base != kind
+    # a strict stage that emitted once per round of a diameter-1 window
+    stage = MergeStage.empty("t", base, 1, length, strict=strict,
+                             emitted=round_ if strict else 0)
+    for part in parts:
+        stage.absorb(part)
+    return stage.has_data, stage.acc
+
+
 class Sender:
     """Broadcasts its drawn parts in rounds 0 and 1 and folds every part it
-    hears in rounds 1 and 2 into a fresh stage per round."""
+    hears in rounds 1 and 2."""
 
     def __init__(self, sends, kind, length):
         self.sends = sends  # round -> part or None
@@ -222,13 +271,10 @@ class Sender:
 
     def step(self, ctx):
         if ctx.round:
-            stage = MergeStage.empty("t", self.kind, 1, self.length)
-            merged = [m for m in ctx.inbox if m.sender == MERGED_SENDER]
-            assert len(merged) <= 1 and len(merged) == len(ctx.inbox)
-            for msg in ctx.inbox:
-                assert [p.tag for p in msg.parts] == ["t"]
-                stage.absorb(msg.parts[0])
-            self.heard[ctx.round] = stage
+            assert len(ctx.inbox) <= 1
+            assert all(p.tag == "t" for p in ctx.inbox)
+            self.heard[ctx.round] = fold(self.kind, self.length, ctx.round,
+                                         ctx.inbox)
         part = self.sends.get(ctx.round)
         return [part] if part is not None else None
 
@@ -238,11 +284,11 @@ def merge_rounds(draw):
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
-    kind = draw(st.sampled_from(sorted(KINDS)))
+    kind = draw(st.sampled_from(PART_KINDS))
+    # a strict tuple holds the coordinates 0 and 1 sent in rounds 0 and 1
     length = {"ids": (n + 63) // 64, "degs": n}.get(
-        kind, draw(st.integers(1, 6)))
-    sends = [{r: TuplePart("t", kind, kind_values(draw, kind, n, length),
-                           id_bit_width(n))
+        kind, draw(st.integers(1 + kind.startswith("coord-"), 6)))
+    sends = [{r: draw_part(draw, kind, n, length, r)
               for r in (0, 1) if draw(st.booleans())} for _ in range(n)]
     # round 0's churn: the round-1 broadcasts cross the churned graph
     flips = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) \
@@ -258,7 +304,7 @@ FOLDS = {"gathered": netsim.GATHER_BYTES, "pairwise": 0}
 
 
 @given(merge_rounds(), st.sampled_from(sorted(FOLDS)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_merged_delivery_is_the_fold_over_round_start_neighbours(
         case, folds):
     n, edges, kind, length, sends, script = case
@@ -273,13 +319,70 @@ def test_merged_delivery_is_the_fold_over_round_start_neighbours(
         world.run(2)
     for r in (1, 2):
         for v, node in enumerate(nodes):
-            want = MergeStage.empty("t", kind, 1, length)
-            for u in sorted(graphs[r - 1].adj[v]):
-                if r - 1 in sends[u]:
-                    want.absorb(sends[u][r - 1])
+            want = fold(kind, length, r, [
+                sends[u][r - 1] for u in sorted(graphs[r - 1].adj[v])
+                if r - 1 in sends[u]])
             got = node.heard[r]
-            assert got.has_data == want.has_data
-            assert np.array_equal(got.acc, want.acc)
+            if kind == "flags":
+                assert np.array_equal(got, want)
+            else:
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("folds", sorted(FOLDS))
+def test_flags_fold_counts_past_a_byte(folds):
+    # a hub hears 300 member flags: the folded count is 300, not 300 mod 256,
+    # and the protocol's dispatch reads it as the hub's member degree
+    class Hub:
+        count = query_count = SimpleNamespace(stage=None)
+        _absorb = ProtocolNode._absorb
+
+        def __init__(self):
+            self._member_flags_heard = 0
+            self.drop_seen = False
+            self.heard = []
+
+        def step(self, ctx):
+            self.heard.append([(p.tag, p.values.tolist()) for p in ctx.inbox])
+            self._absorb(ctx)
+            return None
+
+    class Leaf:
+        def step(self, ctx):
+            return [FlagsPart(MEMBER_TAG, MEMBER_FLAG)] if ctx.round == 0 \
+                else None
+
+    hub = Hub()
+    g = DynamicGraph.from_edges(301, [(0, i) for i in range(1, 301)])
+    world = World(g, [hub] + [Leaf() for _ in range(300)], seed=0)
+    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+        world.run(2)
+    assert hub.heard == [[], [(MEMBER_TAG, [300, 0])]]
+    assert hub._member_flags_heard == 300 and not hub.drop_seen
+
+
+def test_strict_coordinate_out_of_lockstep_panics():
+    # node 0's stage runs one coordinate ahead of node 1's: node 1 hears
+    # coordinate 1 in the round after it emitted coordinate 0, and fails
+    class Strict:
+        def __init__(self, ahead):
+            self.stage = MergeStage("t", "geo", 1, np.ones(3, np.uint8), True,
+                                    strict=True)
+            self.ahead = ahead
+
+        def step(self, ctx):
+            for part in ctx.inbox:
+                self.stage.absorb(part)
+            if self.ahead and ctx.round == 0:
+                self.stage.emit()
+            return [self.stage.emit()]
+
+    g = DynamicGraph.from_edges(2, [(0, 1)])
+    w = World(g, [Strict(True), Strict(False)], seed=0)
+    with pytest.raises(HandlerPanic) as err:
+        w.run(2)
+    assert err.value.node == 1 and err.value.round == 1
 
 
 def test_fine_lengths_that_differ_still_panic():
@@ -291,9 +394,8 @@ def test_fine_lengths_that_differ_still_panic():
             self.stage = MergeStage.empty("t", "exp", 1, 4)
 
         def step(self, ctx):
-            for msg in ctx.inbox:
-                for part in msg.parts:
-                    self.stage.absorb(part)
+            for part in ctx.inbox:
+                self.stage.absorb(part)
             if self.length:
                 return [TuplePart("t", "exp", np.ones(self.length))]
             return None
@@ -306,8 +408,8 @@ def test_fine_lengths_that_differ_still_panic():
 
 
 def test_flags_part_bit_size():
-    assert FlagsPart("f", member=True).bit_size() == 1
-    assert FlagsPart("f", member=True, dropped=True).bit_size() == 2
+    assert FlagsPart("f", MEMBER_FLAG).bit_size() == 1
+    assert FlagsPart("f", MEMBER_FLAG + DROP_FLAG).bit_size() == 2
 
 
 def test_engine_knows_no_protocol():

@@ -27,12 +27,12 @@ def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0, k=0,
 def run_query(world, handlers, k, max_rounds=20000):
     for h in handlers:
         h.query_k = k
-    before = len(handlers[0].outcomes)
-    while len(handlers[0].outcomes) == before:
+    before = handlers[0].answered
+    while handlers[0].answered == before:
         world.run_round()
         max_rounds -= 1
         assert max_rounds > 0
-    outs = [h.outcomes[-1] for h in handlers]
+    outs = [h.outcome for h in handlers]
     answer = sorted(h.node_id for h, o in zip(handlers, outs) if o.in_answer)
     return answer, outs
 
@@ -247,7 +247,7 @@ class TestQueries:
         for h in handlers:
             h.query_k = 0
         world.run_round()
-        assert all(h.outcomes and h.outcomes[0].no_family for h in handlers)
+        assert all(h.answered == 1 and h.outcome.no_family for h in handlers)
 
 
 class TestLocality:
@@ -262,12 +262,12 @@ class TestLocality:
             seen = {i: [] for i in range(4)}
 
             class Heard(ProtocolNode):
-                # what a core node hears, read while it steps: a merged
+                # what a core node hears, read while it steps: a folded
                 # part lives only that long
                 def step(self, ctx):
                     if self.node_id in seen:
                         seen[self.node_id].append(tuple(
-                            (m.sender, m.payload_hash()) for m in ctx.inbox))
+                            (p.tag, p.canonical_bytes()) for p in ctx.inbox))
                     return super().step(ctx)
 
             handlers = [Heard(i, node_count, params)
