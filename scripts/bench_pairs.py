@@ -17,13 +17,14 @@ median is better by more than REV's interquartile range.
 
 ``--json PATH`` also writes that summary to PATH: per workload, the
 operation counts, every pair's end-to-end values and each metric's row;
-the two revisions; and the Python, numpy and scipy versions and CPU model
-of the machine that ran them.
+the two revisions; and the Python, numpy and scipy versions, CPU model
+and reference-loop time of the machine that ran them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -140,15 +141,28 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def machine() -> dict:
+def reference_loop_s(tree: Path) -> float:
+    """Median of 5 runs of ``reference_loop()`` from ``tree``'s
+    ``bench/speed.py``: the speed the bench rescales its times by."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_speed", tree / "bench" / "speed.py")
+    speed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(speed)
+    return statistics.median(speed.reference_loop() for _ in range(5))
+
+
+def machine(tree: Path) -> dict:
     return {"python": platform.python_version(), "numpy": version("numpy"),
-            "scipy": version("scipy"), "cpu": cpu_model()}
+            "scipy": version("scipy"), "cpu": cpu_model(),
+            "reference_loop_s": reference_loop_s(tree)}
 
 
 def record(revisions: dict, settings: dict,
-           results: dict[str, tuple[list, list[dict]]]) -> dict:
+           results: dict[str, tuple[list, list[dict]]],
+           tree: Path = REPO) -> dict:
     """The JSON document of a comparison: ``results`` maps each workload
-    to its (base, change) result pairs and its summary rows."""
+    to its (base, change) result pairs and its summary rows; ``tree`` holds
+    the ``bench/speed.py`` whose reference loop is timed."""
     workloads = {}
     for workload, (pairs, rows) in results.items():
         metrics = [r["metric"] for r in rows]
@@ -161,7 +175,7 @@ def record(revisions: dict, settings: dict,
                      for pair in pairs],
             "metrics": rows}
     return {"revisions": revisions, "settings": settings,
-            "machine": machine(), "workloads": workloads}
+            "machine": machine(tree), "workloads": workloads}
 
 
 def run_bench(tree: Path, workload: str, args) -> dict:
@@ -207,12 +221,12 @@ def main() -> int:
             rows = summarize(pairs, spec)
             results[workload] = (pairs, rows)
             print(format_summary(workload, pairs, rows), flush=True)
-    if args.json:
-        settings = {"pairs": args.pairs, "seconds": args.seconds,
-                    "input_seed": args.input_seed}
-        Path(args.json).write_text(json.dumps(
-            record(revisions, settings, results), indent=1) + "\n",
-            encoding="utf-8")
+        if args.json:  # while the base tree, with its bench/speed.py, exists
+            settings = {"pairs": args.pairs, "seconds": args.seconds,
+                        "input_seed": args.input_seed}
+            Path(args.json).write_text(json.dumps(
+                record(revisions, settings, results, base), indent=1) + "\n",
+                encoding="utf-8")
     return 0
 
 

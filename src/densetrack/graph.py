@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
-
 from .errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit, read_text
 
 Edge = tuple[int, int]
@@ -170,13 +166,27 @@ def induced_density(g: DynamicGraph, members: Iterable[int]) -> SubsetDensity:
 
 
 def static_diameter(g: DynamicGraph) -> int | float:
-    """Largest hop eccentricity; ``inf`` when disconnected."""
-    n = g.node_count
-    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
-    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                     shape=(n, n))
-    worst = shortest_path(adj, directed=False, unweighted=True).max()
-    return math.inf if math.isinf(worst) else int(worst)
+    """Largest hop eccentricity; ``inf`` when disconnected.
+
+    Bit-parallel BFS from every node at once: node u's Python-int bitset
+    holds the nodes within the current radius of u.  Each sweep ORs its
+    neighbours' sets into it, growing the radius by one.  The diameter is
+    the number of sweeps until every set is full (0 for one node); a sweep
+    that changes nothing means the graph is disconnected.
+    """
+    full = (1 << g.node_count) - 1
+    reach = [1 << u for u in range(g.node_count)]
+    sweeps = 0
+    while any(r != full for r in reach):
+        grown = []
+        for r, nbrs in zip(reach, g.adj):
+            for v in nbrs:
+                r |= reach[v]
+            grown.append(r)
+        if grown == reach:
+            return math.inf
+        reach, sweeps = grown, sweeps + 1
+    return sweeps
 
 
 # -- edge-list ingestion -------------------------------------------------------

@@ -126,6 +126,10 @@ def _value(x, kind, where: str, low: int | None = None):
 # -- graph builders --------------------------------------------------------------
 
 
+# swap-index pairs drawn per call in build_regular
+SWAP_BLOCK = 4096
+
+
 @dataclass
 class BuiltGraph:
     graph: DynamicGraph
@@ -134,13 +138,26 @@ class BuiltGraph:
 
 
 def build_gnp(rng: np.random.Generator, n: int, p: float) -> BuiltGraph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
+    """G(n, p): one ``rng.random`` double per pair ``(i, j > i)``, in row
+    order, drawn one row at a time; the pair is an edge when its double is
+    below ``p``."""
+    edges = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - i - 1) < p) + (i + 1)
+        edges += [(i, j) for j in hits.tolist()]
     return BuiltGraph(DynamicGraph.from_edges(n, edges), frozenset(), None)
 
 
 def build_regular(rng: np.random.Generator, n: int, d: int) -> BuiltGraph:
-    """Random d-regular graph: circulant base plus double-edge swaps."""
+    """Random d-regular graph: circulant base plus double-edge swaps.
+
+    The m base edges, sorted, get 10 * m swap attempts.  Each draws an index
+    pair ``(i, j)`` below m; the draws come in blocks of ``SWAP_BLOCK``
+    pairs from ``rng.integers(m, size=(block, 2))``, which gives the same
+    numbers, and leaves the generator in the same state, as one
+    ``size=2`` call per attempt.  An attempt swaps edges ``(a, b)`` and
+    ``(c, e)`` for ``(a, c)`` and ``(b, e)`` when the four ends differ and
+    neither new edge exists."""
     if n * d % 2 or d >= n:
         raise ConfigError("regular graph needs n*d even and d < n")
     edges: set[Edge] = set()
@@ -152,17 +169,19 @@ def build_regular(rng: np.random.Generator, n: int, d: int) -> BuiltGraph:
             edges.add(edge_key(i, i + n // 2))
     # randomize while preserving degrees and simplicity
     edge_list = sorted(edges)
-    for _ in range(10 * len(edge_list)):
-        i, j = rng.integers(len(edge_list), size=2)
-        (a, b), (c, e) = edge_list[int(i)], edge_list[int(j)]
-        if len({a, b, c, e}) < 4:
-            continue
-        new1, new2 = edge_key(a, c), edge_key(b, e)
-        if new1 in edges or new2 in edges:
-            continue
-        edges.discard((a, b)), edges.discard((c, e))
-        edges.add(new1), edges.add(new2)
-        edge_list[int(i)], edge_list[int(j)] = new1, new2
+    m = len(edge_list)
+    for start in range(0, 10 * m, SWAP_BLOCK):
+        block = rng.integers(m, size=(min(SWAP_BLOCK, 10 * m - start), 2))
+        for i, j in block.tolist():
+            (a, b), (c, e) = edge_list[i], edge_list[j]
+            if len({a, b, c, e}) < 4:
+                continue
+            new1, new2 = edge_key(a, c), edge_key(b, e)
+            if new1 in edges or new2 in edges:
+                continue
+            edges.discard((a, b)), edges.discard((c, e))
+            edges.add(new1), edges.add(new2)
+            edge_list[i], edge_list[j] = new1, new2
     return BuiltGraph(DynamicGraph.from_edges(n, sorted(edges)),
                       frozenset(), None)
 
@@ -174,6 +193,11 @@ def build_planted(rng: np.random.Generator, n: int, clique: int,
     With ``hub_star`` every node keeps a protected edge to node 0, which
     pins the dynamic diameter at 2 no matter what the adversary does to the
     unprotected edges.
+
+    Noise is one ``rng.random`` double per candidate pair ``(i, j)`` with
+    ``j >= max(i + 1, clique)``, in row order, drawn one row at a time; the
+    pair is an edge when its double is below ``noise_p``.  With
+    ``hub_star`` row 0 draws nothing: its candidates are all hub edges.
     """
     if not (1 <= clique <= n):
         raise ConfigError("clique size out of range")
@@ -183,10 +207,10 @@ def build_planted(rng: np.random.Generator, n: int, clique: int,
         for v in range(1, n):
             edges.add((0, v))
             protected.add((0, v))
-    for i in range(n):
-        for j in range(max(i + 1, clique), n):
-            if (i, j) not in edges and rng.random() < noise_p:
-                edges.add((i, j))
+    for i in range(1 if hub_star else 0, n):
+        low = max(i + 1, clique)
+        hits = np.flatnonzero(rng.random(n - low) < noise_p) + low
+        edges.update((i, j) for j in hits.tolist())
     g = DynamicGraph.from_edges(n, sorted(edges))
     hint = 2 if hub_star and n > 1 else None
     return BuiltGraph(g, frozenset(protected), hint)

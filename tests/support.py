@@ -1,7 +1,8 @@
 """Test apparatus kept out of the package (pytest puts this directory on
 ``sys.path``): one counting window on every node through the production
-pipeline, the trace-reach oracle of the dynamic diameter, and a runner for
-the scripts."""
+pipeline, the trace-reach oracle of the dynamic diameter, the per-draw
+graph builders the production ones must match, and a runner for the
+scripts."""
 
 from __future__ import annotations
 
@@ -14,10 +15,14 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Collection, Sequence
 
+import numpy as np
+
 from densetrack.counting import CountPipeline
-from densetrack.graph import DynamicGraph, Edge
+from densetrack.errors import ConfigError
+from densetrack.graph import DynamicGraph, Edge, edge_key
 from densetrack.netsim import World
 from densetrack.protocol import ProtocolNode
+from densetrack.scenarios import BuiltGraph
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -125,6 +130,71 @@ def round_start_edges(graph: DynamicGraph, adversary,
         trace.append(graph.snapshot())
         world.run_round()
     return trace
+
+
+# -- reference graph builders --------------------------------------------------
+# The builders as they were before their draws were batched: one generator
+# call per pair or swap attempt.  ``densetrack.scenarios``'s builders must
+# give the same graph and leave the generator in the same state.
+
+
+def build_gnp(rng: np.random.Generator, n: int, p: float) -> BuiltGraph:
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return BuiltGraph(DynamicGraph.from_edges(n, edges), frozenset(), None)
+
+
+def build_regular(rng: np.random.Generator, n: int, d: int) -> BuiltGraph:
+    """Random d-regular graph: circulant base plus double-edge swaps."""
+    if n * d % 2 or d >= n:
+        raise ConfigError("regular graph needs n*d even and d < n")
+    edges: set[Edge] = set()
+    for off in range(1, d // 2 + 1):
+        for i in range(n):
+            edges.add(edge_key(i, (i + off) % n))
+    if d % 2:  # n is even here; add the antipodal matching
+        for i in range(n // 2):
+            edges.add(edge_key(i, i + n // 2))
+    # randomize while preserving degrees and simplicity
+    edge_list = sorted(edges)
+    for _ in range(10 * len(edge_list)):
+        i, j = rng.integers(len(edge_list), size=2)
+        (a, b), (c, e) = edge_list[int(i)], edge_list[int(j)]
+        if len({a, b, c, e}) < 4:
+            continue
+        new1, new2 = edge_key(a, c), edge_key(b, e)
+        if new1 in edges or new2 in edges:
+            continue
+        edges.discard((a, b)), edges.discard((c, e))
+        edges.add(new1), edges.add(new2)
+        edge_list[int(i)], edge_list[int(j)] = new1, new2
+    return BuiltGraph(DynamicGraph.from_edges(n, sorted(edges)),
+                      frozenset(), None)
+
+
+def build_planted(rng: np.random.Generator, n: int, clique: int,
+                  noise_p: float, hub_star: bool = True) -> BuiltGraph:
+    """Clique on nodes 0..clique-1 plus sparse noise.
+
+    With ``hub_star`` every node keeps a protected edge to node 0, which
+    pins the dynamic diameter at 2 no matter what the adversary does to the
+    unprotected edges.
+    """
+    if not (1 <= clique <= n):
+        raise ConfigError("clique size out of range")
+    edges = {(i, j) for i in range(clique) for j in range(i + 1, clique)}
+    protected: set[Edge] = set()
+    if hub_star:
+        for v in range(1, n):
+            edges.add((0, v))
+            protected.add((0, v))
+    for i in range(n):
+        for j in range(max(i + 1, clique), n):
+            if (i, j) not in edges and rng.random() < noise_p:
+                edges.add((i, j))
+    g = DynamicGraph.from_edges(n, sorted(edges))
+    hint = 2 if hub_star and n > 1 else None
+    return BuiltGraph(g, frozenset(protected), hint)
 
 
 def run_script(name: str, *args, cwd) -> subprocess.CompletedProcess:

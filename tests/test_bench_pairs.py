@@ -82,7 +82,10 @@ def test_json_record_holds_the_summary_revisions_and_machine():
     doc = json.loads(json.dumps(bench_pairs.record(
         revisions, settings, {"churn-dense": (pairs, rows)})))
     assert doc["revisions"] == revisions and doc["settings"] == settings
-    assert set(doc["machine"]) == {"python", "numpy", "scipy", "cpu"}
+    assert set(doc["machine"]) == {"python", "numpy", "scipy", "cpu",
+                                   "reference_loop_s"}
+    loop_s = doc["machine"].pop("reference_loop_s")
+    assert isinstance(loop_s, float) and 0 < loop_s < 10
     assert all(isinstance(v, str) and v for v in doc["machine"].values())
     work = doc["workloads"]["churn-dense"]
     assert work["pairs"] == 10

@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from densetrack.errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit
 from densetrack.graph import (DynamicGraph, induced_density, parse_edge_list,
                               static_diameter)
+from densetrack.scenarios import build_gnp, build_planted, build_regular
 from support import measure_dynamic_diameter
 
 
@@ -143,6 +147,81 @@ class TestDiameters:
                 assert measured == math.inf or measured >= 1
             else:
                 assert measured == max(d, 1)
+
+
+def scipy_diameter(g: DynamicGraph) -> float:
+    """The largest all-pairs hop distance, by scipy (a test-only oracle)."""
+    n = g.node_count
+    rows, cols = zip(*g.edges()) if g.edge_count else ((), ())
+    dist = shortest_path(csr_matrix(([1] * len(rows), (rows, cols)),
+                                    shape=(n, n)),
+                         directed=False, unweighted=True)
+    return dist.max()
+
+
+def assert_diameter(g: DynamicGraph, want: int | float | None = None):
+    """``static_diameter(g)`` equals the scipy oracle (and ``want``), as an
+    int when finite and ``inf`` when not."""
+    d = static_diameter(g)
+    assert d == scipy_diameter(g)
+    if want is not None:
+        assert d == want
+    assert type(d) is (float if d == math.inf else int)
+
+
+def path(n):
+    return DynamicGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n):
+    return DynamicGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestBitsetDiameter:
+    def test_one_node_is_zero(self):
+        assert_diameter(DynamicGraph(1), 0)
+
+    def test_two_isolated_nodes_are_infinite(self):
+        assert_diameter(DynamicGraph(2), math.inf)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_path(self, n):
+        assert_diameter(path(n), n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_star(self, n):
+        assert_diameter(DynamicGraph.from_edges(
+            n, [(0, v) for v in range(1, n)]), 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_complete_graph(self, n):
+        assert_diameter(DynamicGraph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n)]), 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 15, 16])
+    def test_cycle(self, n):
+        assert_diameter(cycle(n), n // 2)
+
+    def test_two_components_are_infinite(self):
+        g = DynamicGraph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5),
+                                        (5, 6), (6, 3)])
+        assert_diameter(g, math.inf)
+
+    @given(st.sampled_from(["gnp", "regular", "planted"]),
+           st.integers(1, 50), st.floats(0.0, 0.3), st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_match_scipy(self, kind, n, p, seed):
+        # sparse draws are often disconnected: every case is checked
+        rng = np.random.default_rng(seed)
+        if kind == "gnp":
+            built = build_gnp(rng, n, p)
+        elif kind == "regular":
+            d = int(rng.integers(0, min(n, 4)))
+            built = build_regular(rng, n + n % 2, d)
+        else:
+            built = build_planted(rng, n, int(rng.integers(1, n + 1)), p,
+                                  bool(rng.integers(2)))
+        assert_diameter(built.graph)
 
 
 class TestEdgeList:
