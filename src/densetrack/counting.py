@@ -485,12 +485,3 @@ def sample_fine_estimates(rng: np.random.Generator, true_count: int,
         out[idx] = _fine_collapsed(rng, true_count, int(length), idx.size)
     return out
 
-
-def sample_edge_estimates(rng: np.random.Generator, degree_sum: int,
-                          epsilon: float, trials: int, c: float = 1.0,
-                          delta_fail: float = 0.01) -> np.ndarray:
-    """Edge-count estimates, i.e. the fine pipeline over ``degree_sum``
-    simulated members, halved."""
-    return sample_fine_estimates(rng, degree_sum, epsilon, trials, c,
-                                 delta_fail=delta_fail) / 2.0
-

@@ -34,6 +34,13 @@ log still see every sender's broadcast.  A folded part's values live in a
 row the engine refills for each receiver, so they are valid during the
 receiving step only.
 
+Max, min and or are joins, idempotent and order-free, so a fold that holds
+an array equal to the join of every sender, the group's top, is the top.
+Once a receiver that hears every other sender has folded, its fold and its
+own array give the top; a later receiver that hears a sender holding the
+top is handed it instead of folding (:class:`_Merges`).  The flags' sum is
+no join: flags are always folded.
+
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
 are the determinism contract.
@@ -215,7 +222,11 @@ class _Topology:
 
     def layout(self, senders: list[int]) -> tuple:
         """Every node's sending neighbours, as positions in ``senders``:
-        node v's are ``found[starts[v]:ends[v]]``."""
+        node v's are ``found[starts[v]:ends[v]]``.  Last the covering nodes,
+        whose sending neighbours and themselves are every sender, or None
+        if there are none: the first one's id and position in ``senders``
+        (-1 if it sends nothing), the positions of those that send, and
+        ``found`` and ``ends`` as arrays."""
         n = len(self.nbrs)
         if len(senders) == n and self.everyone is not None:
             return self.everyone
@@ -223,12 +234,22 @@ class _Topology:
         position[senders] = np.arange(len(senders))
         found = position[self.indices]
         sending = found >= 0
-        ends = np.cumsum(np.bincount(self.owners[sending], minlength=n))
-        layout = (found[sending].tolist(), [0, *ends[:-1].tolist()],
-                  ends.tolist())
+        counts = np.bincount(self.owners[sending], minlength=n)
+        ends = np.cumsum(counts)
+        found = found[sending]
+        covering = np.flatnonzero(counts + (position >= 0) == len(senders))
+        at = position[covering]
+        layout = (found.tolist(), [0, *ends[:-1].tolist()], ends.tolist(),
+                  (int(covering[0]), int(at[0]), at[at >= 0].tolist(), found,
+                   ends) if covering.size else None)
         if len(senders) == n:
             self.everyone = layout
         return layout
+
+
+# The merges that are joins, idempotent and order-free: a fold that holds an
+# array equal to the join of every sender is that join.  A count is not one.
+JOINS = frozenset({np.maximum, np.minimum, np.bitwise_or})
 
 
 class _Merges:
@@ -240,10 +261,19 @@ class _Merges:
     group, which the group's folded part views.  Each sender's array is let
     go after its last receiver has stepped, as a per-sender inbox would be,
     so a round holds no more of them than one message per sender did.
+
+    A group whose merge is a join gets a top when its first covering
+    receiver has folded: that fold merged with the receiver's own array,
+    the join of every sender.  The covering senders whose arrays equal the
+    top are saturated.  A later receiver that hears a saturated sender is
+    handed the top instead of folding: its fold holds the top, and every
+    other array in it is below the top, so the fold is the top.  Every such
+    receiver shares the top, so it is read-only.  Flags are summed, which
+    is no join, so they are always folded.
     """
 
     def __init__(self, groups: dict, topology: _Topology):
-        self.groups: list[tuple] = []
+        self.groups: list[list] = []
         self.releases: dict[int, list] = {}  # receiver -> (group, position)
         for (_, dtype, shape), (first, senders, sent) in groups.items():
             row = np.empty(shape, dtype)
@@ -253,19 +283,27 @@ class _Merges:
                     self.releases.setdefault(int(last[-1]), []).append(
                         (len(self.groups), i))
             gather = GATHER_BYTES // max(row.nbytes, 1)
-            self.groups.append((first.merge, first.with_values,
+            found, starts, ends, covers = topology.layout(senders)
+            if first.merge not in JOINS:
+                covers = None
+            self.groups.append([first.merge, first.with_values,
                                 first.with_values(row), row, sent, gather,
-                                *topology.layout(senders)))
+                                found, starts, ends,
+                                covers[0] if covers else -1, covers, None])
 
     def fold(self, v: int) -> list[MessagePart]:
         """Receiver ``v``'s folded parts, valid during its step only."""
         parts = []
-        for (merge, with_values, folded, row, sent, gather, found, starts,
-             ends) in self.groups:
+        for group in self.groups:
+            (merge, with_values, folded, row, sent, gather, found, starts,
+             ends, cover, covers, top) = group
             index = found[starts[v]:ends[v]]
             if len(index) < 2:
                 if index:  # a fold of one array is that array
                     parts.append(with_values(sent[index[0]]))
+                continue
+            if top and top[0][v]:  # v hears a saturated sender
+                parts.append(top[1])
                 continue
             arrays = itemgetter(*index)(sent)
             if len(index) <= gather:
@@ -276,12 +314,32 @@ class _Merges:
                 for a in arrays[2:]:
                     merge(row, a, out=row)
             parts.append(folded)
+            if v == cover:
+                group[-1] = _top(merge, with_values, row, sent, covers)
         return parts
 
     def release(self, v: int) -> None:
         """Let go of the sender arrays that ``v`` was the last to read."""
         for g, i in self.releases.pop(v):
             self.groups[g][4][i] = None
+
+
+def _top(merge: np.ufunc, with_values, row: np.ndarray, sent: list,
+         covers: tuple) -> tuple | None:
+    """Which receivers hear a saturated sender, and the top as a part; None
+    if none does.  ``row`` holds the first covering receiver's fold."""
+    _, own, tested, found, ends = covers
+    if own >= 0 and sent[own] is None:
+        return None  # every receiver of its array has stepped
+    top = merge(row, sent[own]) if own >= 0 else row.copy()
+    top.flags.writeable = False
+    saturated = np.zeros(len(sent), bool)
+    for i in tested:
+        saturated[i] = sent[i] is not None and np.array_equal(sent[i], top)
+    if not saturated.any():
+        return None
+    heard = np.concatenate(([0], np.cumsum(saturated[found])))[ends]
+    return (np.diff(heard, prepend=0) > 0).tolist(), with_values(top)
 
 
 class World:

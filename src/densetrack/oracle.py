@@ -82,7 +82,9 @@ class _VertexNetwork:
     minus flows entry by entry.  A vertex of degree 0 has no source arc:
     ``maximum_flow`` drops a pair of arcs whose capacities are both 0, and
     the structures would differ.  Only the data array moves across the
-    iteration.
+    iteration.  The flow is antisymmetric, so an arc's residual plus its
+    reverse's is the pair's total capacity; the reversed residual, entry by
+    entry, is that total minus the residual, with no transpose.
     """
 
     def __init__(self, g: DynamicGraph):
@@ -126,9 +128,17 @@ class _VertexNetwork:
         self._p_coef[last] = 2
         self._graph = csr_matrix((np.zeros(len(cols), np.int32), cols, indptr),
                                  shape=(size, size))
+        # each entry's capacity plus its reverse's: q both ways on an edge,
+        # q*d_v between the source and v, 2p between v and the sink
+        self._q_pair = 2 * nbr
+        self._q_pair[src_col] = deg[linked]
+        self._q_pair[indptr[n]:indptr[n + 1]] = deg[linked]
+        self._p_pair = self._p_coef.copy()
+        self._p_pair[indptr[n + 1]:] = 2
 
-    def run(self, p: int, q: int) -> tuple[int, csr_matrix]:
-        """Max closure value ``max_S q*|E(S)| - p*|S|`` and the residual."""
+    def run(self, p: int, q: int) -> tuple[int, np.ndarray]:
+        """Max closure value ``max_S q*|E(S)| - p*|S|`` and the residual
+        capacities, entry by entry."""
         graph = self._graph
         caps = q * self._q_coef + p * self._p_coef
         graph.data = caps.astype(np.int32)
@@ -136,28 +146,42 @@ class _VertexNetwork:
         flow = int(res.flow_value)
         if flow % 2:
             raise AssertionError(f"odd max-flow {flow} in the vertex network")
-        # a copy, since eliminate_zeros rewrites indices and indptr in place
-        residual = csr_matrix((caps - res.flow.data, graph.indices,
-                               graph.indptr), shape=graph.shape, copy=True)
-        residual.eliminate_zeros()
-        return self.m * q - flow // 2, residual
+        return self.m * q - flow // 2, caps - res.flow.data
 
-    def _vertices(self, residual: csr_matrix, start: int) -> np.ndarray:
-        """Which vertices ``start`` reaches in ``residual``."""
+    def arcs(self, data: np.ndarray) -> csr_matrix:
+        """The arcs whose entry in ``data`` is not 0, on the network's
+        structure."""
+        graph = self._graph
+        # a copy, since eliminate_zeros rewrites indices and indptr in place
+        arcs = csr_matrix((data, graph.indices, graph.indptr),
+                          shape=graph.shape, copy=True)
+        arcs.eliminate_zeros()
+        return arcs
+
+    def _vertices(self, data: np.ndarray, start: int) -> np.ndarray:
+        """Which vertices ``start`` reaches on the arcs of ``data``."""
         reach = np.zeros(self.n_nodes + 2, dtype=bool)
-        reach[breadth_first_order(residual, start, directed=True,
+        reach[breadth_first_order(self.arcs(data), start, directed=True,
                                   return_predecessors=False)] = True
         return reach[:self.n_nodes]
 
-    def smallest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
+    def smallest_maximizer(self, residual: np.ndarray) -> frozenset[int]:
         """Vertices reachable from the source in the residual."""
         return frozenset(np.flatnonzero(
             self._vertices(residual, self.src)).tolist())
 
-    def largest_maximizer(self, residual: csr_matrix) -> frozenset[int]:
-        """Vertices that cannot reach the sink in the residual."""
-        return frozenset(np.flatnonzero(
-            ~self._vertices(residual.T.tocsr(), self.sink)).tolist())
+    def reverse(self, residual: np.ndarray, p: int, q: int) -> np.ndarray:
+        """The residual of ``run(p, q)`` with every arc reversed, entry by
+        entry."""
+        return q * self._q_pair + p * self._p_pair - residual
+
+    def largest_maximizer(self, residual: np.ndarray, p: int,
+                          q: int) -> frozenset[int]:
+        """Vertices that cannot reach the sink in the residual of
+        ``run(p, q)``, i.e. that the sink does not reach once every arc is
+        reversed."""
+        return frozenset(np.flatnonzero(~self._vertices(
+            self.reverse(residual, p, q), self.sink)).tolist())
 
 
 def exact_densest(g: DynamicGraph) -> OracleResult:
@@ -176,7 +200,8 @@ def exact_densest(g: DynamicGraph) -> OracleResult:
         rho = induced_density(g, tester.smallest_maximizer(residual)).density
     # at the optimum every densest set has closure value 0; their union is
     # the largest maximizer of the last cut
-    members = tester.largest_maximizer(residual)
+    members = tester.largest_maximizer(residual, rho.numerator,
+                                       rho.denominator)
     if not members or induced_density(g, members).density != rho:
         raise AssertionError("max-flow certificate is not a densest set")
     _check_min_degree(g, members, rho)

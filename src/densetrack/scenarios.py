@@ -218,6 +218,8 @@ def build_planted(rng: np.random.Generator, n: int, clique: int,
 
 def build_clique_plus_noise(rng: np.random.Generator, n: int, clique: int,
                             extra_edges: int) -> BuiltGraph:
+    if not (1 <= clique <= n):
+        raise ConfigError("clique size out of range")
     edges = {(i, j) for i in range(clique) for j in range(i + 1, clique)}
     all_pairs = n * (n - 1) // 2
     if len(edges) + extra_edges > all_pairs:

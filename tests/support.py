@@ -1,8 +1,8 @@
 """Test apparatus kept out of the package (pytest puts this directory on
 ``sys.path``): one counting window on every node through the production
-pipeline, the trace-reach oracle of the dynamic diameter, the per-draw
-graph builders the production ones must match, and a runner for the
-scripts."""
+pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
+diameter, the per-draw graph builders the production ones must match, and
+a runner for the scripts."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from densetrack.counting import CountPipeline
+from densetrack.counting import CountPipeline, sample_fine_estimates
 from densetrack.errors import ConfigError
 from densetrack.graph import DynamicGraph, Edge, edge_key
 from densetrack.netsim import World
@@ -89,6 +89,15 @@ def member_degrees(graph: DynamicGraph, members: set[int]) -> dict[int, int]:
     outside it."""
     return {u: len(graph.adj[u] & members) if u in members else 0
             for u in range(graph.node_count)}
+
+
+def sample_edge_estimates(rng: np.random.Generator, degree_sum: int,
+                          epsilon: float, trials: int, c: float = 1.0,
+                          delta_fail: float = 0.01) -> np.ndarray:
+    """Edge-count estimates, i.e. the fine pipeline over ``degree_sum``
+    simulated members, halved."""
+    return sample_fine_estimates(rng, degree_sum, epsilon, trials, c,
+                                 delta_fail=delta_fail) / 2.0
 
 
 def measure_dynamic_diameter(trace: Sequence[Collection[Edge]],

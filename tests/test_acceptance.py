@@ -17,6 +17,7 @@ from densetrack.oracle import (OracleCache, brute_force_densest,
                                exact_densest, peel_reference)
 from densetrack.protocol import ProtocolNode, params_for
 from densetrack.scenarios import build_graph, solve_planted_scenario
+from support import sample_edge_estimates
 
 
 def report_line(num: int, name: str, ok: bool, detail: str) -> str:
@@ -209,8 +210,8 @@ def test_criterion_4_fine_and_edge_counts():
                          "extra_edges": 120}, seed=9)
     g = built.graph
     degree_sum = 2 * g.edge_count
-    edges = counting.sample_edge_estimates(np.random.default_rng(43),
-                                           degree_sum, 0.3, 1000)
+    edges = sample_edge_estimates(np.random.default_rng(43), degree_sum,
+                                  0.3, 1000)
     true_m = g.edge_count
     edge_ok = float(((edges >= 0.7 * true_m) & (edges <= 1.3 * true_m)).mean())
     elapsed = time.time() - start

@@ -125,6 +125,8 @@ class TestConfigValidation:
         pytest.param(("protocol", "epsilon"), "x", id="epsilon-string"),
         pytest.param(("protocol", "diameter"), "abc", id="diameter-string"),
         pytest.param(("graph", "n"), "ten", id="graph.n-string"),
+        pytest.param(("graph", "clique"), -2, id="graph.clique-negative"),
+        pytest.param(("graph", "clique"), 7, id="graph.clique-above-n"),
         pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
         pytest.param(("protocol", "exact_counting"), "yes",
                      id="exact_counting-string"),

@@ -280,7 +280,12 @@ class Sender:
 
 
 @st.composite
-def merge_rounds(draw):
+def merge_rounds(draw, saturated=False):
+    """A small graph, one part kind and the parts each node sends in rounds
+    0 and 1.  ``saturated``: a hub hears every sender, and some senders
+    send the join of their round's sends, so their receivers may be handed
+    the top instead of folding (for flags that "join" is a sum, which must
+    still be folded)."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
@@ -290,6 +295,17 @@ def merge_rounds(draw):
         kind, draw(st.integers(1 + kind.startswith("coord-"), 6)))
     sends = [{r: draw_part(draw, kind, n, length, r)
               for r in (0, 1) if draw(st.booleans())} for _ in range(n)]
+    if saturated:
+        hub = draw(st.integers(0, n - 1))
+        edges = sorted({*edges, *(tuple(sorted((hub, u)))
+                                  for u in range(n) if u != hub and sends[u])})
+        joins = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for r in (0, 1):
+            sent = [s[r] for s in sends if r in s]
+            for u in joins:
+                if r in sends[u]:
+                    sends[u][r] = sent[0].with_values(sent[0].merge.reduce(
+                        np.stack([p.values for p in sent])))
     # round 0's churn: the round-1 broadcasts cross the churned graph
     flips = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) \
         if pairs else []
@@ -303,10 +319,9 @@ def merge_rounds(draw):
 FOLDS = {"gathered": netsim.GATHER_BYTES, "pairwise": 0}
 
 
-@given(merge_rounds(), st.sampled_from(sorted(FOLDS)))
-@settings(max_examples=300, deadline=None)
-def test_merged_delivery_is_the_fold_over_round_start_neighbours(
-        case, folds):
+def check_merged_delivery(case, folds):
+    """Every node's fold of what it heard in rounds 1 and 2 equals folding
+    its round-start neighbours' own parts."""
     n, edges, kind, length, sends, script = case
     g = DynamicGraph.from_edges(n, edges, churn_rate=3)
     adv = ScriptedAdversary.load(script, g, rate=3)
@@ -328,6 +343,50 @@ def test_merged_delivery_is_the_fold_over_round_start_neighbours(
             else:
                 assert got[0] == want[0]
                 assert np.array_equal(got[1], want[1])
+
+
+@given(merge_rounds(), st.sampled_from(sorted(FOLDS)))
+@settings(max_examples=300, deadline=None)
+def test_merged_delivery_is_the_fold_over_round_start_neighbours(
+        case, folds):
+    check_merged_delivery(case, folds)
+
+
+@given(merge_rounds(saturated=True), st.sampled_from(sorted(FOLDS)))
+@settings(max_examples=300, deadline=None)
+def test_merged_delivery_with_saturated_senders(case, folds):
+    check_merged_delivery(case, folds)
+
+
+def test_handed_top_is_shared_and_read_only():
+    # on K4 node 0 covers every sender and node 1 sends the join, so nodes 2
+    # and 3 are handed one read-only top; absorbing it changes none of it
+    join = np.array([3, 2, 5], np.uint8)
+
+    class Node:
+        def __init__(self, values):
+            self.values = np.array(values, np.uint8)
+            self.stage = MergeStage.empty("t", "geo", 1, 3)
+            self.heard = []
+
+        def step(self, ctx):
+            for part in ctx.inbox:
+                self.heard.append(part.values)
+                self.stage.absorb(part)
+            if ctx.round == 0:
+                return [TuplePart("t", "geo", self.values)]
+            return None
+
+    nodes = [Node(v) for v in ([1, 2, 0], join, [3, 0, 1], [0, 1, 5])]
+    g = DynamicGraph.from_edges(4, [(u, v) for u in range(4)
+                                    for v in range(u + 1, 4)])
+    World(g, nodes, seed=0).run(2)
+    top = nodes[2].heard[0]
+    assert nodes[3].heard[0] is top and not top.flags.writeable
+    assert np.array_equal(top, join)
+    for node in nodes:
+        assert node.stage.acc is not top
+        assert np.array_equal(node.stage.acc, join)
 
 
 @pytest.mark.parametrize("folds", sorted(FOLDS))

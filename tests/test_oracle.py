@@ -80,6 +80,22 @@ class TestExactDensest:
         exact_densest(g)
         assert len(flows) <= 3
 
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(1, 5),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_residual_is_the_transpose(self, n, p, num, den, seed):
+        # isolated vertices included: they have no source arc
+        g = random_graph(np.random.default_rng(seed), n, p)
+        if not g.edge_count:
+            return
+        tester = oracle._VertexNetwork(g)
+        _, residual = tester.run(num, den)
+        want = tester.arcs(residual).T.tocsr()
+        got = tester.arcs(tester.reverse(residual, num, den))
+        assert got.shape == want.shape and (got != want).nnz == 0
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+
     def test_capacities_past_int32_are_refused_before_any_flow(
             self, monkeypatch):
         # 2 * 50,000 * 21,475 = 2,147,500,000 >= 2**31: scipy would wrap

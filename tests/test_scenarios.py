@@ -105,3 +105,10 @@ def test_bad_sizes_raise_in_both(name, args):
     for module in (scenarios, support):
         with pytest.raises(ConfigError):
             getattr(module, name)(np.random.default_rng(0), *args)
+
+
+@pytest.mark.parametrize("clique", [-2, 0, 7])
+def test_clique_plus_noise_refuses_clique_outside_one_to_n(clique):
+    with pytest.raises(ConfigError, match="clique size out of range"):
+        scenarios.build_clique_plus_noise(np.random.default_rng(0), 5,
+                                          clique, 0)
