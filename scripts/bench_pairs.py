@@ -196,13 +196,16 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--input-seed", type=int, default=None)
     ap.add_argument("--tmp", default=None,
-                    help="directory for the two exported trees")
+                    help="directory for the two exported trees, made if "
+                         "missing")
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="also write the summary to PATH as JSON")
     args = ap.parse_args()
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     results = {}
+    if args.tmp:
+        Path(args.tmp).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         base, change = Path(tmp) / "base", Path(tmp) / "change"
         revisions = {

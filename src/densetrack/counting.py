@@ -29,8 +29,10 @@ the finalize of geo (max), exp (min), ids (union) and degs (entrywise max)
 tuples.  :class:`TuplePart` (a whole tuple) and :class:`CoordPart` (one
 strict coordinate) are the wire parts built from it; each carries its
 kind's merge, so the engine folds each tag's parts for every receiver.
-The finalizes work along the last axis, so the Monte-Carlo samplers
-finalize many tuples at once through the same functions as the protocol.
+The bit meterings and the finalizes both work along the last axis: the
+engine meters a round's tuples of one tag and length in one call, and the
+Monte-Carlo samplers finalize many tuples at once, through the same
+functions as a single tuple.
 
 ``exact`` mode swaps the tuples for idempotent set unions of (id, degree)
 pairs - same schedule, exact outputs - to isolate protocol logic from
@@ -156,36 +158,52 @@ _TOSS_BITS = np.array([max(1, v.bit_length()) for v in range(256)])
 class Kind:
     """One flood-merge tuple kind: its algebra, its wire form, its estimate.
 
-    ``bits(values, id_bits)`` meters a tuple (the engine recomputes it from
-    the payload, senders are never trusted); ``finalize`` maps merged
-    tuples, along the last axis, to their estimates, 0 for the identity.
+    ``bits(values, id_bits)`` meters tuples along the last axis, one int64
+    count per tuple (the engine recomputes it from the payload, senders are
+    never trusted); ``finalize`` maps merged tuples, along the last axis,
+    to their estimates, 0 for the identity.  ``sized``: ``bits`` reads only
+    the tuple length, never a value.
     """
 
     prefix: bytes
     dtype: np.dtype
     merge: np.ufunc
     identity: int | float
-    bits: Callable[[np.ndarray, int], int]
+    bits: Callable[[np.ndarray, int], np.ndarray]
     finalize: Callable[[np.ndarray], np.ndarray]
+    sized: bool = False
 
 
 KINDS = {
     # toss counters at their actual bit length
     "geo": Kind(b"G", np.dtype("<u1"), np.maximum, 0,
-                lambda v, _: int(_TOSS_BITS[v].sum()), finalize_coarse_rows),
+                lambda v, _: _TOSS_BITS.take(v).sum(axis=-1),
+                finalize_coarse_rows),
     # 64 bits per float coordinate
     "exp": Kind(b"E", np.dtype("<f8"), np.minimum, np.inf,
-                lambda v, _: 64 * v.size, finalize_fine_rows),
+                lambda v, _: np.full(v.shape[:-1], 64 * v.shape[-1]),
+                finalize_fine_rows, sized=True),
     # member ids as a packed bitset, ceil(log2 n) bits per member
     "ids": Kind(b"I", np.dtype("<u8"), np.bitwise_or, 0,
-                lambda v, id_bits: int(np.bitwise_count(v).sum()) * id_bits,
+                lambda v, id_bits: np.bitwise_count(v).sum(
+                    axis=-1, dtype=np.int64) * id_bits,
                 lambda v: np.bitwise_count(v).sum(axis=-1)),
     # (id, degree) pairs as a vector, -1 where unknown: 2 ceil(log2 n) bits
     # per known entry
     "degs": Kind(b"D", np.dtype("<i4"), np.maximum, -1,
-                 lambda v, id_bits: int((v >= 0).sum()) * 2 * id_bits,
+                 lambda v, id_bits: (v >= 0).sum(axis=-1) * (2 * id_bits),
                  lambda v: np.maximum(v, 0).sum(axis=-1)),
 }
+
+
+def group_bits(kind: str, rows: list[np.ndarray], id_bits: int) -> np.ndarray:
+    """The bits of each of ``rows``, tuples of ``kind`` of one length, by the
+    kind's formula along the last axis.  The rows are stacked for the call
+    only, and not at all when the formula reads only their length."""
+    k, width = KINDS[kind], rows[0].size
+    values = (np.broadcast_to(rows[0], (len(rows), width)) if k.sized
+              else np.concatenate(rows).reshape(len(rows), width))
+    return k.bits(values, id_bits)
 
 
 @dataclass(frozen=True)
@@ -204,8 +222,11 @@ class TuplePart:
     def with_values(self, values: np.ndarray) -> TuplePart:
         return TuplePart(self.tag, self.kind, values, self.id_bits)
 
-    def bit_size(self) -> int:
-        return KINDS[self.kind].bits(self.values, self.id_bits)
+    def header(self) -> tuple:
+        return self.tag, self.kind, self.id_bits
+
+    def row_bits(self, rows: list[np.ndarray]) -> np.ndarray:
+        return group_bits(self.kind, rows, self.id_bits)
 
     def canonical_bytes(self) -> bytes:
         k = KINDS[self.kind]
@@ -217,8 +238,9 @@ class TuplePart:
 class CoordPart:
     """Strict-bandwidth mode: tuple coordinate ``index`` of a geo or exp
     tuple, as a one-element array of the kind's dtype.  Nodes run in
-    lockstep, so every sender of a tag sends the same index in a round and
-    the engine may fold their coordinates."""
+    lockstep, so every sender of a tag sends the same index in a round.  The
+    engine folds only coordinates of one index: a sender out of lockstep
+    reaches its receivers in a part of its own, which their stage refuses."""
 
     tag: str
     kind: str  # "geo" | "exp"
@@ -232,8 +254,11 @@ class CoordPart:
     def with_values(self, values: np.ndarray) -> CoordPart:
         return CoordPart(self.tag, self.kind, self.index, values)
 
-    def bit_size(self) -> int:
-        return KINDS[self.kind].bits(self.values, 0)
+    def header(self) -> tuple:
+        return self.tag, self.kind, self.index
+
+    def row_bits(self, rows: list[np.ndarray]) -> np.ndarray:
+        return group_bits(self.kind, rows, 0)
 
     def canonical_bytes(self) -> bytes:
         return (b"C" + self.tag.encode() + self.kind.encode()

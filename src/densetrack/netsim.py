@@ -19,18 +19,22 @@ node streams derive from one global seed, so a run is a pure function of
 (config, seed).
 
 A broadcast is a tuple of message parts (:class:`MessagePart`): each has
-a tag, a ``bit_size``, ``canonical_bytes``, its ``values`` and an exact,
-order-free ``merge`` ufunc over them (max, min, or, a count).  The engine
-meters and logs every sender's broadcast from its payload, never trusting
-the sender.  It defines no part: the flag parts live in ``protocol``, the
-flood-merge tuple and coordinate parts, with their dtypes, wire prefixes
-and bit rules, in ``counting``.
+a tag, a ``header`` of its other fields, ``canonical_bytes``, its
+``values``, an exact, order-free ``merge`` ufunc over them (max, min, or,
+a count) and ``row_bits``, its bit rule.  The engine defines no part: the
+flag parts live in ``protocol``, the flood-merge tuple and coordinate
+parts, with their dtypes, wire prefixes and bit rules, in ``counting``.
 
-Every part is delivered merged.  A receiver's inbox is one part per (tag,
-dtype, length), the fold of what its round-start neighbours sent.  Folding
-that part equals folding every neighbour's part in any order, so a
-receiver merges once per tag, not once per neighbour; the ledger and the
-log still see every sender's broadcast.  A folded part's values live in a
+A round's parts are grouped by type, header, dtype and length.  Every
+group is metered in one call, from the values its senders sent, never
+from what a sender claims: one bit count per part, each weighted by its
+sender's degree.  The ledger still sees every sender's broadcast, with its
+parts' bits summed, and the log records each one.
+
+Every part is delivered merged.  A receiver's inbox is one part per group,
+the fold of what its round-start neighbours sent.  Folding that part
+equals folding every neighbour's part in any order, so a receiver merges
+once per tag, not once per neighbour.  A folded part's values live in a
 row the engine refills for each receiver, so they are valid during the
 receiving step only.
 
@@ -69,7 +73,13 @@ class MessagePart(Protocol):
     merge: np.ufunc  # exact and order-free: max, min, or, add
     values: np.ndarray
 
-    def bit_size(self) -> int: ...
+    def header(self) -> tuple:
+        """Every field but ``values``: only parts of one type, header,
+        dtype and length are folded together."""
+
+    def row_bits(self, rows: list[np.ndarray]) -> np.ndarray:
+        """The bit size of this part carrying each of ``rows`` instead, as
+        int64: the values of parts of one type, header, dtype and length."""
 
     def canonical_bytes(self) -> bytes: ...
 
@@ -93,7 +103,7 @@ class RoundMessage:
     parts: tuple[MessagePart, ...]
 
     def bit_size(self) -> int:
-        return sum(p.bit_size() for p in self.parts)
+        return sum(int(p.row_bits([p.values])[0]) for p in self.parts)
 
     def payload_hash(self) -> str:
         h = hashlib.blake2b(digest_size=8)
@@ -118,6 +128,8 @@ class BandwidthLedger:
     A broadcast of B bits on an edge in a round contributes B to that
     (edge, round, direction); since each node stages at most one broadcast
     per round, the per-edge-per-round maximum equals the largest message.
+    A round's parts are metered per tag (:meth:`record_parts`), its
+    broadcasts one by one (:meth:`record_broadcast`).
     """
 
     def __init__(self) -> None:
@@ -126,21 +138,22 @@ class BandwidthLedger:
         self.total_bits = 0
         self.total_deliveries = 0
 
-    def record_broadcast(self, msg: RoundMessage, copies: int) -> int:
-        """Meter one broadcast sent to ``copies`` neighbors; returns its
-        bit size."""
-        total = 0
-        for part in msg.parts:
-            bits = part.bit_size()
-            total += bits
-            st = self.per_tag.setdefault(part.tag, TagStats())
-            st.max_bits = max(st.max_bits, bits)
-            st.total_bits += bits * copies
-            st.messages += copies
-        self.global_max_bits = max(self.global_max_bits, total)
-        self.total_bits += total * copies
+    def record_parts(self, tag: str, bits: np.ndarray,
+                     copies: np.ndarray) -> None:
+        """Meter parts of ``tag``: part i has ``bits[i]`` bits and is sent
+        to ``copies[i]`` neighbours."""
+        st = self.per_tag.setdefault(tag, TagStats())
+        st.max_bits = max(st.max_bits, int(bits.max()))
+        st.total_bits += int(bits @ copies)
+        st.messages += int(copies.sum())
+
+    def record_broadcast(self, msg: RoundMessage, copies: int,
+                         bits: int) -> None:
+        """Meter broadcast ``msg``, whose parts have ``bits`` bits in all,
+        sent to ``copies`` neighbours."""
+        self.global_max_bits = max(self.global_max_bits, bits)
+        self.total_bits += bits * copies
         self.total_deliveries += copies
-        return total
 
     def summary(self) -> dict:
         return {
@@ -195,7 +208,7 @@ class StepContext:
     """Everything a step function is allowed to see."""
 
     round: int
-    inbox: list[MessagePart]  # one folded part per (tag, dtype, length)
+    inbox: list[MessagePart]  # one folded part per group of parts
     neighbor_count: int
     rng: np.random.Generator
 
@@ -210,14 +223,15 @@ def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
 
 
 class _Topology:
-    """The round-start graph as the folds read it: each node's sorted
-    neighbour ids, and all of them in one array in node order."""
+    """The round-start graph as the metering and the folds read it: each
+    node's degree and sorted neighbour ids, and all of them in one array in
+    node order."""
 
     def __init__(self, nbrs: list[np.ndarray]):
         self.nbrs = list(nbrs)  # the engine patches its own list
         self.indices = np.concatenate(nbrs)
-        self.owners = np.repeat(np.arange(len(nbrs)),
-                                [a.size for a in nbrs])
+        self.degrees = np.array([a.size for a in nbrs])
+        self.owners = np.repeat(np.arange(len(nbrs)), self.degrees)
         self.everyone: tuple | None = None
 
     def layout(self, senders: list[int]) -> tuple:
@@ -256,11 +270,12 @@ class _Merges:
     """The parts of one round's broadcasts, folded for each receiver right
     before it steps in the next round.
 
-    A group is the value arrays of one (tag, dtype, length), its senders
-    indexed by position.  A receiver's fold is written into one row per
-    group, which the group's folded part views.  Each sender's array is let
-    go after its last receiver has stepped, as a per-sender inbox would be,
-    so a round holds no more of them than one message per sender did.
+    A group is the value arrays of one part type, header, dtype and length,
+    its senders indexed by position.  A receiver's fold is written into one
+    row per group, which the group's folded part views.  Each sender's array
+    is let go after its last receiver has stepped, as a per-sender inbox
+    would be, so a round holds no more of them than one message per sender
+    did.
 
     A group whose merge is a join gets a top when its first covering
     receiver has folded: that fold merged with the receiver's own array,
@@ -275,7 +290,7 @@ class _Merges:
     def __init__(self, groups: dict, topology: _Topology):
         self.groups: list[list] = []
         self.releases: dict[int, list] = {}  # receiver -> (group, position)
-        for (_, dtype, shape), (first, senders, sent) in groups.items():
+        for (_, _, dtype, shape), (first, senders, sent) in groups.items():
             row = np.empty(shape, dtype)
             for i, u in enumerate(senders):
                 last = topology.nbrs[u]
@@ -399,24 +414,36 @@ class World:
             self.run_round()
 
     def _deliver(self, r: int, staged: list[RoundMessage]) -> None:
-        """Meter and log every broadcast; group its parts' values by (tag,
-        dtype, length) for the next round's folds."""
+        """Group the parts' values by type, header, dtype and length; meter
+        each group, then log every broadcast; keep the groups for the next
+        round's folds."""
+        if not staged:
+            return
         groups: dict[tuple, tuple[MessagePart, list[int], list]] = {}
         for msg in staged:
             # staged is in sender-id order, so each group's senders are too
-            bits = self.ledger.record_broadcast(
-                msg, self.graph.degree(msg.sender))
-            if self.log:
-                self.log.append(broadcast_line(r, msg.sender,
-                                               msg.payload_hash(), bits))
             for part in msg.parts:
                 vals = part.values
                 _, senders, sent = groups.setdefault(
-                    (part.tag, vals.dtype, vals.shape), (part, [], []))
+                    (type(part), part.header(), vals.dtype, vals.shape),
+                    (part, [], []))
                 senders.append(msg.sender)
                 sent.append(vals)
-        if groups:
-            self._merges = _Merges(groups, self._round_topology())
+        topology = self._round_topology()
+        degrees = topology.degrees
+        totals = np.zeros(len(degrees), np.int64)  # each sender's bits
+        for first, senders, sent in groups.values():
+            bits = first.row_bits(sent)
+            self.ledger.record_parts(first.tag, bits, degrees[senders])
+            np.add.at(totals, senders, bits)
+        nodes = [msg.sender for msg in staged]
+        for msg, copies, bits in zip(staged, degrees[nodes].tolist(),
+                                     totals[nodes].tolist()):
+            self.ledger.record_broadcast(msg, copies, bits)
+            if self.log:
+                self.log.append(broadcast_line(r, msg.sender,
+                                               msg.payload_hash(), bits))
+        self._merges = _Merges(groups, topology)
 
     def _round_topology(self) -> _Topology:
         if self.graph.time != self._nbrs_time:

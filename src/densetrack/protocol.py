@@ -91,8 +91,11 @@ class FlagsPart:
     def with_values(self, values: np.ndarray) -> FlagsPart:
         return FlagsPart(self.tag, values)
 
-    def bit_size(self) -> int:
-        return int(self.values.sum())
+    def header(self) -> tuple:
+        return self.tag,
+
+    def row_bits(self, rows: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(rows).reshape(len(rows), -1).sum(axis=-1)
 
     def canonical_bytes(self) -> bytes:
         return (b"F" + self.tag.encode()

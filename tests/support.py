@@ -1,8 +1,9 @@
 """Test apparatus kept out of the package (pytest puts this directory on
 ``sys.path``): one counting window on every node through the production
 pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
-diameter, the per-draw graph builders the production ones must match, and
-a runner for the scripts."""
+diameter, the per-draw graph builders the production ones must match, the
+per-message bandwidth ledger the per-group one must match, and a runner
+for the scripts."""
 
 from __future__ import annotations
 
@@ -17,11 +18,12 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from densetrack.counting import CountPipeline, sample_fine_estimates
+from densetrack.counting import (CountPipeline, TuplePart,
+                                 sample_fine_estimates)
 from densetrack.errors import ConfigError
 from densetrack.graph import DynamicGraph, Edge, edge_key
-from densetrack.netsim import World
-from densetrack.protocol import ProtocolNode
+from densetrack.netsim import BandwidthLedger, RoundMessage, TagStats, World
+from densetrack.protocol import FlagsPart, ProtocolNode
 from densetrack.scenarios import BuiltGraph
 
 REPO = Path(__file__).resolve().parent.parent
@@ -204,6 +206,55 @@ def build_planted(rng: np.random.Generator, n: int, clique: int,
     g = DynamicGraph.from_edges(n, sorted(edges))
     hint = 2 if hub_star and n > 1 else None
     return BuiltGraph(g, frozenset(protected), hint)
+
+
+# -- reference bandwidth ledger ------------------------------------------------
+# The ledger as it was before the engine metered a round's parts per group:
+# one ``record_broadcast`` per message and one bit count per part, by each
+# kind's formula on one tuple.  ``World``'s ledger must give the same summary.
+
+_TOSS_BITS = np.array([max(1, v.bit_length()) for v in range(256)])
+
+PART_BITS = {
+    "geo": lambda v, _: int(_TOSS_BITS[v].sum()),
+    "exp": lambda v, _: 64 * v.size,
+    "ids": lambda v, id_bits: int(np.bitwise_count(v).sum()) * id_bits,
+    "degs": lambda v, id_bits: int((v >= 0).sum()) * 2 * id_bits,
+}
+
+
+def part_bit_size(part) -> int:
+    """One tuple, coordinate or flags part's bits."""
+    if isinstance(part, FlagsPart):
+        return int(part.values.sum())
+    id_bits = part.id_bits if isinstance(part, TuplePart) else 0
+    return PART_BITS[part.kind](part.values, id_bits)
+
+
+class ReferenceLedger:
+    summary = BandwidthLedger.summary
+
+    def __init__(self) -> None:
+        self.per_tag: dict[str, TagStats] = {}
+        self.global_max_bits = 0
+        self.total_bits = 0
+        self.total_deliveries = 0
+
+    def record_broadcast(self, msg: RoundMessage, copies: int) -> int:
+        """Meter one broadcast sent to ``copies`` neighbors; returns its
+        bit size."""
+        total = 0
+        for part in msg.parts:
+            bits = part_bit_size(part)
+            total += bits
+            st = self.per_tag.setdefault(part.tag, TagStats())
+            st.max_bits = max(st.max_bits, bits)
+            st.total_bits += bits * copies
+            st.messages += copies
+        self.global_max_bits = max(self.global_max_bits, total)
+        self.total_bits += total * copies
+        self.total_deliveries += copies
+        return total
 
 
 def run_script(name: str, *args, cwd) -> subprocess.CompletedProcess:

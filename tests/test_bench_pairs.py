@@ -3,6 +3,7 @@ here runs the benchmark."""
 
 import importlib.util
 import json
+import sys
 
 from support import REPO
 
@@ -99,3 +100,32 @@ def test_json_record_holds_the_summary_revisions_and_machine():
     assert wall["base"][1] == 7.625 and wall["change"][1] == 4.25
     assert wall["wins"] == 9
     assert [r["verdict"] for r in work["metrics"]] == ["gain", "WORSE", "ok"]
+
+
+def test_main_makes_a_missing_tmp_dir(tmp_path, monkeypatch, capsys):
+    # the exports and the bench runs are stubbed: nothing runs the bench
+    nested = tmp_path / "a" / "b"
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    result = {"correct": True, "attempted": 19, "failed": 1,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                          for m in spec["end_to_end"]}}
+    exported, ran = [], []
+
+    def export(rev, dest):
+        exported.append(dest)
+        return "a" * 40
+
+    def run_bench(tree, workload, args):
+        ran.append((tree, workload))
+        return result
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "HEAD", "--workload", "churn-dense", "--pairs",
+        "2", "--tmp", str(nested)])
+    assert bench_pairs.main() == 0
+    assert [d.name for d in exported] == ["base", "change"]
+    assert all(d.parent.parent == nested for d in exported)
+    assert len(ran) == 4 and {w for _, w in ran} == {"churn-dense"}
+    assert capsys.readouterr().out.startswith("churn-dense: 2 pairs")

@@ -451,7 +451,7 @@ class TestBandwidth:
             (counting.CoordPart("t", "exp", 2, np.array([0.25])), 64),
         ]
         for part, bits in parts:
-            assert part.bit_size() == bits, part
+            assert part.row_bits([part.values]).tolist() == [bits], part
 
     def test_fine_full_tuple_mode_exceeds_log_bound(self):
         # full-tuple broadcasts provably blow an O(log n) budget; the ledger

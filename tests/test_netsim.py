@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -19,7 +20,7 @@ from densetrack.graph import ADD, REMOVE, DynamicGraph
 from densetrack.netsim import EventLog, StepContext, World, broadcast_line
 from densetrack.protocol import (DROP_FLAG, MEMBER_FLAG, MEMBER_TAG,
                                  FlagsPart, ProtocolNode, ProtocolParams)
-from support import count_window
+from support import ReferenceLedger, count_window, part_bit_size
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,8 +37,11 @@ class BlobPart:
     def with_values(self, values):
         return BlobPart(self.tag, self.data, values)
 
-    def bit_size(self) -> int:
-        return 8 * len(self.data)
+    def header(self):
+        return self.tag, self.data
+
+    def row_bits(self, rows):
+        return np.full(len(rows), 8 * len(self.data))
 
     def canonical_bytes(self) -> bytes:
         return b"B" + self.tag.encode() + self.data
@@ -358,6 +362,75 @@ def test_merged_delivery_with_saturated_senders(case, folds):
     check_merged_delivery(case, folds)
 
 
+@given(st.sampled_from(PART_KINDS), st.integers(1, 130), st.integers(1, 6),
+       st.integers(1, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_group_bits_equal_the_per_part_formulas(kind, n, length, rows, data):
+    # a group's parts are metered in one call, along the last axis
+    parts = [draw_part(data.draw, kind, n, length, 0) for _ in range(rows)]
+    if kind == "flags":  # folded counts, summed past a byte
+        parts += [FlagsPart("t", np.array(counts)) for counts in data.draw(
+            st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)),
+                     min_size=1, max_size=3))]
+        parts.append(FlagsPart("t", np.array([255, 1])))
+    elif kind.endswith("geo"):  # the identity and the toss cap
+        parts += [parts[0].with_values(np.full_like(parts[0].values, toss))
+                  for toss in (0, 64)]
+    got = parts[0].row_bits([p.values for p in parts])
+    assert got.dtype == np.int64
+    assert got.tolist() == [part_bit_size(p) for p in parts]
+
+
+class Talker:
+    """Broadcasts its drawn messages in rounds 0 and 1."""
+
+    def __init__(self, sends):
+        self.sends = sends  # round -> list of parts
+
+    def step(self, ctx):
+        return self.sends.get(ctx.round)
+
+
+@given(merge_rounds(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ledger_equals_the_per_message_reference(case, data):
+    # some messages carry a second part, of any kind, under the same tag or
+    # another; isolated nodes send to no one
+    n, edges, _, _, sends, script = case
+    other = data.draw(st.sampled_from(PART_KINDS))
+    length = data.draw(st.integers(2, 6))
+    messages = []
+    for node_sends in sends:
+        messages.append({})
+        for r, part in node_sends.items():
+            parts = [part]
+            if data.draw(st.booleans()):
+                parts.append(dataclasses.replace(
+                    draw_part(data.draw, other, n, length, r),
+                    tag=data.draw(st.sampled_from(["t", "u"]))))
+            messages[-1][r] = parts
+    g = DynamicGraph.from_edges(n, edges, churn_rate=3)
+    adv = ScriptedAdversary.load(script, g, rate=3)
+    graphs = [g.copy()]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = EventLog(f"{tmp}/events.ndjson")
+        world = World(g, [Talker(m) for m in messages], seed=0,
+                      adversary=adv, log=log)
+        world.run_round()
+        graphs.append(g.copy())
+        world.run(2)
+        log.close()
+        with open(f"{tmp}/events.ndjson", encoding="utf-8") as fh:
+            logged = [rec["bits"] for rec in map(json.loads, fh)
+                      if rec["event"] == "broadcast"]
+    ref = ReferenceLedger()
+    bits = [ref.record_broadcast(netsim.RoundMessage(u, tuple(m[r])),
+                                 len(graphs[r].adj[u]))
+            for r in (0, 1) for u, m in enumerate(messages) if r in m]
+    assert world.ledger.summary() == ref.summary()
+    assert logged == bits
+
+
 def test_handed_top_is_shared_and_read_only():
     # on K4 node 0 covers every sender and node 1 sends the join, so nodes 2
     # and 3 are handed one read-only top; absorbing it changes none of it
@@ -422,8 +495,6 @@ def test_flags_fold_counts_past_a_byte(folds):
 
 
 def test_strict_coordinate_out_of_lockstep_panics():
-    # node 0's stage runs one coordinate ahead of node 1's: node 1 hears
-    # coordinate 1 in the round after it emitted coordinate 0, and fails
     class Strict:
         def __init__(self, ahead):
             self.stage = MergeStage("t", "geo", 1, np.ones(3, np.uint8), True,
@@ -437,11 +508,20 @@ def test_strict_coordinate_out_of_lockstep_panics():
                 self.stage.emit()
             return [self.stage.emit()]
 
-    g = DynamicGraph.from_edges(2, [(0, 1)])
-    w = World(g, [Strict(True), Strict(False)], seed=0)
-    with pytest.raises(HandlerPanic) as err:
-        w.run(2)
-    assert err.value.node == 1 and err.value.round == 1
+    def panic(n, edges, ahead):
+        g = DynamicGraph.from_edges(n, edges)
+        w = World(g, [Strict(i == ahead) for i in range(n)], seed=0)
+        with pytest.raises(HandlerPanic) as err:
+            w.run(2)
+        return err.value.node, err.value.round
+
+    # node 0's stage runs one coordinate ahead of node 1's: each hears the
+    # other's coordinate in the round after it emitted its own, and node 0
+    # steps first
+    assert panic(2, [(0, 1)], 0) == (0, 1)
+    # node 2 runs ahead: node 1 hears node 0's coordinate 0 first and node
+    # 2's coordinate 1 second, apart from it, and fails before node 2 steps
+    assert panic(3, [(0, 1), (1, 2)], 2) == (1, 1)
 
 
 def test_fine_lengths_that_differ_still_panic():
@@ -467,8 +547,9 @@ def test_fine_lengths_that_differ_still_panic():
 
 
 def test_flags_part_bit_size():
-    assert FlagsPart("f", MEMBER_FLAG).bit_size() == 1
-    assert FlagsPart("f", MEMBER_FLAG + DROP_FLAG).bit_size() == 2
+    part = FlagsPart("f", MEMBER_FLAG)
+    assert part.row_bits([MEMBER_FLAG, MEMBER_FLAG + DROP_FLAG]).tolist() \
+        == [1, 2]
 
 
 def test_engine_knows_no_protocol():
