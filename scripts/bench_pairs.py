@@ -18,7 +18,10 @@ median is better by more than REV's interquartile range.
 ``--json PATH`` also writes that summary to PATH: per workload, the
 operation counts, every pair's end-to-end values and each metric's row;
 the two revisions; and the Python, numpy and scipy versions, CPU model
-and reference-loop time of the machine that ran them.
+and reference-loop time of the machine that ran them.  For the file, each
+side of each workload also runs one traced ``bench/run.py --trace 1
+--seconds 1`` after its pairs, and its per-layer metrics are stored under
+``layers``.
 """
 
 from __future__ import annotations
@@ -159,10 +162,11 @@ def machine(tree: Path) -> dict:
 
 def record(revisions: dict, settings: dict,
            results: dict[str, tuple[list, list[dict]]],
-           tree: Path = REPO) -> dict:
+           tree: Path = REPO, layers: dict | None = None) -> dict:
     """The JSON document of a comparison: ``results`` maps each workload
     to its (base, change) result pairs and its summary rows; ``tree`` holds
-    the ``bench/speed.py`` whose reference loop is timed."""
+    the ``bench/speed.py`` whose reference loop is timed; ``layers`` maps a
+    workload to each side's traced result."""
     workloads = {}
     for workload, (pairs, rows) in results.items():
         metrics = [r["metric"] for r in rows]
@@ -174,13 +178,20 @@ def record(revisions: dict, settings: dict,
                       for side, res in zip(("base", "change"), pair)}
                      for pair in pairs],
             "metrics": rows}
+        if layers and workload in layers:
+            workloads[workload]["layers"] = {
+                side: {m: v["value"] for m, v in res["metrics"].items()}
+                for side, res in layers[workload].items()}
     return {"revisions": revisions, "settings": settings,
             "machine": machine(tree), "workloads": workloads}
 
 
-def run_bench(tree: Path, workload: str, args) -> dict:
+def run_bench(tree: Path, workload: str, args, trace: bool = False) -> dict:
+    """One untraced run of ``args.seconds``, or with ``trace`` a one-second
+    run whose result holds the per-layer metrics of its traced pass."""
     cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload",
-           workload, "--trace", "0", "--seconds", str(args.seconds)]
+           workload, "--trace", str(int(trace)), "--seconds",
+           "1" if trace else str(args.seconds)]
     if args.input_seed is not None:
         cmd += ["--input-seed", str(args.input_seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -203,7 +214,7 @@ def main() -> int:
     args = ap.parse_args()
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    results = {}
+    results, layers = {}, {}
     if args.tmp:
         Path(args.tmp).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
@@ -224,11 +235,16 @@ def main() -> int:
             rows = summarize(pairs, spec)
             results[workload] = (pairs, rows)
             print(format_summary(workload, pairs, rows), flush=True)
+            if args.json:
+                layers[workload] = {
+                    side: run_bench(tree, workload, args, trace=True)
+                    for side, tree in (("base", base), ("change", change))}
         if args.json:  # while the base tree, with its bench/speed.py, exists
             settings = {"pairs": args.pairs, "seconds": args.seconds,
                         "input_seed": args.input_seed}
             Path(args.json).write_text(json.dumps(
-                record(revisions, settings, results, base), indent=1) + "\n",
+                record(revisions, settings, results, base, layers),
+                indent=1) + "\n",
                 encoding="utf-8")
     return 0
 

@@ -168,7 +168,8 @@ class RandomChurnAdversary(Adversary):
 class TargetedAdversary(RandomChurnAdversary):
     """Stress mode: deletes edges inside the current true densest subgraph
     with probability ``bias``, otherwise behaves like balanced random churn.
-    The core is recomputed every ``refresh_every`` rounds (exact oracle)."""
+    The core is recomputed every ``refresh_every`` rounds by the exact
+    oracle, started from the last core."""
 
     refresh_every: int = 10
     bias: float = 0.8
@@ -184,7 +185,7 @@ class TargetedAdversary(RandomChurnAdversary):
             return
         from .oracle import exact_densest  # local import: oracle is heavier
 
-        self._core = frozenset(exact_densest(g).members)
+        self._core = frozenset(exact_densest(g, start=self._core).members)
         self._core_round = round_
 
     def _patch_core_edges(self, batch: list[Edit]) -> None:

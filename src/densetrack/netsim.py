@@ -29,7 +29,8 @@ A round's parts are grouped by type, header, dtype and length.  Every
 group is metered in one call, from the values its senders sent, never
 from what a sender claims: one bit count per part, each weighted by its
 sender's degree.  The ledger still sees every sender's broadcast, with its
-parts' bits summed, and the log records each one.
+parts' bits summed, and the log records each one.  Two parts of one group
+in one broadcast are metered as two and delivered as their fold.
 
 Every part is delivered merged.  A receiver's inbox is one part per group,
 the fold of what its round-start neighbours sent.  Folding that part
@@ -433,9 +434,16 @@ class World:
         degrees = topology.degrees
         totals = np.zeros(len(degrees), np.int64)  # each sender's bits
         for first, senders, sent in groups.values():
+            at = np.array(senders)
             bits = first.row_bits(sent)
-            self.ledger.record_parts(first.tag, bits, degrees[senders])
-            np.add.at(totals, senders, bits)
+            self.ledger.record_parts(first.tag, bits, degrees[at])
+            np.add.at(totals, at, bits)
+            # a sender's parts of one group are adjacent: fold them into one
+            # array, since the layout keeps one position per sender
+            repeats = np.flatnonzero(at[1:] == at[:-1])
+            for i in repeats[::-1].tolist():
+                sent[i] = first.merge(sent[i], sent.pop(i + 1))
+                del senders[i + 1]
         nodes = [msg.sender for msg in staged]
         for msg, copies, bits in zip(staged, degrees[nodes].tolist(),
                                      totals[nodes].tolist()):

@@ -2,7 +2,9 @@
 
 * :func:`exact_densest` - globally optimal density by Dinkelbach iteration
   on Goldberg's vertex network (n + 2 nodes: the vertices, a source and a
-  sink).  Start at rho = m/n as an exact ``Fraction`` p/q.  The network has
+  sink).  Start at rho = m/n as an exact ``Fraction`` p/q, or at the
+  density of a given start set in the graph when that is larger: any real
+  set's density is a lower bound on the optimum.  The network has
   arcs source -> v of capacity q*d_v, u -> v and v -> u of capacity q for
   every edge, and v -> sink of capacity 2p, so the cut of ``{source} | S``
   is ``q*sum(d_v, v not in S) + q*e(S, V-S) + 2p*|S|``, which equals
@@ -13,10 +15,14 @@
   source reaches in the residual.  A closure value of 0 certifies that no
   set is denser than rho.  The answer is the largest densest subgraph (the
   union of all optimal sets, which is unique): the vertices that cannot
-  reach the sink in the last residual.  Usually two max-flows; no
-  floating-point in the certification path.  scipy computes flows in
-  int32, so a graph with ``2*n*m >= 2**31`` is refused before any network
-  is built.
+  reach the sink in the last residual.  From m/n that is usually two
+  max-flows; from a start set that is already densest (such as the last
+  core, a few edits ago) usually one.  The densities, the final check and
+  the min-degree certificate (every member's induced degree d has
+  ``d*q >= p``) are integer counts over the network's vertex-to-vertex
+  arcs; no floating-point in the certification path.  scipy computes flows
+  in int32, so a graph with ``2*n*m >= 2**31`` is refused before any
+  network is built.
 * :func:`exact_at_least_k` - exhaustive enumeration over all subsets of size
   at least k (bounded to n <= 20, about a million subsets).
 * :func:`peel_reference` - centralized, exact-arithmetic replay of the
@@ -35,12 +41,14 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .errors import TooLargeForEnumeration, TooLargeForMaxFlow
+from .errors import (InvalidEdit, TooLargeForEnumeration,
+                     TooLargeForMaxFlow)
 from .graph import DynamicGraph, induced_density
 from .protocol import threshold_value
 
@@ -53,14 +61,43 @@ class OracleResult:
     method: str
 
 
-def _check_min_degree(g: DynamicGraph, members: frozenset[int],
-                      density: Fraction) -> None:
-    # every vertex of an optimum has induced degree >= the optimal density,
-    # otherwise removing it would raise the density
-    for v in members:
-        if Fraction(len(g.adj[v] & members)) < density:
-            raise AssertionError(
-                f"optimal-degree property violated at node {v}")
+def _vertex_arcs(g: DynamicGraph) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """Every vertex's degree, and both arcs of every edge as tails and heads
+    sorted by (tail, head)."""
+    n = g.node_count
+    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    tails = np.repeat(np.arange(n), deg)
+    # each tail's heads sorted in one sort of row-major keys
+    keys = tails * n + np.fromiter(chain.from_iterable(g.adj), np.int64,
+                                   len(tails))
+    keys.sort()
+    return deg, tails, keys - tails * n
+
+
+def _vertex_mask(g: DynamicGraph, ids: Iterable[int]) -> np.ndarray:
+    """``ids`` as a membership mask over the vertices; an id outside the
+    graph raises, as in ``induced_density``, and never wraps."""
+    ids = np.fromiter(ids, np.int64)
+    outside = (ids < 0) | (ids >= g.node_count)
+    if outside.any():
+        raise InvalidEdit(f"node {ids[outside][0]} outside graph")
+    mask = np.zeros(g.node_count, bool)
+    mask[ids] = True
+    return mask
+
+
+def _check_min_degree(tails: np.ndarray, heads: np.ndarray,
+                      members: np.ndarray, density: Fraction) -> None:
+    """Every vertex of an optimum has induced degree >= the optimal density,
+    otherwise removing it would raise the density.  ``members`` is a mask;
+    with density p/q a member's degree d passes when d*q >= p."""
+    inside = members[tails] & members[heads]
+    deg = np.bincount(tails[inside], minlength=len(members))
+    low = members & ~(deg * density.denominator >= density.numerator)
+    if low.any():
+        raise AssertionError(
+            f"optimal-degree property violated at node {np.argmax(low)}")
 
 
 def graph_content_hash(g: DynamicGraph) -> str:
@@ -97,7 +134,7 @@ class _VertexNetwork:
         self.src = n
         self.sink = n + 1
         size = n + 2
-        deg = np.fromiter(map(len, g.adj), np.int64, n)
+        deg, self.tails, self.heads = _vertex_arcs(g)
         linked = deg > 0
         # vertex row v: its neighbours, the source (if d_v > 0), the sink;
         # then the source row and the sink row
@@ -111,12 +148,8 @@ class _VertexNetwork:
         nbr = rows < n
         nbr[last] = False
         nbr[src_col] = False
-        # each row's neighbours sorted in one sort of row-major keys
-        keys = rows[nbr] * size + np.fromiter(
-            chain.from_iterable(g.adj), np.int64, 2 * m)
-        keys.sort()
         cols = np.empty(indptr[-1], np.int64)
-        cols[nbr] = keys - rows[nbr] * size
+        cols[nbr] = self.heads  # each row's neighbours come first, sorted
         cols[src_col] = self.src
         cols[last] = self.sink
         cols[indptr[n]:indptr[n + 1]] = np.flatnonzero(linked)
@@ -165,10 +198,9 @@ class _VertexNetwork:
                                   return_predecessors=False)] = True
         return reach[:self.n_nodes]
 
-    def smallest_maximizer(self, residual: np.ndarray) -> frozenset[int]:
-        """Vertices reachable from the source in the residual."""
-        return frozenset(np.flatnonzero(
-            self._vertices(residual, self.src)).tolist())
+    def smallest_maximizer(self, residual: np.ndarray) -> np.ndarray:
+        """Vertices reachable from the source in the residual, as a mask."""
+        return self._vertices(residual, self.src)
 
     def reverse(self, residual: np.ndarray, p: int, q: int) -> np.ndarray:
         """The residual of ``run(p, q)`` with every arc reversed, entry by
@@ -176,36 +208,56 @@ class _VertexNetwork:
         return q * self._q_pair + p * self._p_pair - residual
 
     def largest_maximizer(self, residual: np.ndarray, p: int,
-                          q: int) -> frozenset[int]:
+                          q: int) -> np.ndarray:
         """Vertices that cannot reach the sink in the residual of
         ``run(p, q)``, i.e. that the sink does not reach once every arc is
-        reversed."""
-        return frozenset(np.flatnonzero(~self._vertices(
-            self.reverse(residual, p, q), self.sink)).tolist())
+        reversed, as a mask."""
+        return ~self._vertices(self.reverse(residual, p, q), self.sink)
+
+    def edge_count(self, members: np.ndarray) -> int:
+        """|E(S)| of the vertex mask ``members``: its vertex-to-vertex arcs,
+        two per edge."""
+        return int(np.count_nonzero(members[self.tails]
+                                    & members[self.heads])) // 2
+
+    def density(self, members: np.ndarray) -> Fraction:
+        """|E(S)|/|S| of the non-empty vertex mask ``members``."""
+        return Fraction(self.edge_count(members),
+                        int(np.count_nonzero(members)))
 
 
-def exact_densest(g: DynamicGraph) -> OracleResult:
-    """The largest maximum-density subset, with exact rational certification."""
+def exact_densest(g: DynamicGraph,
+                  start: Iterable[int] | None = None) -> OracleResult:
+    """The largest maximum-density subset, with exact rational certification.
+
+    ``start``, any vertex ids of ``g``, moves only the first guess: its
+    density in ``g`` is a lower bound on the optimum, so Dinkelbach starts
+    at the larger of it and m/n.  The answer does not depend on it."""
     n, m = g.node_count, g.edge_count
+    begin = _vertex_mask(g, () if start is None else start)
     if m == 0:
         return OracleResult(frozenset({0}), Fraction(0), "maxflow")
     tester = _VertexNetwork(g)
     rho = Fraction(m, n)
+    if begin.any():
+        rho = max(rho, tester.density(begin))
     while True:
         value, residual = tester.run(rho.numerator, rho.denominator)
         if value == 0:
             break
         # some set beats rho; the smallest maximizer is one, and it is
         # strictly denser than rho
-        rho = induced_density(g, tester.smallest_maximizer(residual)).density
+        rho = tester.density(tester.smallest_maximizer(residual))
     # at the optimum every densest set has closure value 0; their union is
     # the largest maximizer of the last cut
-    members = tester.largest_maximizer(residual, rho.numerator,
-                                       rho.denominator)
-    if not members or induced_density(g, members).density != rho:
+    p, q = rho.numerator, rho.denominator
+    members = tester.largest_maximizer(residual, p, q)
+    size = int(np.count_nonzero(members))
+    if not size or tester.edge_count(members) * q != p * size:
         raise AssertionError("max-flow certificate is not a densest set")
-    _check_min_degree(g, members, rho)
-    return OracleResult(members, rho, "maxflow")
+    _check_min_degree(tester.tails, tester.heads, members, rho)
+    return OracleResult(frozenset(np.flatnonzero(members).tolist()), rho,
+                        "maxflow")
 
 
 # -- exhaustive enumeration ------------------------------------------------------
@@ -263,7 +315,8 @@ def exact_at_least_k(g: DynamicGraph, k: int,
     members = frozenset(v for v in range(n) if mask >> v & 1)
     density = Fraction(int(counts[mask]), len(members))
     if k <= 1:
-        _check_min_degree(g, members, density)
+        _, tails, heads = _vertex_arcs(g)
+        _check_min_degree(tails, heads, _vertex_mask(g, members), density)
     return OracleResult(members, density, "enumeration")
 
 

@@ -4,6 +4,7 @@ here runs the benchmark."""
 import importlib.util
 import json
 import sys
+import types
 
 from support import REPO
 
@@ -129,3 +130,66 @@ def test_main_makes_a_missing_tmp_dir(tmp_path, monkeypatch, capsys):
     assert all(d.parent.parent == nested for d in exported)
     assert len(ran) == 4 and {w for _, w in ran} == {"churn-dense"}
     assert capsys.readouterr().out.startswith("churn-dense: 2 pairs")
+
+
+def test_json_keeps_one_traced_run_per_side(tmp_path, monkeypatch):
+    # the exports and the bench runs are stubbed: nothing runs the bench
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ran = []
+
+    def export(rev, dest):
+        return "a" * 40
+
+    def run_bench(tree, workload, args, trace=False):
+        ran.append((tree.name, workload, trace))
+        if trace:
+            metrics = {"oracle.maxflows": {"value": len(tree.name),
+                                           "unit": "count"}}
+        else:
+            metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                       for m in spec["end_to_end"]}
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "machine", lambda tree: {})
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "HEAD", "--workload", "churn-dense", "--workload",
+        "targeted-core", "--pairs", "2", "--tmp", str(tmp_path),
+        "--json", str(out)])
+    assert bench_pairs.main() == 0
+    # per workload: its untraced pairs, then one traced run per side
+    for workload in ("churn-dense", "targeted-core"):
+        runs = [(tree, trace) for tree, w, trace in ran if w == workload]
+        assert runs == [("base", False), ("change", False),
+                        ("change", False), ("base", False),
+                        ("base", True), ("change", True)]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    for work in doc["workloads"].values():
+        assert work["layers"] == {"base": {"oracle.maxflows": 4},
+                                  "change": {"oracle.maxflows": 6}}
+        assert work["pairs"] == 2
+
+
+def test_traced_runs_take_one_second_and_keep_the_input_seed(monkeypatch):
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        return types.SimpleNamespace(stdout=line(1.0, 70.0))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    args = types.SimpleNamespace(seconds=20.0, input_seed=7)
+    tree = REPO / "tree"
+    for trace in (False, True):
+        assert bench_pairs.run_bench(tree, "targeted-core", args,
+                                     trace=trace)["failed"] == 1
+    flags = [cmd[cmd.index("--workload"):] for cmd in calls]
+    assert flags == [
+        ["--workload", "targeted-core", "--trace", "0", "--seconds", "20.0",
+         "--input-seed", "7"],
+        ["--workload", "targeted-core", "--trace", "1", "--seconds", "1",
+         "--input-seed", "7"]]
+    assert all(cmd[1] == str(tree / "bench" / "run.py") for cmd in calls)

@@ -431,6 +431,34 @@ def test_ledger_equals_the_per_message_reference(case, data):
     assert logged == bits
 
 
+@pytest.mark.parametrize("folds", sorted(FOLDS))
+def test_two_parts_of_one_group_in_one_broadcast_are_folded(folds):
+    # node 0 sends two geo parts of tag "t": node 3 hears only node 0, node
+    # 1 hears node 2 as well, and the ledger meters both of node 0's parts
+    class Node:
+        def __init__(self, *rows):
+            self.parts = [TuplePart("t", "geo", np.array(r, np.uint8))
+                          for r in rows]
+            self.heard = []
+
+        def step(self, ctx):
+            self.heard.append([p.values.tolist() for p in ctx.inbox])
+            return self.parts if ctx.round == 0 else None
+
+    nodes = [Node([5, 0], [0, 7]), Node(), Node([1, 1]), Node()]
+    g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+    world = World(g, nodes, seed=0)
+    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+        world.run(2)
+    assert [node.heard[1] for node in nodes] == [[], [[5, 7]], [], [[5, 7]]]
+    ref = ReferenceLedger()
+    for u in (0, 2):
+        ref.record_broadcast(netsim.RoundMessage(u, tuple(nodes[u].parts)),
+                             len(g.adj[u]))
+    assert world.ledger.summary() == ref.summary()
+    assert world.ledger.summary()["tags"]["t"]["messages"] == 5
+
+
 def test_handed_top_is_shared_and_read_only():
     # on K4 node 0 covers every sender and node 1 sends the join, so nodes 2
     # and 3 are handed one read-only top; absorbing it changes none of it

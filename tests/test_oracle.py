@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import densetrack.oracle as oracle
-from densetrack.errors import TooLargeForEnumeration, TooLargeForMaxFlow
+from densetrack import harness
+from densetrack.errors import (InvalidEdit, TooLargeForEnumeration,
+                               TooLargeForMaxFlow)
 from densetrack.graph import DynamicGraph, induced_density
 from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                at_least_k_bounds, brute_force_densest,
@@ -14,6 +17,7 @@ from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                graph_content_hash, greedy_at_least_k_witness,
                                peel_reference)
 from densetrack.scenarios import build_graph, build_regular
+from support import REPO
 
 
 def complete(n):
@@ -30,6 +34,19 @@ def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return DynamicGraph.from_edges(n, edges)
+
+
+def call_counter(monkeypatch, name="maximum_flow"):
+    """The list that gets one entry per call of ``oracle.<name>``."""
+    calls = []
+    fn = getattr(oracle, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
 
 
 class TestExactDensest:
@@ -67,14 +84,7 @@ class TestExactDensest:
         assert res.members == frozenset(range(8))
 
     def test_targeted_core_start_graph_takes_few_flows(self, monkeypatch):
-        flows = []
-        maximum_flow = oracle.maximum_flow
-
-        def counted(*args, **kwargs):
-            flows.append(1)
-            return maximum_flow(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "maximum_flow", counted)
+        flows = call_counter(monkeypatch)
         g = build_graph({"kind": "planted-dense", "n": 100, "clique": 69,
                          "noise_p": 0.02, "hub_star": True}, 0).graph
         exact_densest(g)
@@ -109,6 +119,144 @@ class TestExactDensest:
         assert g.edge_count == 21_475
         with pytest.raises(TooLargeForMaxFlow, match="int32"):
             exact_densest(g)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    """A graph of 1 to ``max_n`` nodes, some of them isolated."""
+    n = draw(st.integers(1, max_n), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=len(pairs)), label="edges") if pairs else []
+    lone = draw(st.sets(st.integers(0, n - 1), max_size=n // 2),
+                label="isolated")
+    return DynamicGraph.from_edges(n, [(u, v) for u, v in edges
+                                       if u not in lone and v not in lone])
+
+
+def start_sets(n):
+    """Start sets over ``n`` nodes: empty, one node, every node or any."""
+    nodes = st.integers(0, n - 1)
+    return st.one_of(st.just(frozenset()), nodes.map(lambda v: {v}),
+                     st.just(range(n)), st.frozensets(nodes))
+
+
+class TestWarmStart:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_start_set_gives_the_cold_answer(self, data):
+        g = data.draw(graphs())
+        start = data.draw(start_sets(g.node_count), label="start")
+        cold = exact_densest(g)
+        warm = exact_densest(g, start=start)
+        assert (warm.members, warm.density) == (cold.members, cold.density)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_last_core_after_a_few_edits_gives_the_cold_answer(self, data):
+        # as the targeted adversary does: start from the core of the graph
+        # a few edits ago, up to three removals inside that core and three
+        # flips anywhere; the removals can leave the old core less dense
+        # than the old optimum
+        g = data.draw(graphs(max_n=16))
+        core = exact_densest(g).members
+        inside = sorted((u, v) for u, v in g.edges()
+                        if u in core and v in core)
+        pairs = [(u, v) for u in range(g.node_count)
+                 for v in range(u + 1, g.node_count)]
+        picks = data.draw(st.lists(st.sampled_from(inside), unique=True,
+                                   max_size=3),
+                          label="core removals") if inside else []
+        if pairs:
+            picks += data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                        max_size=3), label="flips")
+        edges = set(g.edges()) ^ set(picks)
+        g = DynamicGraph.from_edges(g.node_count, sorted(edges))
+        warm = exact_densest(g, start=core)
+        cold = exact_densest(g)
+        assert (warm.members, warm.density) == (cold.members, cold.density)
+
+    def test_a_densest_start_certifies_with_one_flow(self, monkeypatch):
+        flows = call_counter(monkeypatch)
+        g = build_graph({"kind": "planted-dense", "n": 100, "clique": 69,
+                         "noise_p": 0.02, "hub_star": True}, 0).graph
+        cold = exact_densest(g)
+        flows.clear()
+        assert exact_densest(g, start=cold.members) == cold
+        assert len(flows) == 1
+
+    @pytest.mark.parametrize("start", [[-1], [3], [0, 2, 7], [-4, 1]])
+    @pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2)]])
+    def test_ids_outside_the_graph_raise(self, start, edges):
+        g = DynamicGraph.from_edges(3, edges)
+        with pytest.raises(InvalidEdit, match="outside graph"):
+            exact_densest(g, start=start)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_network_density_is_the_induced_density(self, data):
+        g = data.draw(graphs(max_n=20))
+        subset = data.draw(st.frozensets(st.integers(0, g.node_count - 1),
+                                         min_size=1), label="subset")
+        tester = oracle._VertexNetwork(g)
+        mask = np.zeros(g.node_count, bool)
+        mask[list(subset)] = True
+        want = induced_density(g, subset)
+        assert tester.edge_count(mask) == want.edge_count
+        assert tester.density(mask) == want.density
+
+    def test_targeted_core_refreshes_take_few_flows(self, monkeypatch):
+        # the bench's targeted-core workload cut to 60 rounds: 30 core
+        # refreshes and 3 scored queries, at 2.0 flows per solve when
+        # every solve starts at m/n
+        monkeypatch.syspath_prepend(str(REPO / "bench"))
+        import workloads
+        sys.modules.pop("workloads", None)
+        conf = {**workloads.targeted_core(0).runs[0],
+                "duration": {"rounds": 60}}
+        flows = call_counter(monkeypatch)
+        solves = call_counter(monkeypatch, "exact_densest")
+        report = harness.run_scenario(conf)
+        assert report.rounds_run == 60 and len(solves) >= 30
+        assert len(flows) <= 1.25 * len(solves)
+
+
+class TestMinDegree:
+    def test_low_degree_member_is_refused(self):
+        # the pendant has degree 1 < 7/5 in K4 plus a pendant
+        _, tails, heads = oracle._vertex_arcs(k4_plus_pendant())
+        everyone = np.ones(5, bool)
+        with pytest.raises(AssertionError, match="at node 4"):
+            oracle._check_min_degree(tails, heads, everyone, Fraction(7, 5))
+
+    def test_degree_equal_to_the_density_passes(self):
+        # in K4 every degree is 3: d*q >= p holds at 3 and fails above it
+        _, tails, heads = oracle._vertex_arcs(k4_plus_pendant())
+        k4 = np.array([True] * 4 + [False])
+        oracle._check_min_degree(tails, heads, k4, Fraction(3))
+        with pytest.raises(AssertionError, match="at node 0"):
+            oracle._check_min_degree(tails, heads, k4, Fraction(31, 10))
+
+    def test_every_solve_checks_its_answer(self, monkeypatch):
+        checked = []
+        check = oracle._check_min_degree
+
+        def spy(tails, heads, members, density):
+            checked.append((frozenset(np.flatnonzero(members).tolist()),
+                            density))
+            return check(tails, heads, members, density)
+
+        monkeypatch.setattr(oracle, "_check_min_degree", spy)
+        rng = np.random.default_rng(11)
+        answers = []
+        for _ in range(10):
+            g = random_graph(rng, int(rng.integers(3, 12)), 0.4)
+            if g.edge_count:
+                answers.append(exact_densest(g))
+                answers.append(exact_densest(g, start=answers[-1].members))
+            answers.append(exact_at_least_k(g, 1))
+            exact_at_least_k(g, 2)  # only k <= 1 is an unconstrained optimum
+        assert checked == [(a.members, a.density) for a in answers]
 
 
 class TestAtLeastK:
@@ -226,15 +374,8 @@ class TestCrossValidation:
         if d == 0:
             return
         g = build_regular(np.random.default_rng(seed), n, d).graph
-        flows = []
-        maximum_flow = oracle.maximum_flow
-
-        def counted(*args, **kwargs):
-            flows.append(1)
-            return maximum_flow(*args, **kwargs)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "maximum_flow", counted)
+            flows = call_counter(mp)
             res = exact_densest(g)
         assert len(flows) == 1
         assert res.density == Fraction(d, 2)
