@@ -84,13 +84,15 @@ def geometric_tosses(rng: np.random.Generator, size) -> tuple[np.ndarray, int]:
     return np.minimum(draws, GEO_TOSS_CAP).astype(np.uint8), truncated
 
 
-def exponential_draws(rng: np.random.Generator, size) -> np.ndarray:
-    """Rate-1 exponentials via inverse CDF -ln(U), U uniform in (0,1]."""
+def exponential_draws(rng: np.random.Generator, size,
+                      copies: int = 1) -> np.ndarray:
+    """The min of ``copies`` iid rate-1 exponentials, which is exactly
+    Exp(copies): -ln(U) / copies, U uniform in (0,1]."""
     u = rng.random(size=size)
     out = -np.log1p(-u)
     if out.size:
         np.copyto(out, 1e-300, where=(out == 0.0))
-    return out
+    return out / copies
 
 
 def geometric_max_tosses(rng: np.random.Generator, copies: int,
@@ -110,14 +112,6 @@ def geometric_max_tosses(rng: np.random.Generator, copies: int,
     truncated = int((u > cdf[-1]).sum())
     idx = np.searchsorted(cdf, u, side="left")
     return np.minimum(idx + 1, GEO_TOSS_CAP).astype(np.uint8), truncated
-
-
-def exponential_min_draws(rng: np.random.Generator, copies: int,
-                          size) -> np.ndarray:
-    """Min of ``copies`` iid rate-1 exponentials: exactly Exp(copies)."""
-    if copies <= 1:
-        return exponential_draws(rng, size)
-    return exponential_draws(rng, size) / copies
 
 
 def finalize_coarse_rows(values: np.ndarray) -> np.ndarray:
@@ -349,7 +343,7 @@ def exp_stage(tag: str, diameter: int, length: int, member: bool,
               rng: np.random.Generator, copies: int = 1,
               strict: bool = False) -> MergeStage:
     if member and copies > 0:
-        acc = exponential_min_draws(rng, copies, length)
+        acc = exponential_draws(rng, length, copies)
         return MergeStage(tag, "exp", diameter, acc, True, strict)
     return MergeStage.empty(tag, "exp", diameter, length, strict=strict)
 
@@ -484,7 +478,7 @@ def sample_coarse_estimates(rng: np.random.Generator, true_count: int,
 
 def _fine_collapsed(rng, count, length, trials):
     return finalize_fine_rows(
-        exponential_min_draws(rng, count, (trials, length)))
+        exponential_draws(rng, (trials, length), count))
 
 
 def sample_fine_estimates(rng: np.random.Generator, true_count: int,

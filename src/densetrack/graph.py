@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit, read_text
+from .errors import (ChurnBudgetExceeded, ConfigError, EmptySubset,
+                     InvalidEdit, read_text)
 
 Edge = tuple[int, int]
 Edit = tuple[str, int, int]  # ("add" | "remove", u, v)
@@ -41,9 +42,9 @@ class DynamicGraph:
 
     def __post_init__(self):
         if self.node_count < 1:
-            raise ValueError("node_count must be positive")
+            raise ConfigError("node_count must be positive")
         if self.churn_rate < 0:
-            raise ValueError("churn_rate must be non-negative")
+            raise ConfigError("churn_rate must be non-negative")
         if not self.adj:
             self.adj = [set() for _ in range(self.node_count)]
 
@@ -70,9 +71,6 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         a, b = edge_key(u, v)
         return b in self.adj[a]
-
-    def neighbors(self, u: int) -> set[int]:
-        return self.adj[u]
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
@@ -192,8 +190,8 @@ def static_diameter(g: DynamicGraph) -> int | float:
 # -- edge-list ingestion -------------------------------------------------------
 
 
-def parse_edge_list(text: str, node_count: int | None = None,
-                    churn_rate: int = 0) -> tuple[DynamicGraph, dict[int, int]]:
+def parse_edge_list(text: str, node_count: int | None = None
+                    ) -> tuple[DynamicGraph, dict[int, int]]:
     """Parse ``u v`` pairs (one per line, ``#`` comments) into a graph.
 
     Arbitrary integer labels are remapped onto dense ids ``0..n-1`` in sorted
@@ -229,10 +227,9 @@ def parse_edge_list(text: str, node_count: int | None = None,
             raise InvalidEdit(f"duplicate edge {e}")
         seen.add(e)
         edges.append(e)
-    return DynamicGraph.from_edges(n, edges, churn_rate=churn_rate), mapping
+    return DynamicGraph.from_edges(n, edges), mapping
 
 
-def load_edge_list(path: str, node_count: int | None = None,
-                   churn_rate: int = 0) -> tuple[DynamicGraph, dict[int, int]]:
-    return parse_edge_list(read_text(path, "edge list"), node_count,
-                           churn_rate)
+def load_edge_list(path: str, node_count: int | None = None
+                   ) -> tuple[DynamicGraph, dict[int, int]]:
+    return parse_edge_list(read_text(path, "edge list"), node_count)

@@ -37,7 +37,9 @@ the fold of what its round-start neighbours sent.  Folding that part
 equals folding every neighbour's part in any order, so a receiver merges
 once per tag, not once per neighbour.  A folded part's values live in a
 row the engine refills for each receiver, so they are valid during the
-receiving step only.
+receiving step only.  A group keeps its senders' arrays by node id, and
+lets each go once the sender's largest neighbour, its last receiver to
+step, has stepped.
 
 Max, min and or are joins, idempotent and order-free, so a fold that holds
 an array equal to the join of every sender, the group's top, is the top.
@@ -225,39 +227,68 @@ def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
 
 class _Topology:
     """The round-start graph as the metering and the folds read it: each
-    node's degree and sorted neighbour ids, and all of them in one array in
-    node order."""
+    node's degree and sorted neighbour ids, all of them in one array in
+    node order, and each node's release point.  It is the engine's one
+    neighbour cache: built from the graph, patched in place from each
+    round's edits, and rebuilt only when the graph changed behind the
+    engine's back.
 
-    def __init__(self, nbrs: list[np.ndarray]):
-        self.nbrs = list(nbrs)  # the engine patches its own list
-        self.indices = np.concatenate(nbrs)
-        self.degrees = np.array([a.size for a in nbrs])
-        self.owners = np.repeat(np.arange(len(nbrs)), self.degrees)
+    A sender's release point is its largest neighbour id: receivers step in
+    id order, so that neighbour is the last to read what it sent."""
+
+    def __init__(self, graph: DynamicGraph):
+        self.time = graph.time
+        self.nbrs = [np.array(sorted(a), dtype=np.intp) for a in graph.adj]
+        self._derive()
+
+    def _derive(self) -> None:
+        self.indices = np.concatenate(self.nbrs)
+        self.degrees = np.array([a.size for a in self.nbrs])
+        self.owners = np.repeat(np.arange(len(self.nbrs)), self.degrees)
+        self.releases: dict[int, list[int]] = {}  # receiver -> senders
+        senders = np.flatnonzero(self.degrees)
+        lasts = self.indices[np.cumsum(self.degrees)[senders] - 1]
+        for u, v in zip(senders.tolist(), lasts.tolist()):
+            self.releases.setdefault(v, []).append(u)
         self.everyone: tuple | None = None
 
+    def patch(self, graph: DynamicGraph, edits) -> None:
+        """Apply one round's applied edits, if this was current before it;
+        a round's merges keep the derived arrays of the graph they read."""
+        if self.time != graph.time - 1:
+            return
+        nbrs = self.nbrs
+        for op, u, v in edits:
+            for a, b in ((u, v), (v, u)):
+                at = int(np.searchsorted(nbrs[a], b))
+                nbrs[a] = (np.insert(nbrs[a], at, b) if op == ADD
+                           else np.delete(nbrs[a], at))
+        self.time = graph.time
+        if edits:
+            self._derive()
+
     def layout(self, senders: list[int]) -> tuple:
-        """Every node's sending neighbours, as positions in ``senders``:
-        node v's are ``found[starts[v]:ends[v]]``.  Last the covering nodes,
+        """Every node's sending neighbours among ``senders``, as ids: node
+        v's are ``found[starts[v]:ends[v]]``.  Last the covering nodes,
         whose sending neighbours and themselves are every sender, or None
-        if there are none: the first one's id and position in ``senders``
-        (-1 if it sends nothing), the positions of those that send, and
-        ``found`` and ``ends`` as arrays."""
+        if there are none: the first one's id, whether it sends, the ids of
+        those that send, and ``found`` and ``ends`` as arrays."""
         n = len(self.nbrs)
-        if len(senders) == n and self.everyone is not None:
+        sends = np.zeros(n, bool)
+        sends[senders] = True
+        count = np.count_nonzero(sends)
+        if count == n and self.everyone is not None:
             return self.everyone
-        position = np.full(n, -1, np.intp)
-        position[senders] = np.arange(len(senders))
-        found = position[self.indices]
-        sending = found >= 0
+        sending = sends[self.indices]
+        found = self.indices[sending]
         counts = np.bincount(self.owners[sending], minlength=n)
         ends = np.cumsum(counts)
-        found = found[sending]
-        covering = np.flatnonzero(counts + (position >= 0) == len(senders))
-        at = position[covering]
+        covering = np.flatnonzero(counts + sends == count)
         layout = (found.tolist(), [0, *ends[:-1].tolist()], ends.tolist(),
-                  (int(covering[0]), int(at[0]), at[at >= 0].tolist(), found,
-                   ends) if covering.size else None)
-        if len(senders) == n:
+                  (int(covering[0]), bool(sends[covering[0]]),
+                   covering[sends[covering]].tolist(), found, ends)
+                  if covering.size else None)
+        if count == n:
             self.everyone = layout
         return layout
 
@@ -272,11 +303,12 @@ class _Merges:
     before it steps in the next round.
 
     A group is the value arrays of one part type, header, dtype and length,
-    its senders indexed by position.  A receiver's fold is written into one
-    row per group, which the group's folded part views.  Each sender's array
-    is let go after its last receiver has stepped, as a per-sender inbox
-    would be, so a round holds no more of them than one message per sender
-    did.
+    in a list indexed by sender id (None where a node sent none).  A
+    receiver's fold is written into one row per group, which the group's
+    folded part views.  Each sender's arrays are let go at its release
+    point (:class:`_Topology`), after its last receiver has stepped, as a
+    per-sender inbox would be, so a round holds no more of them than one
+    message per sender did.
 
     A group whose merge is a join gets a top when its first covering
     receiver has folded: that fold merged with the receiver's own array,
@@ -290,20 +322,16 @@ class _Merges:
 
     def __init__(self, groups: dict, topology: _Topology):
         self.groups: list[list] = []
-        self.releases: dict[int, list] = {}  # receiver -> (group, position)
-        for (_, _, dtype, shape), (first, senders, sent) in groups.items():
+        self.releases = topology.releases
+        for (_, _, dtype, shape), (first, senders, _, sent) in groups.items():
             row = np.empty(shape, dtype)
-            for i, u in enumerate(senders):
-                last = topology.nbrs[u]
-                if last.size:
-                    self.releases.setdefault(int(last[-1]), []).append(
-                        (len(self.groups), i))
-            gather = GATHER_BYTES // max(row.nbytes, 1)
+            # with_values of the folded part, which pins no sender's array
+            folded = first.with_values(row)
             found, starts, ends, covers = topology.layout(senders)
             if first.merge not in JOINS:
                 covers = None
-            self.groups.append([first.merge, first.with_values,
-                                first.with_values(row), row, sent, gather,
+            self.groups.append([first.merge, folded.with_values, folded, row,
+                                sent, GATHER_BYTES // max(row.nbytes, 1),
                                 found, starts, ends,
                                 covers[0] if covers else -1, covers, None])
 
@@ -336,22 +364,23 @@ class _Merges:
 
     def release(self, v: int) -> None:
         """Let go of the sender arrays that ``v`` was the last to read."""
-        for g, i in self.releases.pop(v):
-            self.groups[g][4][i] = None
+        for u in self.releases[v]:
+            for group in self.groups:
+                group[4][u] = None
 
 
 def _top(merge: np.ufunc, with_values, row: np.ndarray, sent: list,
          covers: tuple) -> tuple | None:
     """Which receivers hear a saturated sender, and the top as a part; None
     if none does.  ``row`` holds the first covering receiver's fold."""
-    _, own, tested, found, ends = covers
-    if own >= 0 and sent[own] is None:
+    cover, sends, tested, found, ends = covers
+    if sends and sent[cover] is None:
         return None  # every receiver of its array has stepped
-    top = merge(row, sent[own]) if own >= 0 else row.copy()
+    top = merge(row, sent[cover]) if sends else row.copy()
     top.flags.writeable = False
     saturated = np.zeros(len(sent), bool)
-    for i in tested:
-        saturated[i] = sent[i] is not None and np.array_equal(sent[i], top)
+    for u in tested:
+        saturated[u] = sent[u] is not None and np.array_equal(sent[u], top)
     if not saturated.any():
         return None
     heard = np.concatenate(([0], np.cumsum(saturated[found])))[ends]
@@ -375,11 +404,7 @@ class World:
         self.log = log
         self._merges: _Merges | None = None
         self.on_compute_end: list[Callable[["World"], None]] = []
-        # each node's sorted neighbour ids, patched from the churn edits;
-        # rebuilt only when the graph changed behind the engine's back
-        self._nbrs: list[np.ndarray] = []
-        self._nbrs_time = None
-        self._topology: _Topology | None = None
+        self._topology = _Topology(graph)
 
     def run_round(self) -> None:
         r = self.round
@@ -404,7 +429,7 @@ class World:
         self._deliver(r, staged)
         edits = self.adversary.edits_for_round(self.graph, r)
         self.graph.apply_churn(edits)
-        self._patch_neighbors(edits)
+        self._topology.patch(self.graph, edits)
         if edits and self.log:
             self.log.append({"round": r, "event": "churn",
                              "edits": [[op, u, v] for op, u, v in edits]})
@@ -420,30 +445,30 @@ class World:
         round's folds."""
         if not staged:
             return
-        groups: dict[tuple, tuple[MessagePart, list[int], list]] = {}
+        if self._topology.time != self.graph.time:
+            self._topology = _Topology(self.graph)
+        degrees = self._topology.degrees
+        n = len(degrees)
+        # a group's parts, each with its sender, and its arrays by sender id
+        groups: dict[tuple, tuple[MessagePart, list[int], list, list]] = {}
         for msg in staged:
-            # staged is in sender-id order, so each group's senders are too
+            u = msg.sender
             for part in msg.parts:
                 vals = part.values
-                _, senders, sent = groups.setdefault(
-                    (type(part), part.header(), vals.dtype, vals.shape),
-                    (part, [], []))
-                senders.append(msg.sender)
-                sent.append(vals)
-        topology = self._round_topology()
-        degrees = topology.degrees
-        totals = np.zeros(len(degrees), np.int64)  # each sender's bits
-        for first, senders, sent in groups.values():
-            at = np.array(senders)
-            bits = first.row_bits(sent)
-            self.ledger.record_parts(first.tag, bits, degrees[at])
-            np.add.at(totals, at, bits)
-            # a sender's parts of one group are adjacent: fold them into one
-            # array, since the layout keeps one position per sender
-            repeats = np.flatnonzero(at[1:] == at[:-1])
-            for i in repeats[::-1].tolist():
-                sent[i] = first.merge(sent[i], sent.pop(i + 1))
-                del senders[i + 1]
+                key = (type(part), part.header(), vals.dtype, vals.shape)
+                if key not in groups:
+                    groups[key] = (part, [], [], [None] * n)
+                first, senders, rows, sent = groups[key]
+                senders.append(u)
+                rows.append(vals)
+                # two parts of one group in one broadcast reach as their fold
+                held = sent[u]
+                sent[u] = vals if held is None else first.merge(held, vals)
+        totals = np.zeros(n, np.int64)  # each sender's bits
+        for first, senders, rows, _ in groups.values():
+            bits = first.row_bits(rows)
+            self.ledger.record_parts(first.tag, bits, degrees[senders])
+            np.add.at(totals, senders, bits)
         nodes = [msg.sender for msg in staged]
         for msg, copies, bits in zip(staged, degrees[nodes].tolist(),
                                      totals[nodes].tolist()):
@@ -451,29 +476,4 @@ class World:
             if self.log:
                 self.log.append(broadcast_line(r, msg.sender,
                                                msg.payload_hash(), bits))
-        self._merges = _Merges(groups, topology)
-
-    def _round_topology(self) -> _Topology:
-        if self.graph.time != self._nbrs_time:
-            self._nbrs = [np.array(sorted(a), dtype=np.intp)
-                          for a in self.graph.adj]
-            self._nbrs_time = self.graph.time
-            self._topology = None
-        if self._topology is None:
-            self._topology = _Topology(self._nbrs)
-        return self._topology
-
-    def _patch_neighbors(self, edits) -> None:
-        """Patch the neighbour index arrays with one round's applied edits,
-        if they were current before it."""
-        if edits:
-            self._topology = None
-        if self._nbrs_time != self.graph.time - 1:
-            return
-        nbrs = self._nbrs
-        for op, u, v in edits:
-            for a, b in ((u, v), (v, u)):
-                at = int(np.searchsorted(nbrs[a], b))
-                nbrs[a] = (np.insert(nbrs[a], at, b) if op == ADD
-                           else np.delete(nbrs[a], at))
-        self._nbrs_time = self.graph.time
+        self._merges = _Merges(groups, self._topology)

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .errors import (InvalidEdit, TooLargeForEnumeration,
+from .errors import (ConfigError, InvalidEdit, TooLargeForEnumeration,
                      TooLargeForMaxFlow)
 from .graph import DynamicGraph, induced_density
 from .protocol import threshold_value
@@ -103,7 +103,9 @@ def _check_min_degree(tails: np.ndarray, heads: np.ndarray,
 def graph_content_hash(g: DynamicGraph) -> str:
     # the "|" ends the node count, so no edge bytes can extend its digits
     h = hashlib.sha256(f"{g.node_count}|".encode())
-    h.update(np.asarray(g.edges(), dtype=np.int64).tobytes())
+    _, tails, heads = _vertex_arcs(g)  # tails < heads: g.edges(), in order
+    below = tails < heads
+    h.update(np.column_stack((tails[below], heads[below])).tobytes())
     return h.hexdigest()
 
 
@@ -295,14 +297,15 @@ def _lexmin_optimal_mask(optimal: np.ndarray, n: int) -> int:
             raise AssertionError("no optimal mask reachable")
 
 
-def exact_at_least_k(g: DynamicGraph, k: int,
-                     limit: int = ENUMERATION_LIMIT) -> OracleResult:
-    """Densest subset of size >= k by exhaustive enumeration (n <= limit)."""
+def exact_at_least_k(g: DynamicGraph, k: int) -> OracleResult:
+    """Densest subset of size >= k by exhaustive enumeration (n <=
+    ENUMERATION_LIMIT)."""
     n = g.node_count
-    if n > limit:
-        raise TooLargeForEnumeration(f"n={n} exceeds enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise TooLargeForEnumeration(
+            f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     if k > n:
-        raise ValueError(f"k={k} exceeds node count {n}")
+        raise ConfigError(f"k={k} exceeds node count {n}")
     k_eff = max(k, 1)
     counts = _subset_edge_counts(g)
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int32)
@@ -320,9 +323,8 @@ def exact_at_least_k(g: DynamicGraph, k: int,
     return OracleResult(members, density, "enumeration")
 
 
-def brute_force_densest(g: DynamicGraph,
-                        limit: int = ENUMERATION_LIMIT) -> OracleResult:
-    return exact_at_least_k(g, 0, limit=limit)
+def brute_force_densest(g: DynamicGraph) -> OracleResult:
+    return exact_at_least_k(g, 0)
 
 
 # -- centralized peeling reference ----------------------------------------------

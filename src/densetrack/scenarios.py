@@ -383,10 +383,9 @@ def sweep_grid(grid) -> dict:
 
 
 def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
-                           noise_p: float = 0.02, margin: float = 2.0,
                            seed: int = 0, passes: int = 20) -> dict:
     """Size the planted clique so the at-least-k optimum clears the density
-    precondition ``24*T*rate / (k*epsilon)`` with the requested margin.
+    precondition ``24*T*rate / (k*epsilon)`` twice over, with noise 0.02.
 
     The hub-star construction pins D = 2 and the pass structure at three
     levels (everything, clique, fixed point), so the wall length of a pass is
@@ -397,7 +396,7 @@ def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
     # ProtocolParams range-checks epsilon before anything divides by it
     delta = ProtocolParams(epsilon=epsilon, diameter=diameter).delta
     t_rounds = 8 * diameter + 2
-    need = margin * 24.0 * t_rounds * rate / (max(k, 1) * epsilon)
+    need = 2.0 * 24.0 * t_rounds * rate / (max(k, 1) * epsilon)
     # keep the clique comfortably above (1+delta)k so the chosen level never
     # needs padding even with estimator wobble
     q_floor = max(3, int(1.1 * (1.0 + delta) * k) + 1)
@@ -413,7 +412,7 @@ def solve_planted_scenario(*, n: int, k: int, rate: int, epsilon: float = 1.0,
     return {
         "seed": seed,
         "graph": {"kind": "planted-dense", "n": n, "clique": q,
-                  "noise_p": noise_p, "hub_star": True},
+                  "noise_p": 0.02, "hub_star": True},
         "adversary": ({"kind": "random-churn", "rate": rate,
                        "mode": "balanced", "protect": "backbone"}
                       if rate else None),

@@ -2,11 +2,12 @@
 ``sys.path``): one counting window on every node through the production
 pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
 diameter, the per-draw graph builders the production ones must match, the
-per-message bandwidth ledger the per-group one must match, and a runner
-for the scripts."""
+per-message bandwidth ledger the per-group one must match, the oracle
+cache's first graph hash and a runner for the scripts."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -255,6 +256,15 @@ class ReferenceLedger:
         self.total_bits += total * copies
         self.total_deliveries += copies
         return total
+
+
+def edge_list_content_hash(g: DynamicGraph) -> str:
+    """The oracle cache's graph hash from the sorted edge list, as it was
+    first written: the production hash must keep its bytes, so that cache
+    directories written before still hit."""
+    h = hashlib.sha256(f"{g.node_count}|".encode())
+    h.update(np.asarray(g.edges(), dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def run_script(name: str, *args, cwd) -> subprocess.CompletedProcess:

@@ -62,6 +62,17 @@ def test_sweep_subcommand(capsys):
     assert row["ok"] is True
 
 
+def test_sweep_jobs_print_the_rows_of_one_job(capsys):
+    # the pool's rows are those of the serial loop, in the same order
+    argv = ["sweep", "--grid", '{"epsilon": [1.0], "rate": [0], "n": [40, 50]}',
+            "--passes", "1"]
+    outs = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(outs[0].splitlines()) == 2 and outs[1] == outs[0]
+
+
 def test_sweep_epsilon_out_of_range_exits_two(capsys):
     # a zero epsilon used to divide by zero while sizing the clique; a cell
     # with no feasible clique is still only skipped
@@ -159,6 +170,19 @@ def test_missing_edge_list_exits_two(tmp_path, capsys, command):
     labels.write_text("0 1\na b\n")
     assert main(argv(labels)) == 2
     assert "error: line 2: expected integer labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges,args,message", [
+    ("0 1\n1 2\n", ["--k", "5"], "k=5 exceeds node count 3"),
+    ("", ["--n", "0"], "node_count must be positive"),
+], ids=["k-above-n", "no-nodes"])
+def test_bad_oracle_arguments_exit_two(tmp_path, capsys, edges, args,
+                                       message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(edges)
+    assert main(["oracle", "--graph", str(graph), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 @pytest.mark.parametrize("command,flag,text,message", [

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -457,6 +458,35 @@ def test_two_parts_of_one_group_in_one_broadcast_are_folded(folds):
                              len(g.adj[u]))
     assert world.ledger.summary() == ref.summary()
     assert world.ledger.summary()["tags"]["t"]["messages"] == 5
+
+
+@pytest.mark.parametrize("folds", sorted(FOLDS))
+def test_no_sender_array_outlives_its_last_receiver(folds):
+    # on the path 0-1-2-3 each sender's last receiver is its largest
+    # neighbour; when node v steps, exactly the arrays of the senders whose
+    # last receiver is v or later are still alive
+    last = [1, 2, 3, 2]
+    sent = {}  # (round, sender) -> weak reference to the array it sent
+
+    class Node:
+        def __init__(self, node_id):
+            self.id = node_id
+            self.alive = []
+
+        def step(self, ctx):
+            self.alive.append({u for (r, u), ref in sent.items()
+                               if r == ctx.round - 1 and ref() is not None})
+            values = np.array([self.id, ctx.round], np.uint8)
+            sent[ctx.round, self.id] = weakref.ref(values)
+            return [TuplePart("t", "geo", values)]
+
+    nodes = [Node(i) for i in range(4)]
+    g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+        World(g, nodes, seed=0).run(3)
+    for v, node in enumerate(nodes):
+        want = {u for u in range(4) if last[u] >= v}
+        assert node.alive == [set(), want, want]
 
 
 def test_handed_top_is_shared_and_read_only():

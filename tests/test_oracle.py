@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import densetrack.oracle as oracle
 from densetrack import harness
@@ -17,7 +17,7 @@ from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                graph_content_hash, greedy_at_least_k_witness,
                                peel_reference)
 from densetrack.scenarios import build_graph, build_regular
-from support import REPO
+from support import REPO, edge_list_content_hash
 
 
 def complete(n):
@@ -479,3 +479,12 @@ class TestCache:
         assert graph_content_hash(g1) == graph_content_hash(g2)
         g2.apply_churn([])  # time changes, content does not
         assert graph_content_hash(g1) == graph_content_hash(g2)
+
+    @given(graphs(max_n=20))
+    @example(DynamicGraph(1))
+    @example(DynamicGraph(5))
+    @example(DynamicGraph.from_edges(5, [(3, 4), (1, 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_content_hash_is_the_edge_list_hash(self, g):
+        # graphs with no edges and with isolated vertices hash as before
+        assert graph_content_hash(g) == edge_list_content_hash(g)
