@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracle
 from .errors import ChurnBudgetExceeded
 from .graph import ADD, REMOVE, DynamicGraph, Edge, Edit, edge_key
 
@@ -183,9 +184,8 @@ class TargetedAdversary(RandomChurnAdversary):
     def _refresh_core(self, g: DynamicGraph, round_: int) -> None:
         if self._core_round >= 0 and round_ - self._core_round < self.refresh_every:
             return
-        from .oracle import exact_densest  # local import: oracle is heavier
-
-        self._core = frozenset(exact_densest(g, start=self._core).members)
+        self._core = frozenset(
+            oracle.exact_densest(g, start=self._core).members)
         self._core_round = round_
 
     def _patch_core_edges(self, batch: list[Edit]) -> None:

@@ -83,8 +83,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.k < 0:
+        raise ConfigError(f"--k must be >= 0, got {args.k}")
     graph, _ = load_edge_list(args.graph, node_count=args.n)
-    if args.k and args.k > 0:
+    if args.k:
         res = exact_at_least_k(graph, args.k)
     else:
         res = exact_densest(graph)
@@ -95,6 +97,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     grid = sweep_grid(parse_json(args.grid, "sweep grid"))
     combos = []
     skipped = []
@@ -115,7 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     conf["report"] = {"out": os.path.join(
                         args.out, f"n{n}-r{rate}-eps{eps}")}
                 combos.append((key, conf))
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_run_one, [c for _, c in combos])
     else:

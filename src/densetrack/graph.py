@@ -80,10 +80,6 @@ class DynamicGraph:
         return sorted((u, v) for u in range(self.node_count)
                       for v in self.adj[u] if u < v)
 
-    def snapshot(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u in range(self.node_count)
-                         for v in self.adj[u] if u < v)
-
     # -- mutation ----------------------------------------------------------
 
     def _insert(self, u: int, v: int) -> None:

@@ -10,7 +10,9 @@ Each round has three phases, always in this order:
   round's compute phase, never earlier or later.  Channels are lossless.
   A broadcast is the sender's state when it was staged, so D must bound the
   dynamic diameter for a flood to reach every node in D rounds.
-* **churn** - the adversary edits up to ``churn_rate`` edges.
+* **churn** - the adversary edits up to ``churn_rate`` edges.  The engine
+  imports no adversary class: any :class:`ChurnSource` will do, and a
+  :class:`World` without one applies no churn.
 
 A step sees its own state and what :class:`StepContext` holds: the round,
 its inbox, its current neighbor count and its private RNG stream.  The
@@ -63,9 +65,8 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .adversary import Adversary
 from .errors import HandlerPanic
-from .graph import ADD, DynamicGraph
+from .graph import ADD, DynamicGraph, Edit
 
 
 # -- message parts -------------------------------------------------------------
@@ -218,6 +219,10 @@ class StepContext:
 
 class Handler(Protocol):
     def step(self, ctx: StepContext) -> list[MessagePart] | None: ...
+
+
+class ChurnSource(Protocol):
+    def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]: ...
 
 
 def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
@@ -391,12 +396,12 @@ class World:
     """The simulation loop: nodes, graph, adversary, ledger, event log."""
 
     def __init__(self, graph: DynamicGraph, handlers: Sequence[Handler],
-                 seed: int, adversary: Adversary | None = None,
+                 seed: int, adversary: ChurnSource | None = None,
                  log: EventLog | None = None):
         if len(handlers) != graph.node_count:
             raise ValueError("one handler per node required")
         self.graph = graph
-        self.adversary = adversary or Adversary()
+        self.adversary = adversary
         self.handlers = list(handlers)
         self.rngs = [node_rng(seed, i) for i in range(len(handlers))]
         self.round = 0
@@ -427,7 +432,8 @@ class World:
             cb(self)
         del merges  # its rows go before this round's are made
         self._deliver(r, staged)
-        edits = self.adversary.edits_for_round(self.graph, r)
+        edits = (self.adversary.edits_for_round(self.graph, r)
+                 if self.adversary is not None else [])
         self.graph.apply_churn(edits)
         self._topology.patch(self.graph, edits)
         if edits and self.log:

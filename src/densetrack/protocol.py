@@ -31,10 +31,11 @@ rounds.
 
 Queries snapshot the current family, pick ``argmax_i m_i / max(k, n_i)``
 (ties to the smallest index), and either answer immediately or run the
-padding loop: non-members enroll with probability ``delta_target / n_0``,
-the enrolled set is counted by a second pipeline beside the maintenance
-one (2D rounds per attempt), and the loop accepts when the count lands in
-``[(1+d)*target, (1+2d)*target]``.  After ``pad_cap`` attempts the attempt
+padding loop: non-members enroll with probability ``target / n_0``, where
+``target = (1+d)*k - n_i``, a second pipeline counts the enrolled set (2D
+rounds per attempt), and the loop accepts when the count lands in the
+query's window ``[(1+d)*target, (1+2d)*target]``; a query is padded when
+it has a window.  After ``pad_cap`` attempts the attempt
 closest to the window centre (earliest on ties) is returned with a loud
 warning flag instead of looping forever.  The harness fires one query at a
 time, setting ``query_k`` on every node for the next step to start; each
@@ -132,7 +133,6 @@ class ProtocolParams:
 
     epsilon: float
     diameter: int
-    k: int = 0
     count_eps: float | None = None   # error handed to the estimators
     delta_fail: float = 0.01         # coarse-stage failure probability
     c: float = 1.0                   # fine-stage length constant
@@ -148,7 +148,6 @@ class ProtocolParams:
                 (0 < self.counting_eps <= 1, "count_eps must be in (0,1]"),
                 (0 < self.delta_fail < 1, "delta_fail must be in (0,1)"),
                 (self.diameter >= 1, "diameter must be >= 1"),
-                (self.k >= 0, "k must be >= 0"),
                 (not (self.exact_counting and self.strict_congest),
                  "strict mode applies to tuple estimators only")):
             if not ok:
@@ -236,10 +235,8 @@ class _QueryRun:
     snapshot: FamilySnapshot
     chosen: int
     member_vi: bool
-    delta_target: float | None = None  # None: answered without padding
+    window: tuple[float, float] | None = None  # None: not padded
     head_p: float = 0.0
-    window: tuple[float, float] = (0.0, 0.0)
-    attempt: int = 0
     coins: list[bool] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
 
@@ -249,11 +246,10 @@ class ProtocolNode:
 
     def __init__(self, node_id: int, node_count: int, params: ProtocolParams):
         self.node_id = node_id
-        self.node_count = node_count
         self.params = params
-        # maintenance machine: segment "nodes", "edges" or "threshold"
-        self.seg = "nodes"
-        self.level = 0
+        # maintenance machine: segment "nodes", "edges" or "threshold", or
+        # None before the first step; the level is len(records)
+        self.seg: str | None = None
         self.member = True
         self.records: list[LevelRecord] = []
         self.flags: list[bool] = [True]
@@ -263,11 +259,9 @@ class ProtocolNode:
         self.level_node_est: float | None = None
         self.level_nodes_start: int | None = 0
         self.level_edges_start: int | None = None
-        self.du = 0
         self.drop_seen = False  # OR of "someone dropped" over the window
         self.family: FamilySnapshot | None = None
         self._member_flags_heard = 0
-        self._started = False
         # one counting window at a time per machine; they share the settings
         self.count, self.query_count = (
             CountPipeline(node_id, node_count, params.diameter,
@@ -308,10 +302,11 @@ class ProtocolNode:
         self.seg = "nodes"
         self.count.start(NODE_TAGS, ctx.round, ctx.rng, self.member)
 
-    def _count_edges(self, ctx: StepContext) -> None:
+    def _count_edges(self, ctx: StepContext, du: int) -> None:
+        """Start the edge count; ``du`` is this node's degree inside V_j."""
         self.seg = "edges"
         self.level_edges_start = ctx.round
-        self.count.start(EDGE_TAGS, ctx.round, ctx.rng, self.member, self.du)
+        self.count.start(EDGE_TAGS, ctx.round, ctx.rng, self.member, du)
 
     def _close_pass(self, ctx: StepContext, reason: str) -> None:
         """Publish the finished family and restart at level 0, reusing n_0."""
@@ -323,15 +318,13 @@ class ProtocolNode:
             end_round=ctx.round - 1,
             closed_by=reason)
         self.pass_index += 1
-        self.level = 0
         self.member = True
         self.records = []
         self.flags = [True]
         self.pass_start = ctx.round
         self.level_node_est = self.n0
         self.level_nodes_start = None
-        self.du = ctx.neighbor_count
-        self._count_edges(ctx)
+        self._count_edges(ctx, ctx.neighbor_count)
 
     def _advance(self, ctx: StepContext) -> None:
         """The one place that picks the next segment."""
@@ -340,14 +333,11 @@ class ProtocolNode:
             # one membership round, opened the round before
             deg = self._member_flags_heard
             self._member_flags_heard = 0
-            rec = self.records[-1]
-            self.records[-1] = replace(rec, threshold_round=ctx.round - 1)
-            thr = threshold_value(rec.ratio, p.factor)
+            thr = threshold_value(self.records[-1].ratio, p.factor)
             new_member = self.member and deg >= thr
             self.drop_seen = self.member and not new_member
             self.member = new_member
             self.flags.append(new_member)
-            self.level += 1
             self.level_nodes_start = ctx.round
             self._count_nodes(ctx)
             return
@@ -357,22 +347,23 @@ class ProtocolNode:
         if self.seg == "nodes":
             drop_seen, self.drop_seen = self.drop_seen, False
             du_heard, self._member_flags_heard = self._member_flags_heard, 0
-            if self.level == 0 and self.n0 is None:
+            if self.n0 is None:
                 self.n0 = total
             if total == 0.0:
                 self._close_pass(ctx, "empty")
-            elif self.level > 0 and not drop_seen:
+            elif self.records and not drop_seen:
                 self._close_pass(ctx, "fixed-point")
             else:
                 self.level_node_est = total
-                self.du = du_heard if self.member else 0
-                self._count_edges(ctx)
+                self._count_edges(ctx, du_heard if self.member else 0)
             return
-        n_est = self.level_node_est
+        j, n_est = len(self.records), self.level_node_est
+        capped = j + 1 >= p.p_cap
+        # the threshold round is this one, unless the cap closes the pass
         self.records.append(LevelRecord(
-            self.level, n_est, total, total / n_est, self.level_nodes_start,
-            self.level_edges_start, None))
-        if len(self.records) >= p.p_cap:
+            j, n_est, total, total / n_est, self.level_nodes_start,
+            self.level_edges_start, None if capped else ctx.round))
+        if capped:
             self._close_pass(ctx, "cap")
         else:
             self.seg = "threshold"
@@ -415,15 +406,13 @@ class ProtocolNode:
         if k == 0 or node_est >= (1.0 + d) * k:
             self._answer(ctx)
             return
-        q.delta_target = (1.0 + d) * k - node_est
-        q.head_p = min(1.0, max(0.0, q.delta_target / self.n0))
-        q.window = ((1.0 + d) * q.delta_target,
-                    (1.0 + 2.0 * d) * q.delta_target)
+        target = (1.0 + d) * k - node_est
+        q.head_p = min(1.0, max(0.0, target / self.n0))
+        q.window = ((1.0 + d) * target, (1.0 + 2.0 * d) * target)
         self._begin_attempt(ctx)
 
     def _begin_attempt(self, ctx: StepContext) -> None:
         q = self.query
-        q.attempt += 1
         enrolled = (not q.member_vi) and bool(ctx.rng.random() < q.head_p)
         q.coins.append(enrolled)
         self.query_count.start(QUERY_TAGS, ctx.round, ctx.rng, enrolled)
@@ -432,7 +421,7 @@ class ProtocolNode:
         """Close the active query: answered at once, accepted at attempt
         ``accepted`` (0-based), or, padded with none accepted, capped."""
         q = self.query
-        padded = q.delta_target is not None
+        padded = q.window is not None
         best = accepted
         if padded and best is None:
             # closest attempt to the window center, earliest on ties
@@ -444,7 +433,7 @@ class ProtocolNode:
             snapshot=q.snapshot, chosen=q.chosen,
             chosen_ratio=query_ratio(q.snapshot.records[q.chosen], q.k),
             in_answer=q.member_vi or (padded and q.coins[best]),
-            padded=padded, attempts=q.attempt,
+            padded=padded, attempts=len(q.coins),
             accepted_attempt=None if accepted is None else accepted + 1,
             cap_exceeded=padded and accepted is None)
         self.answered += 1
@@ -458,7 +447,7 @@ class ProtocolNode:
             if q.window[0] <= est <= q.window[1]:
                 self._answer(ctx, len(q.estimates) - 1)
                 return []
-            if q.attempt >= self.params.pad_cap:
+            if len(q.coins) >= self.params.pad_cap:
                 self._answer(ctx)
                 return []
             self._begin_attempt(ctx)
@@ -469,8 +458,7 @@ class ProtocolNode:
 
     def step(self, ctx: StepContext) -> list[MessagePart] | None:
         self._absorb(ctx)
-        if not self._started:
-            self._started = True
+        if self.seg is None:
             self._count_nodes(ctx)
         else:
             self._advance(ctx)

@@ -4,7 +4,7 @@ density precondition with margin.
 
 A config is a JSON object whose sections are JSON objects (``adversary``
 and ``queries`` may also be null).  One table per section below gives each
-key's type or allowed values, its default and its lower bound; an unknown,
+key's type or allowed values, its default and its bounds; an unknown,
 missing or wrong-typed key is a ConfigError naming its key path.
 ``report.emit_log`` is a boolean (default false); ``report.out`` is a
 directory path string or null (default null: no report files, and an event
@@ -15,7 +15,7 @@ per-pass query is due when its pass closes; ``start_pass`` defaults to 1,
 ``limit`` to none): each fires at the first round at or after its own in
 which no other query is active, and its ``round_fired`` is the round it
 actually fired.  ``queries.k`` is the query size; ``protocol.k`` is only
-range-checked.
+range-checked, to [0, n].
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
           bool: ((bool,), "a boolean"), str: ((str,), "a string")}
 
 
-def _checked(x, kind: type, where: str, low: int | None = None):
+def _checked(x, kind: type, where: str, low=None, high=None):
     """``x`` converted to ``kind``, or a ConfigError naming the key path
     ``where``.  An int must be a JSON integer, a float any JSON number, a
-    bool a JSON boolean and a str a JSON string; ``low`` is an inclusive
-    lower bound."""
+    bool a JSON boolean and a str a JSON string; ``low`` and ``high`` are
+    inclusive bounds, which NaN fails."""
     types, name = _KINDS[kind]
     ok = isinstance(x, types) and (kind is bool or not isinstance(x, bool))
-    if not ok or (low is not None and x < low):
-        at_least = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{where} must be {name}{at_least}, got {x!r}")
+    if not (ok and (low is None or x >= low) and (high is None or x <= high)):
+        within = " and".join(f" {op} {b}" for op, b in (
+            (">=", low), ("<=", high)) if b is not None)
+        raise ConfigError(f"{where} must be {name}{within}, got {x!r}")
     return kind(x)
 
 
@@ -57,10 +58,11 @@ _ABSENT = object()    # an absent key stays absent; its receiver has a default
 
 class _Key(NamedTuple):
     """One key of a section: its kind (see :func:`_value`), its default and
-    an inclusive lower bound."""
+    inclusive lower and upper bounds."""
     kind: object
     default: object = _REQUIRED
     low: int | None = None
+    high: int | None = None
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,10 @@ def _section(d, fields: dict, where: str) -> dict:
         if keys:
             raise ConfigError(f"{name}: {what} keys {sorted(keys, key=str)}")
     out = {}
-    for key, (kind, default, low) in fields.items():
+    for key, (kind, default, *bounds) in fields.items():
         path = f"{where}.{key}".lstrip(".")
         if key in d:
-            out[key] = _value(d[key], kind, path, low)
+            out[key] = _value(d[key], kind, path, *bounds)
         elif isinstance(kind, dict):  # an absent section is an empty one
             out[key] = _section({}, kind, path)
         elif default is not _ABSENT:
@@ -95,11 +97,11 @@ def _section(d, fields: dict, where: str) -> dict:
     return out
 
 
-def _value(x, kind, where: str, low: int | None = None):
-    """``x`` checked against ``kind``: a type (see :func:`_checked`), a
-    table (see :func:`_section`), :class:`_Variants`, a one-item list (a
-    JSON list of that kind) or a tuple of allowed strings or null plus at
-    most one other kind."""
+def _value(x, kind, where: str, *bounds):
+    """``x`` checked against ``kind``: a type (see :func:`_checked`, which
+    takes the ``bounds``), a table (see :func:`_section`),
+    :class:`_Variants`, a one-item list (a JSON list of that kind) or a
+    tuple of allowed strings or null plus at most one other kind."""
     if isinstance(kind, _Variants):
         name = x.get(kind.key) if isinstance(x, dict) else None
         if isinstance(x, dict) and name not in list(kind.tables):
@@ -111,7 +113,7 @@ def _value(x, kind, where: str, low: int | None = None):
     if isinstance(kind, list):
         if not isinstance(x, list):
             raise ConfigError(f"{where} must be a list, got {x!r}")
-        return [_value(v, kind[0], f"{where}[{i}]", low)
+        return [_value(v, kind[0], f"{where}[{i}]", *bounds)
                 for i, v in enumerate(x)]
     if isinstance(kind, tuple):
         if (x is None or isinstance(x, str)) and x in kind:
@@ -119,8 +121,8 @@ def _value(x, kind, where: str, low: int | None = None):
         rest = [k for k in kind if not (k is None or isinstance(k, str))]
         if not rest:
             raise ConfigError(f"{where} must be one of {kind}, got {x!r}")
-        return _value(x, rest[0], where, low)
-    return _checked(x, kind, where, low)
+        return _value(x, rest[0], where, *bounds)
+    return _checked(x, kind, where, *bounds)
 
 
 # -- graph builders --------------------------------------------------------------
@@ -240,11 +242,12 @@ def build_clique_plus_noise(rng: np.random.Generator, n: int, clique: int,
 
 # -- config schema: one table per section ----------------------------------
 
+_PROBABILITY = _Key(float, low=0, high=1)
 _GRAPH = _Variants("kind", {
-    "gnp": {"n": _Key(int, low=1), "p": _Key(float)},
+    "gnp": {"n": _Key(int, low=1), "p": _PROBABILITY},
     "regular": {"n": _Key(int, low=1), "d": _Key(int, low=0)},
     "planted-dense": {"n": _Key(int, low=1), "clique": _Key(int),
-                      "noise_p": _Key(float), "hub_star": _Key(bool, _ABSENT)},
+                      "noise_p": _PROBABILITY, "hub_star": _Key(bool, _ABSENT)},
     "clique-plus-noise": {"n": _Key(int, low=1), "clique": _Key(int),
                           "extra_edges": _Key(int, low=0)},
     "edge-list": {"path": _Key(str), "n": _Key(int, _ABSENT, 1)},
@@ -259,12 +262,14 @@ _ADVERSARY = _Variants("kind", {
                      "mode": _Key(("balanced", "uniform"), _ABSENT)},
     "targeted-attack-on-dense-core": {
         "rate": _RATE, "protect": _PROTECT,
-        "refresh_every": _Key(int, _ABSENT), "bias": _Key(float, _ABSENT)},
+        "refresh_every": _Key(int, _ABSENT, 1),
+        "bias": _Key(float, _ABSENT, 0, 1)},
 })
 # absent protocol keys stay absent: ProtocolParams owns their defaults
 _PROTOCOL = {"epsilon": _Key(float), "diameter": _Key(("auto", int), "auto"),
+             "k": _Key(int, 0, 0),
              **{key: _Key(kind, _ABSENT) for key, kind in (
-                 ("k", int), ("count_eps", float), ("delta_fail", float),
+                 ("count_eps", float), ("delta_fail", float),
                  ("c", float), ("p_cap", int), ("pad_cap", int),
                  ("exact_counting", bool), ("strict_congest", bool),
                  ("threshold_factor", float))}}
@@ -343,7 +348,7 @@ class ScenarioConfig:
 
     def build(self) -> tuple[BuiltGraph, ProtocolParams]:
         pspec = dict(self.protocol)
-        diameter = pspec.pop("diameter")
+        diameter, k = pspec.pop("diameter"), pspec.pop("k")
         built = build_graph(self.graph, self.seed)
         n = built.graph.node_count
         if diameter == "auto":
@@ -366,8 +371,8 @@ class ScenarioConfig:
                         "auto diameter needs a connected initial graph")
                 diameter = max(1, int(d))
         params = params_for(n, diameter=diameter, **pspec)
-        if params.k > n:
-            raise ConfigError(f"protocol.k={params.k} exceeds n={n}")
+        if k > n:
+            raise ConfigError(f"protocol.k={k} exceeds n={n}")
         if self.queries and self.queries["k"] > n:
             raise ConfigError(f"queries.k={self.queries['k']} exceeds n={n}")
         return built, params

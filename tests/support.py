@@ -139,7 +139,7 @@ def round_start_edges(graph: DynamicGraph, adversary,
                   adversary=adversary)
     trace = []
     for _ in range(rounds):
-        trace.append(graph.snapshot())
+        trace.append(frozenset(graph.edges()))
         world.run_round()
     return trace
 

@@ -73,6 +73,15 @@ def test_sweep_jobs_print_the_rows_of_one_job(capsys):
     assert len(outs[0].splitlines()) == 2 and outs[1] == outs[0]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_two(capsys, jobs):
+    # the one grid cell has no feasible clique, so nothing would run
+    argv = ["sweep", "--grid", '{"rate": [3], "n": [10]}', "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --jobs must be >= 1, got {jobs}"), err
+
+
 def test_sweep_epsilon_out_of_range_exits_two(capsys):
     # a zero epsilon used to divide by zero while sizing the clique; a cell
     # with no feasible clique is still only skipped
@@ -174,8 +183,9 @@ def test_missing_edge_list_exits_two(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("edges,args,message", [
     ("0 1\n1 2\n", ["--k", "5"], "k=5 exceeds node count 3"),
+    ("0 1\n1 2\n", ["--k", "-2"], "--k must be >= 0, got -2"),
     ("", ["--n", "0"], "node_count must be positive"),
-], ids=["k-above-n", "no-nodes"])
+], ids=["k-above-n", "k-negative", "no-nodes"])
 def test_bad_oracle_arguments_exit_two(tmp_path, capsys, edges, args,
                                        message):
     graph = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +99,7 @@ class TestConfigValidation:
         pytest.param(("protocol", "delta_fail"), 1.5, id="delta_fail-1.5"),
         pytest.param(("protocol", "delta_fail"), 0, id="delta_fail-0"),
         pytest.param(("protocol", "diameter"), 0, id="diameter-0"),
+        pytest.param(("protocol", "k"), -1, id="protocol.k-negative"),
         pytest.param(("queries", "k"), 50, id="queries.k-above-n"),
         pytest.param(("queries", "k"), -1, id="queries.k-negative"),
         pytest.param(("queries", "k"), 2.5, id="queries.k-float"),
@@ -127,6 +129,25 @@ class TestConfigValidation:
         pytest.param(("graph", "n"), "ten", id="graph.n-string"),
         pytest.param(("graph", "clique"), -2, id="graph.clique-negative"),
         pytest.param(("graph", "clique"), 7, id="graph.clique-above-n"),
+        # probabilities lie in [0, 1]; the diameter is explicit, so an
+        # empty graph would build
+        *(pytest.param((), {**k5_config(), "graph": graph,
+                            "protocol": {"epsilon": 0.5, "diameter": 2}},
+                       id=f"graph.{name}")
+          for name, graph in (
+              ("p-negative", {"kind": "gnp", "n": 6, "p": -1.0}),
+              ("p-above-1", {"kind": "gnp", "n": 6, "p": 7.5}),
+              ("p-nan", {"kind": "gnp", "n": 6, "p": math.nan}),
+              ("noise_p-negative", {"kind": "planted-dense", "n": 6,
+                                    "clique": 4, "noise_p": -2.0}),
+              ("noise_p-above-1", {"kind": "planted-dense", "n": 6,
+                                   "clique": 4, "noise_p": 3.0}))),
+        # rate 0 keeps the auto diameter legal, so only the key is bad
+        *(pytest.param(("adversary",), {"kind": "targeted-attack-on-dense-core",
+                                        "rate": 0, key: value},
+                       id=f"adversary.{key}-{value}")
+          for key, value in (("bias", -0.5), ("bias", 1.5),
+                             ("refresh_every", 0), ("refresh_every", -3))),
         pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
         pytest.param(("protocol", "exact_counting"), "yes",
                      id="exact_counting-string"),

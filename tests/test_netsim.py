@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import graphlib
 import inspect
 import json
 import tempfile
@@ -610,19 +611,35 @@ def test_flags_part_bit_size():
         == [1, 2]
 
 
-def test_engine_knows_no_protocol():
-    tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports relatively, at any depth,
+    function-level imports included; an absolute import of the package
+    fails the test."""
     local = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level:
-            local.add(node.module)
+            local.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = ([node.module] if isinstance(node, ast.ImportFrom)
                      else [alias.name for alias in node.names])
-            assert not any(n.startswith("densetrack") for n in names)
-    assert local <= {"adversary", "errors", "graph"}
+            assert not any(n.startswith("densetrack") for n in names), path
+    return local
+
+
+def test_engine_knows_no_protocol():
+    assert package_imports(Path(netsim.__file__)) <= {"errors", "graph"}
     assert [f.name for f in dataclasses.fields(StepContext)] == [
         "round", "inbox", "neighbor_count", "rng"]
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: package_imports(path)
+             for path in Path(netsim.__file__).parent.glob("*.py")}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {err.args[1]}")
 
 
 def test_protocol_node_is_the_one_inbox_consumer():

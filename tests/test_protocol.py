@@ -9,9 +9,9 @@ from densetrack.protocol import (LevelRecord, ProtocolNode, level_round_cost,
                                  params_for, query_argmax, threshold_value)
 
 
-def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0, k=0,
+def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0,
                **overrides):
-    params = params_for(g.node_count, epsilon, diameter, k=k,
+    params = params_for(g.node_count, epsilon, diameter,
                         exact_counting=exact, **overrides)
     handlers = [ProtocolNode(i, g.node_count, params)
                 for i in range(g.node_count)]
@@ -96,7 +96,7 @@ class TestMaintain:
                                                     if (i, (i + 1) % n) not in edges
                                                     and (min(i, (i + 1) % n),
                                                          max(i, (i + 1) % n)) not in edges])
-            g = DynamicGraph.from_edges(n, sorted(g.snapshot()))
+            g = DynamicGraph.from_edges(n, g.edges())
             _, handlers, _ = run_passes(g, 0.5, 4, seed=trial)
             fam0 = handlers[0].family
             for h in handlers:
@@ -180,13 +180,13 @@ class TestQueries:
 
     def test_padding_delta_arithmetic(self):
         # delta = 0.01 (epsilon 0.24): target = (1+0.01)*100 - 50 = 51
-        params = params_for(200, 0.24, 2, k=100)
+        params = params_for(200, 0.24, 2)
         assert (1 + params.delta) * 100 - 50 == pytest.approx(51.0)
 
     def test_no_padding_when_level_big_enough(self):
         g = DynamicGraph.from_edges(5, [(i, j) for i in range(5)
                                         for j in range(i + 1, 5)])
-        world, handlers, _ = run_passes(g, 0.96, 1, passes=1, k=3)
+        world, handlers, _ = run_passes(g, 0.96, 1, passes=1)
         answer, outs = run_query(world, handlers, 3)
         assert len(answer) == 5 and outs[0].padded is False
 
@@ -197,7 +197,7 @@ class TestQueries:
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         edges += [(0, v) for v in (6, 7, 8, 9)]
         g = DynamicGraph.from_edges(10, edges)
-        world, handlers, params = run_passes(g, 0.96, 2, passes=1, k=7)
+        world, handlers, params = run_passes(g, 0.96, 2, passes=1)
         answer, outs = run_query(world, handlers, 7)
         out = outs[0]
         assert out.padded and out.cap_exceeded
@@ -337,7 +337,7 @@ def test_exact_levels_equal_the_truth_under_churn(monkeypatch, n, clique,
     run_round = World.run_round
 
     def recording_round(world):
-        graphs.append(world.graph.snapshot())
+        graphs.append(frozenset(world.graph.edges()))
         run_round(world)
         fam = world.handlers[0].family
         if fam is not None and fam.pass_index not in families:
