@@ -31,11 +31,13 @@ rounds.
 
 Queries snapshot the current family, pick ``argmax_i m_i / max(k, n_i)``
 (ties to the smallest index), and either answer immediately or run the
-padding loop: non-members enroll with probability ``target / n_0``, where
-``target = (1+d)*k - n_i``, a second pipeline counts the enrolled set (2D
-rounds per attempt), and the loop accepts when the count lands in the
-query's window ``[(1+d)*target, (1+2d)*target]``; a query is padded when
-it has a window.  After ``pad_cap`` attempts the attempt
+padding loop: with ``target = (1+d)*k - n_i``, the window is the integers
+``lo = ceil((1+d)*target)`` to ``max(lo, floor((1+2d)*target))``,
+non-members enroll with a probability aimed at its centre
+(:func:`padding_window`), a second pipeline counts the enrolled set (2D
+rounds per attempt), and the loop accepts when the rounded count lies in
+the window; a query is padded when it has a window.  After ``pad_cap``
+attempts the attempt
 closest to the window centre (earliest on ties) is returned with a loud
 warning flag instead of looping forever.  The harness fires one query at a
 time, setting ``query_k`` on every node for the next step to start; each
@@ -228,6 +230,23 @@ def query_argmax(records: tuple[LevelRecord, ...], k: int) -> int:
     return max(range(len(records)), key=lambda i: query_ratio(records[i], k))
 
 
+def padding_window(k: int, node_est: float, n0: float,
+                   delta: float) -> tuple[int, int, float]:
+    """``(lo, hi, head_p)`` of a padded query on a level of ``node_est``
+    nodes: the integers of ``[(1+delta)*target, (1+2*delta)*target]``, with
+    ``target = (1+delta)*k - node_est``, or the least above it when it
+    holds none, and the chance that each of the ``n0 - node_est``
+    non-members enrolls, aimed at the window's centre (1 when no
+    non-member is estimated)."""
+    target = (1.0 + delta) * k - node_est
+    lo = math.ceil((1.0 + delta) * target)
+    hi = max(lo, math.floor((1.0 + 2.0 * delta) * target))
+    others = n0 - node_est
+    # lo >= 1, since a query pads only when target > 0
+    head_p = 1.0 if others <= 0 else min(1.0, (lo + hi) / 2.0 / others)
+    return lo, hi, head_p
+
+
 @dataclass
 class _QueryRun:
     k: int
@@ -235,7 +254,7 @@ class _QueryRun:
     snapshot: FamilySnapshot
     chosen: int
     member_vi: bool
-    window: tuple[float, float] | None = None  # None: not padded
+    window: tuple[int, int] | None = None  # None: not padded
     head_p: float = 0.0
     coins: list[bool] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
@@ -406,9 +425,8 @@ class ProtocolNode:
         if k == 0 or node_est >= (1.0 + d) * k:
             self._answer(ctx)
             return
-        target = (1.0 + d) * k - node_est
-        q.head_p = min(1.0, max(0.0, target / self.n0))
-        q.window = ((1.0 + d) * target, (1.0 + 2.0 * d) * target)
+        lo, hi, q.head_p = padding_window(k, node_est, self.n0, d)
+        q.window = (lo, hi)
         self._begin_attempt(ctx)
 
     def _begin_attempt(self, ctx: StepContext) -> None:
@@ -444,7 +462,7 @@ class ProtocolNode:
         est = self.query_count.step(ctx.round, ctx.rng)
         if est is not None:
             q.estimates.append(est)
-            if q.window[0] <= est <= q.window[1]:
+            if q.window[0] <= round(est) <= q.window[1]:
                 self._answer(ctx, len(q.estimates) - 1)
                 return []
             if len(q.coins) >= self.params.pad_cap:

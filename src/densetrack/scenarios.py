@@ -267,10 +267,10 @@ _ADVERSARY = _Variants("kind", {
 })
 # absent protocol keys stay absent: ProtocolParams owns their defaults
 _PROTOCOL = {"epsilon": _Key(float), "diameter": _Key(("auto", int), "auto"),
-             "k": _Key(int, 0, 0),
+             "k": _Key(int, 0, 0), "pad_cap": _Key(int, _ABSENT, 1),
              **{key: _Key(kind, _ABSENT) for key, kind in (
                  ("count_eps", float), ("delta_fail", float),
-                 ("c", float), ("p_cap", int), ("pad_cap", int),
+                 ("c", float), ("p_cap", int),
                  ("exact_counting", bool), ("strict_congest", bool),
                  ("threshold_factor", float))}}
 _DURATION = {"passes": _Key(int, None, 0), "rounds": _Key(int, None, 0)}

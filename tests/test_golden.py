@@ -46,7 +46,8 @@ CONFIGS = {
         {"epsilon": 1.0, "k": 0, "diameter": 2, "strict_congest": True,
          "delta_fail": 0.5},
         {"rounds": 4000}, {"mode": "at-rounds", "rounds": [3990], "k": 0}),
-    # criterion 5's K6 with four pendants: exact counting, padded query
+    # criterion 5's K6 with four pendants: exact counting, a padded query
+    # accepted at attempt 1
     "k6-pendants-exact-padded": lambda: {
         "seed": 4, "graph": {"kind": "edge-list", "path": "pad.txt"},
         "adversary": None,
@@ -54,7 +55,7 @@ CONFIGS = {
                      "exact_counting": True},
         "duration": {"passes": 1}, "queries": {"mode": "per-pass", "k": 7},
         "report": {}},
-    # estimator-mode padding, accepted at attempt 16
+    # estimator-mode padding, accepted at attempt 1
     "estimator-padding": lambda: _planted(
         40, 12, 0.05, 3, {"epsilon": 1.0, "k": 20, "diameter": 2},
         {"passes": 2}, {"mode": "per-pass", "k": 20, "limit": 1}),
@@ -79,11 +80,11 @@ GOLDEN = {
         "97f390b43913877a317947d4f721eaf73a5ed20c4cd6beb73d21580d2e480a4a",
         "298fd8a52e973401c8d48e17cb44a2fb"),
     "k6-pendants-exact-padded": (
-        "65fcfc3062f131ea8e673616279e915cdb86e04db1d8d95a7a18f35c3b8f898d",
-        "0f6d711b7958181d1c67b10affbb8955"),
+        "ba480edda8e2f380c1461ff62e1951c0315620827455cab6eeaa643faff7a217",
+        "583f07d111261daa0345ce9e6357eaf6"),
     "estimator-padding": (
-        "cc7c20a6558879590faa9217fa61216f49faed95769de28672fb97cf98e5bc8b",
-        "476e2f9d31f953c8661ce3a7f3a91932"),
+        "d82e303b9e062a4a7ef2b94445a17028084f7c829182d14c0b63ad7fa47cca1a",
+        "1912b8a10903e2ec9634a994bdc7c9ae"),
     "targeted-core": (
         "e7a6080c3622f807cda1300bb463977f50b337211d43dc4867df64b8e0dda88d",
         "b005d4624150271863e152fae1d18ef6"),

@@ -149,6 +149,9 @@ class TestConfigValidation:
           for key, value in (("bias", -0.5), ("bias", 1.5),
                              ("refresh_every", 0), ("refresh_every", -3))),
         pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
+        # one attempt is the least a padded query can make
+        pytest.param(("protocol", "pad_cap"), 0, id="pad_cap-0"),
+        pytest.param(("protocol", "pad_cap"), -1, id="pad_cap--1"),
         pytest.param(("protocol", "exact_counting"), "yes",
                      id="exact_counting-string"),
         *(pytest.param((section,), value, id=f"{section}-not-an-object")
@@ -531,6 +534,19 @@ class TestPlantedSolver:
     def test_infeasible_raises(self):
         with pytest.raises(ConfigError):
             solve_planted_scenario(n=30, k=10, rate=4, epsilon=1.0)
+
+    @pytest.mark.parametrize("seed", [1, 5, 100])
+    def test_reference_padded_query_accepts(self, seed):
+        # these seeds pad one query; with a sub-integer window it ran to
+        # the cap (seeds 5 and 100) or to attempt 28 (seed 1), spanned
+        # pass closes and cost the later passes their queries
+        conf = solve_planted_scenario(n=130, k=80, rate=4, epsilon=1.0,
+                                      seed=seed, passes=20)
+        rep = run_scenario(conf)
+        assert any(q["padded"] for q in rep.queries)
+        assert not any(q["cap_exceeded"] for q in rep.queries)
+        assert len(rep.queries) == 20 and rep.flags["answered_queries"] == 20
+        assert rep.rounds_run == 366
 
     def test_demo_script_runs(self, tmp_path):
         proc = run_script("demo_dynamic.py", "--passes", 1, "--n", 60,

@@ -6,7 +6,8 @@ from densetrack.harness import run_scenario
 from densetrack.netsim import World
 from densetrack.oracle import peel_reference
 from densetrack.protocol import (LevelRecord, ProtocolNode, level_round_cost,
-                                 params_for, query_argmax, threshold_value)
+                                 padding_window, params_for, query_argmax,
+                                 threshold_value)
 
 
 def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0,
@@ -35,6 +36,12 @@ def run_query(world, handlers, k, max_rounds=20000):
     outs = [h.outcome for h in handlers]
     answer = sorted(h.node_id for h, o in zip(handlers, outs) if o.in_answer)
     return answer, outs
+
+
+def k6_pendants():
+    """A K6 core with four pendants on node 0."""
+    edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    return DynamicGraph.from_edges(10, edges + [(0, v) for v in (6, 7, 8, 9)])
 
 
 def level_sets(handlers):
@@ -191,42 +198,75 @@ class TestQueries:
         assert len(answer) == 5 and outs[0].padded is False
 
     def test_padding_loop_caps_loudly_and_reaches_k(self):
-        # K6 core plus four pendants; k=7 forces the padding branch with a
-        # sub-integer acceptance window, so the cap fires and the closest
-        # attempt is returned with the warning flag
-        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        edges += [(0, v) for v in (6, 7, 8, 9)]
-        g = DynamicGraph.from_edges(10, edges)
+        # K6 core plus four pendants.  k=10 pads level 0, all ten nodes,
+        # whose window starts at 1 with no non-member left to enroll, so
+        # the cap fires and the closest attempt is returned with the
+        # warning flag
+        g = k6_pendants()
         world, handlers, params = run_passes(g, 0.96, 2, passes=1)
-        answer, outs = run_query(world, handlers, 7)
+        answer, outs = run_query(world, handlers, 10)
         out = outs[0]
         assert out.padded and out.cap_exceeded
         assert out.attempts == params.pad_cap
-        assert len(answer) >= 7
+        assert len(answer) >= 10
         assert out.completed_round - out.fired_round == \
             out.attempts * 2 * params.diameter
         assert len({(o.attempts, o.cap_exceeded) for o in outs}) == 1
+        # k=7 pads the K6, and its window [2, 2] holds an integer
+        answer, outs = run_query(world, handlers, 7)
+        out = outs[0]
+        assert out.padded and out.accepted_attempt is not None
+        assert not out.cap_exceeded and len(answer) >= 7
+
+    @pytest.mark.parametrize("exact", [True, False],
+                             ids=["exact", "estimator"])
+    def test_no_non_member_to_enroll_caps_without_panic(self, exact):
+        # k = n pads the whole graph, so n0 - node_est is 0: every
+        # non-member enrolls, none exists, and no attempt can accept
+        g = k6_pendants()
+        world, handlers, params = run_passes(g, 0.96, 2, passes=1,
+                                             exact=exact)
+        answer, outs = run_query(world, handlers, 10)
+        assert outs[0].chosen == 0
+        assert all(o.padded and o.cap_exceeded and
+                   o.attempts == params.pad_cap for o in outs)
+        assert answer == list(range(10))
 
     def test_padding_acceptance_reference_window(self):
         # exact counting, n=200, k=100, level size 50, delta=0.01: the only
         # acceptable enrolled-set size is 52, and the cap bounds attempts
-        delta = 0.01
-        target = (1 + delta) * 100 - 50
-        lo, hi = (1 + delta) * target, (1 + 2 * delta) * target
-        assert (lo, hi) == pytest.approx((51.51, 52.02))
+        lo, hi, head_p = padding_window(100, 50.0, 200.0, 0.01)
+        assert (lo, hi) == (52, 52)
+        assert head_p == pytest.approx(52 / 150)
         cap = int(np.ceil(8 * np.log(200)))
         rng = np.random.default_rng(0)
         accepted_sizes = []
         attempts_used = []
         for _ in range(500):
             for attempt in range(1, cap + 1):
-                size = rng.binomial(200 - 50, target / 200)
+                size = rng.binomial(200 - 50, head_p)
                 if lo <= size <= hi:
                     accepted_sizes.append(size)
                     break
             attempts_used.append(attempt)
         assert all(s == 52 for s in accepted_sizes)
         assert max(attempts_used) <= cap
+
+    @pytest.mark.parametrize("target", [0.01, 0.3, 0.756, 0.99, 1.0, 1.28,
+                                        2.5, 23.9, 24.0, 51.0, 120.7])
+    @pytest.mark.parametrize("delta", [1 / 24, 0.04, 0.01])
+    def test_padding_window_holds_an_integer(self, target, delta):
+        k = 80
+        node_est = (1 + delta) * k - target
+        target = (1 + delta) * k - node_est  # as padding_window rounds it
+        for n0 in (node_est + 1.0, node_est + 40.0, 130.0, 1000.0):
+            lo, hi, head_p = padding_window(k, node_est, n0, delta)
+            assert type(lo) is int and type(hi) is int and lo <= hi
+            assert lo >= (1 + delta) * target and lo >= 1
+            assert 0.0 <= head_p <= 1.0
+        # no non-member estimated: every non-member enrolls
+        for n0 in (node_est, node_est - 2.0):
+            assert padding_window(k, node_est, n0, delta)[2] == 1.0
 
     def test_membership_query(self):
         g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
