@@ -88,11 +88,15 @@ def exponential_draws(rng: np.random.Generator, size,
                       copies: int = 1) -> np.ndarray:
     """The min of ``copies`` iid rate-1 exponentials, which is exactly
     Exp(copies): -ln(U) / copies, U uniform in (0,1]."""
-    u = rng.random(size=size)
-    out = -np.log1p(-u)
+    out = rng.random(size=size)
+    np.negative(out, out=out)  # in place: no temporaries, the same bits
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
     if out.size:
         np.copyto(out, 1e-300, where=(out == 0.0))
-    return out / copies
+    if copies != 1:  # x / 1 == x
+        out /= copies
+    return out
 
 
 def geometric_max_tosses(rng: np.random.Generator, copies: int,

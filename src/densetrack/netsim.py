@@ -39,9 +39,12 @@ the fold of what its round-start neighbours sent.  Folding that part
 equals folding every neighbour's part in any order, so a receiver merges
 once per tag, not once per neighbour.  A folded part's values live in a
 row the engine refills for each receiver, so they are valid during the
-receiving step only.  A group keeps its senders' arrays by node id, and
-lets each go once the sender's largest neighbour, its last receiver to
-step, has stepped.
+receiving step only.  A group whose rows take at most :data:`STACK_BYTES`
+is stacked once per round, at delivery, into one matrix with a row per
+sender, and a receiver's fold is one take of its senders' rows and one
+reduce.  A wider group keeps its senders' arrays by node id, merges them
+pairwise and lets each go once the sender's largest neighbour, its last
+receiver to step, has stepped.
 
 Max, min and or are joins, idempotent and order-free, so a fold that holds
 an array equal to the join of every sender, the group's top, is the top.
@@ -92,13 +95,14 @@ class MessagePart(Protocol):
         the engine refills that array for every receiver."""
 
 
-# A receiver's fold is one gather and one reduce while the rows it gathers
-# take at most GATHER_BYTES, else a chain of pairwise merges.  A gather
-# costs about 1.5 us and then copies every row once more; a merge costs
-# about 0.5 us.  On a 2-vCPU VM with numpy 2.4, gathering took 6-9 us
-# against 10-20 us of merges at fan-in 32-64 and rows of 32 B-1 KB, and
-# twice as long as merging at rows of 8-57 KB whatever the fan-in.
-GATHER_BYTES = 32 << 10
+# A group whose rows take at most STACK_BYTES is stacked into one matrix when
+# its round is delivered, and a receiver's fold is one take of its senders'
+# rows and one reduce; wider rows are merged pairwise.  At fan-in 66 on a
+# 2-vCPU VM with numpy 2.4, take-and-reduce took 2.6 us against 13.5 us of
+# merges at 16 B rows, 7.3 against 15.4 us at 300 B and 34 against 68 us at
+# 8.4 KB, and about even at 16 KB; at 44 KB and fan-in 8, 25.6 us against
+# 18.8, and stacking 200 such rows took 0.94 ms.
+STACK_BYTES = 16 << 10
 
 
 @dataclass(frozen=True)
@@ -273,11 +277,12 @@ class _Topology:
             self._derive()
 
     def layout(self, senders: list[int]) -> tuple:
-        """Every node's sending neighbours among ``senders``, as ids: node
-        v's are ``found[starts[v]:ends[v]]``.  Last the covering nodes,
-        whose sending neighbours and themselves are every sender, or None
-        if there are none: the first one's id, whether it sends, the ids of
-        those that send, and ``found`` and ``ends`` as arrays."""
+        """Every node's sending neighbours among ``senders``, as ids in a
+        list and in an array ``found``: node v's are
+        ``found[starts[v]:ends[v]]``.  Last the covering nodes, whose
+        sending neighbours and themselves are every sender, or None if there
+        are none: the first one's id, whether it sends, the ids of those
+        that send, and ``ends`` as an array."""
         n = len(self.nbrs)
         sends = np.zeros(n, bool)
         sends[senders] = True
@@ -289,9 +294,10 @@ class _Topology:
         counts = np.bincount(self.owners[sending], minlength=n)
         ends = np.cumsum(counts)
         covering = np.flatnonzero(counts + sends == count)
-        layout = (found.tolist(), [0, *ends[:-1].tolist()], ends.tolist(),
+        layout = (found.tolist(), found, [0, *ends[:-1].tolist()],
+                  ends.tolist(),
                   (int(covering[0]), bool(sends[covering[0]]),
-                   covering[sends[covering]].tolist(), found, ends)
+                   covering[sends[covering]], ends)
                   if covering.size else None)
         if count == n:
             self.everyone = layout
@@ -307,13 +313,17 @@ class _Merges:
     """The parts of one round's broadcasts, folded for each receiver right
     before it steps in the next round.
 
-    A group is the value arrays of one part type, header, dtype and length,
-    in a list indexed by sender id (None where a node sent none).  A
-    receiver's fold is written into one row per group, which the group's
-    folded part views.  Each sender's arrays are let go at its release
-    point (:class:`_Topology`), after its last receiver has stepped, as a
-    per-sender inbox would be, so a round holds no more of them than one
-    message per sender did.
+    A group is the value arrays of one part type, header, dtype and length.
+    A receiver's fold is written into one row per group, which the group's
+    folded part views.  A group whose rows take at most
+    :data:`STACK_BYTES` is stacked here into one read-only matrix, a row
+    per sender, and a receiver's fold is one take of its senders' rows and
+    one reduce, whatever its fan-in.  A wider group keeps its senders'
+    arrays in a list indexed by sender id (None where a node sent none) and
+    merges them pairwise.  Each of those arrays is let go at its sender's
+    release point (:class:`_Topology`), after its last receiver has
+    stepped, as a per-sender inbox would be, so a round holds no more of
+    them than one message per sender did.
 
     A group whose merge is a join gets a top when its first covering
     receiver has folded: that fold merged with the receiver's own array,
@@ -327,38 +337,58 @@ class _Merges:
 
     def __init__(self, groups: dict, topology: _Topology):
         self.groups: list[list] = []
-        self.releases = topology.releases
-        for (_, _, dtype, shape), (first, senders, _, sent) in groups.items():
+        held = []  # the pairwise groups' arrays by sender id
+        for key, (first, senders, rows, sent) in groups.items():
+            _, _, dtype, shape = key
             row = np.empty(shape, dtype)
             # with_values of the folded part, which pins no sender's array
             folded = first.with_values(row)
-            found, starts, ends, covers = topology.layout(senders)
-            if first.merge not in JOINS:
+            ids, found, starts, ends, covers = topology.layout(senders)
+            stacked = row.nbytes <= STACK_BYTES
+            if stacked:
+                # a row per sender, in id order; a receiver's rows by index
+                order = list(dict.fromkeys(senders))
+                sent = np.stack(rows if len(order) == len(rows)
+                                else [sent[u] for u in order])
+                sent.flags.writeable = False
+                rowof = np.empty(len(topology.degrees), np.intp)
+                rowof[order] = np.arange(len(order))
+                ids = found = rowof[found]
+            else:
+                held.append(sent)
+            if first.merge in JOINS and covers:
+                cover, sends, tested, ends_at = covers
+                own = cover if sends else None
+                if stacked:  # keys into the matrix are its rows
+                    own = None if own is None else rowof[own]
+                    tested = rowof[tested]
+                covers = (cover, own, tested, found, ends_at)
+            else:
                 covers = None
             self.groups.append([first.merge, folded.with_values, folded, row,
-                                sent, GATHER_BYTES // max(row.nbytes, 1),
-                                found, starts, ends,
+                                sent, stacked, ids, starts, ends,
                                 covers[0] if covers else -1, covers, None])
+        self.held = held
+        self.releases = topology.releases if held else {}
 
     def fold(self, v: int) -> list[MessagePart]:
         """Receiver ``v``'s folded parts, valid during its step only."""
         parts = []
         for group in self.groups:
-            (merge, with_values, folded, row, sent, gather, found, starts,
+            (merge, with_values, folded, row, sent, stacked, ids, starts,
              ends, cover, covers, top) = group
-            index = found[starts[v]:ends[v]]
+            index = ids[starts[v]:ends[v]]
             if len(index) < 2:
-                if index:  # a fold of one array is that array
+                if len(index):  # a fold of one array is that array
                     parts.append(with_values(sent[index[0]]))
                 continue
             if top and top[0][v]:  # v hears a saturated sender
                 parts.append(top[1])
                 continue
-            arrays = itemgetter(*index)(sent)
-            if len(index) <= gather:
-                merge.reduce(np.concatenate(arrays).reshape(len(index), -1),
-                             axis=0, out=row)
+            if stacked:
+                merge.reduce(sent.take(index, axis=0), axis=0, out=row)
             else:
+                arrays = itemgetter(*index)(sent)
                 merge(arrays[0], arrays[1], out=row)
                 for a in arrays[2:]:
                     merge(row, a, out=row)
@@ -370,22 +400,30 @@ class _Merges:
     def release(self, v: int) -> None:
         """Let go of the sender arrays that ``v`` was the last to read."""
         for u in self.releases[v]:
-            for group in self.groups:
-                group[4][u] = None
+            for sent in self.held:
+                sent[u] = None
 
 
-def _top(merge: np.ufunc, with_values, row: np.ndarray, sent: list,
+def _top(merge: np.ufunc, with_values, row: np.ndarray, sent,
          covers: tuple) -> tuple | None:
     """Which receivers hear a saturated sender, and the top as a part; None
-    if none does.  ``row`` holds the first covering receiver's fold."""
-    cover, sends, tested, found, ends = covers
-    if sends and sent[cover] is None:
+    if none does.  ``row`` holds the first covering receiver's fold and
+    ``sent`` the group's arrays: a stacked matrix, or a list by sender id.
+    ``covers`` gives the keys into ``sent`` of that receiver's own array
+    (None if it sent none), of the covering senders and of every
+    receiver's senders, and each receiver's end in the last."""
+    _, own, tested, found, ends = covers
+    if own is not None and sent[own] is None:
         return None  # every receiver of its array has stepped
-    top = merge(row, sent[cover]) if sends else row.copy()
+    top = merge(row, sent[own]) if own is not None else row.copy()
     top.flags.writeable = False
     saturated = np.zeros(len(sent), bool)
-    for u in tested:
-        saturated[u] = sent[u] is not None and np.array_equal(sent[u], top)
+    if isinstance(sent, np.ndarray):  # one comparison of the stacked rows
+        saturated[tested] = (sent[tested] == top).all(axis=1)
+    else:
+        for u in tested.tolist():
+            saturated[u] = (sent[u] is not None
+                            and np.array_equal(sent[u], top))
     if not saturated.any():
         return None
     heard = np.concatenate(([0], np.cumsum(saturated[found])))[ends]

@@ -38,16 +38,18 @@ _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
           bool: ((bool,), "a boolean"), str: ((str,), "a string")}
 
 
-def _checked(x, kind: type, where: str, low=None, high=None):
+def _checked(x, kind: type, where: str, low=None, high=None, above=None):
     """``x`` converted to ``kind``, or a ConfigError naming the key path
     ``where``.  An int must be a JSON integer, a float any JSON number, a
     bool a JSON boolean and a str a JSON string; ``low`` and ``high`` are
-    inclusive bounds, which NaN fails."""
+    inclusive bounds and ``above`` an exclusive lower one, which NaN
+    fails."""
     types, name = _KINDS[kind]
     ok = isinstance(x, types) and (kind is bool or not isinstance(x, bool))
-    if not (ok and (low is None or x >= low) and (high is None or x <= high)):
+    if not (ok and (low is None or x >= low) and (high is None or x <= high)
+            and (above is None or x > above)):
         within = " and".join(f" {op} {b}" for op, b in (
-            (">=", low), ("<=", high)) if b is not None)
+            (">=", low), ("<=", high), (">", above)) if b is not None)
         raise ConfigError(f"{where} must be {name}{within}, got {x!r}")
     return kind(x)
 
@@ -57,12 +59,13 @@ _ABSENT = object()    # an absent key stays absent; its receiver has a default
 
 
 class _Key(NamedTuple):
-    """One key of a section: its kind (see :func:`_value`), its default and
-    inclusive lower and upper bounds."""
+    """One key of a section: its kind (see :func:`_value`), its default,
+    inclusive lower and upper bounds and an exclusive lower bound."""
     kind: object
     default: object = _REQUIRED
     low: int | None = None
     high: int | None = None
+    above: int | None = None
 
 
 @dataclass(frozen=True)
@@ -265,12 +268,14 @@ _ADVERSARY = _Variants("kind", {
         "refresh_every": _Key(int, _ABSENT, 1),
         "bias": _Key(float, _ABSENT, 0, 1)},
 })
-# absent protocol keys stay absent: ProtocolParams owns their defaults
+# absent protocol keys stay absent: ProtocolParams owns their defaults.  A
+# pass needs two levels to close by a fixed point, so p_cap is at least 2.
 _PROTOCOL = {"epsilon": _Key(float), "diameter": _Key(("auto", int), "auto"),
              "k": _Key(int, 0, 0), "pad_cap": _Key(int, _ABSENT, 1),
+             "p_cap": _Key(int, _ABSENT, 2),
+             "c": _Key(float, _ABSENT, above=0),
              **{key: _Key(kind, _ABSENT) for key, kind in (
                  ("count_eps", float), ("delta_fail", float),
-                 ("c", float), ("p_cap", int),
                  ("exact_counting", bool), ("strict_congest", bool),
                  ("threshold_factor", float))}}
 _DURATION = {"passes": _Key(int, None, 0), "rounds": _Key(int, None, 0)}

@@ -65,6 +65,17 @@ class TestForcedDraws:
         stage = counting.exp_stage("t", 1, 8, True, rng)
         assert counting.finalize_fine_rows(stage.acc) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("size", [7, (4, 5)])
+    def test_exponential_draws_equal_the_formula(self, copies, size):
+        # the in-place draw gives the bits of -log1p(-u) / copies
+        got = counting.exponential_draws(np.random.default_rng(11), size,
+                                         copies)
+        u = np.random.default_rng(11).random(size=size)
+        want = -np.log1p(-u) / copies
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_toss_cap_truncation_recorded(self):
         vals, truncated = counting.geometric_tosses(
             StubRng(geometric_value=80), (3, 4))

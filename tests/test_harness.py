@@ -149,6 +149,12 @@ class TestConfigValidation:
           for key, value in (("bias", -0.5), ("bias", 1.5),
                              ("refresh_every", 0), ("refresh_every", -3))),
         pytest.param(("protocol", "p_cap"), "x", id="p_cap-string"),
+        # a pass closes by a fixed point only from its second level on
+        pytest.param(("protocol", "p_cap"), 0, id="p_cap-0"),
+        pytest.param(("protocol", "p_cap"), -3, id="p_cap--3"),
+        # the fine tuple's length constant is positive
+        pytest.param(("protocol", "c"), 0, id="c-0"),
+        pytest.param(("protocol", "c"), -1, id="c--1"),
         # one attempt is the least a padded query can make
         pytest.param(("protocol", "pad_cap"), 0, id="pad_cap-0"),
         pytest.param(("protocol", "pad_cap"), -1, id="pad_cap--1"),

@@ -320,9 +320,9 @@ def merge_rounds(draw, saturated=False):
     return n, edges, kind, length, sends, script
 
 
-# each way of making a fold: gathered and reduced (the default at these
-# sizes) or merged pairwise
-FOLDS = {"gathered": netsim.GATHER_BYTES, "pairwise": 0}
+# each way of making a fold, by the widest stacked row: stacked and taken
+# (the default at these sizes) or merged pairwise
+FOLDS = {"stacked": netsim.STACK_BYTES, "pairwise": 0}
 
 
 def check_merged_delivery(case, folds):
@@ -334,7 +334,7 @@ def check_merged_delivery(case, folds):
     graphs = [g.copy()]
     nodes = [Sender(sends[i], kind, length) for i in range(n)]
     world = World(g, nodes, seed=0, adversary=adv)
-    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+    with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
         world.run_round()
         graphs.append(g.copy())
         world.run(2)
@@ -450,7 +450,7 @@ def test_two_parts_of_one_group_in_one_broadcast_are_folded(folds):
     nodes = [Node([5, 0], [0, 7]), Node(), Node([1, 1]), Node()]
     g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
     world = World(g, nodes, seed=0)
-    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+    with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
         world.run(2)
     assert [node.heard[1] for node in nodes] == [[], [[5, 7]], [], [[5, 7]]]
     ref = ReferenceLedger()
@@ -464,8 +464,9 @@ def test_two_parts_of_one_group_in_one_broadcast_are_folded(folds):
 @pytest.mark.parametrize("folds", sorted(FOLDS))
 def test_no_sender_array_outlives_its_last_receiver(folds):
     # on the path 0-1-2-3 each sender's last receiver is its largest
-    # neighbour; when node v steps, exactly the arrays of the senders whose
-    # last receiver is v or later are still alive
+    # neighbour.  Merged pairwise, when node v steps, exactly the arrays of
+    # the senders whose last receiver is v or later are still alive; stacked,
+    # the rows were copied at delivery, so none is
     last = [1, 2, 3, 2]
     sent = {}  # (round, sender) -> weak reference to the array it sent
 
@@ -483,14 +484,54 @@ def test_no_sender_array_outlives_its_last_receiver(folds):
 
     nodes = [Node(i) for i in range(4)]
     g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+    with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
         World(g, nodes, seed=0).run(3)
     for v, node in enumerate(nodes):
-        want = {u for u in range(4) if last[u] >= v}
+        want = {u for u in range(4) if last[u] >= v and folds == "pairwise"}
         assert node.alive == [set(), want, want]
 
 
-def test_handed_top_is_shared_and_read_only():
+@pytest.mark.parametrize("wider", [0, 1], ids=["at-bound", "one-wider"])
+def test_rows_of_stack_bytes_are_stacked_and_wider_ones_are_not(wider):
+    # geo rows of exactly STACK_BYTES, or one item wider, on a star with a
+    # tail: every fold equals the per-neighbour fold, and only the wider
+    # group still holds a sender's array when the first receiver steps
+    length = netsim.STACK_BYTES + wider
+    rng = np.random.default_rng(wider)
+    rows = [rng.integers(0, 65, length).astype(np.uint8) for _ in range(5)]
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4)]
+    refs = {}
+
+    class Node:
+        def __init__(self, node_id):
+            self.id = node_id
+            self.heard = []
+            self.alive = None
+
+        def step(self, ctx):
+            if ctx.round == 0:
+                values = rows[self.id].copy()
+                refs[self.id] = weakref.ref(values)
+                return [TuplePart("t", "geo", values)]
+            if self.alive is None:
+                self.alive = {u for u, ref in refs.items()
+                              if ref() is not None}
+            self.heard.append(fold("geo", length, 1, ctx.inbox))
+            return None
+
+    nodes = [Node(i) for i in range(5)]
+    World(DynamicGraph.from_edges(5, edges), nodes, seed=0).run(2)
+    g = DynamicGraph.from_edges(5, edges)
+    for v, node in enumerate(nodes):
+        want = fold("geo", length, 1, [TuplePart("t", "geo", rows[u])
+                                       for u in sorted(g.adj[v])])
+        assert node.heard[0][0] == want[0]
+        assert np.array_equal(node.heard[0][1], want[1])
+    assert (nodes[0].alive == set()) == (not wider)
+
+
+@pytest.mark.parametrize("folds", sorted(FOLDS))
+def test_handed_top_is_shared_and_read_only(folds):
     # on K4 node 0 covers every sender and node 1 sends the join, so nodes 2
     # and 3 are handed one read-only top; absorbing it changes none of it
     join = np.array([3, 2, 5], np.uint8)
@@ -512,7 +553,8 @@ def test_handed_top_is_shared_and_read_only():
     nodes = [Node(v) for v in ([1, 2, 0], join, [3, 0, 1], [0, 1, 5])]
     g = DynamicGraph.from_edges(4, [(u, v) for u in range(4)
                                     for v in range(u + 1, 4)])
-    World(g, nodes, seed=0).run(2)
+    with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
+        World(g, nodes, seed=0).run(2)
     top = nodes[2].heard[0]
     assert nodes[3].heard[0] is top and not top.flags.writeable
     assert np.array_equal(top, join)
@@ -547,7 +589,7 @@ def test_flags_fold_counts_past_a_byte(folds):
     hub = Hub()
     g = DynamicGraph.from_edges(301, [(0, i) for i in range(1, 301)])
     world = World(g, [hub] + [Leaf() for _ in range(300)], seed=0)
-    with mock.patch.object(netsim, "GATHER_BYTES", FOLDS[folds]):
+    with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
         world.run(2)
     assert hub.heard == [[], [(MEMBER_TAG, [300, 0])]]
     assert hub._member_flags_heard == 300 and not hub.drop_seen
