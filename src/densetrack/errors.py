@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the readers of input
-files that raise them."""
+"""Exception types shared across the package, and the readers and checks
+of outside input that raise them."""
 
 import json
+from typing import NamedTuple
 
 
 class DensetrackError(Exception):
@@ -71,3 +72,41 @@ def parse_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not JSON: {exc}") from exc
+
+
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          bool: ((bool,), "a boolean"), str: ((str,), "a string")}
+
+
+def _checked(x, kind: type, where: str, low=None, high=None, above=None,
+             below=None):
+    """``x`` converted to ``kind``, or a ConfigError naming the key path
+    ``where``.  An int must be a JSON integer, a float any JSON number, a
+    bool a JSON boolean and a str a JSON string; ``low`` and ``high`` are
+    inclusive bounds and ``above`` and ``below`` exclusive ones, which NaN
+    fails."""
+    types, name = _KINDS[kind]
+    ok = isinstance(x, types) and (kind is bool or not isinstance(x, bool))
+    if not (ok and (low is None or x >= low) and (above is None or x > above)
+            and (high is None or x <= high) and (below is None or x < below)):
+        within = " and".join(f" {op} {b}" for op, b in (
+            (">=", low), (">", above), ("<=", high), ("<", below))
+            if b is not None)
+        raise ConfigError(f"{where} must be {name}{within}, got {x!r}")
+    return kind(x)
+
+
+_REQUIRED = object()  # the section must have the key
+_ABSENT = object()    # an absent key stays absent; its receiver has a default
+
+
+class _Key(NamedTuple):
+    """One key of a config section: its kind (a type for :func:`_checked`,
+    or a schema kind that ``scenarios`` reads), its default, inclusive lower
+    and upper bounds and exclusive lower and upper bounds."""
+    kind: object
+    default: object = _REQUIRED
+    low: int | None = None
+    high: int | None = None
+    above: int | None = None
+    below: int | None = None

@@ -29,15 +29,13 @@
   level-peeling recursion, sharing the protocol's binary64 threshold
   comparison so level sets match the embedded exact-mode protocol bitwise.
 
-Results are cached on disk keyed by graph content hash.
+:class:`OracleCache` keeps a run's answers in memory, keyed by graph content
+hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -405,61 +403,17 @@ def at_least_k_bounds(g: DynamicGraph, k: int,
     return lower, upper, witness
 
 
-# -- disk cache -------------------------------------------------------------------
+# -- cache ----------------------------------------------------------------------
 
 
 class OracleCache:
-    """Content-addressed cache of oracle answers (memory plus optional dir)."""
+    """In-memory cache of oracle answers, keyed by graph content hash."""
 
-    def __init__(self, directory: str | None = None):
-        self.directory = directory
+    def __init__(self):
         self._mem: dict[str, OracleResult] = {}
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-
-    def _key(self, kind: str, g: DynamicGraph) -> str:
-        # "{}" is the empty parameter set of older keys, so cache
-        # directories written by them still hit
-        return hashlib.sha256(
-            f"{kind}|{graph_content_hash(g)}|{{}}".encode()).hexdigest()
 
     def exact_densest(self, g: DynamicGraph) -> OracleResult:
-        key = self._key("densest", g)
-        if key in self._mem:
-            return self._mem[key]
-        path = (os.path.join(self.directory, key + ".json")
-                if self.directory else None)
-        res = _load_entry(path) if path else None
-        if res is None:
-            res = exact_densest(g)
-            if path:
-                _store_entry(path, res)
-        self._mem[key] = res
-        return res
-
-
-def _load_entry(path: str) -> OracleResult | None:
-    """A cached answer, or None when the entry is missing or unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return OracleResult(frozenset(raw["members"]),
-                            Fraction(raw["num"], raw["den"]), raw["method"])
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-
-
-def _store_entry(path: str, res: OracleResult) -> None:
-    """Write through a temporary file in the same directory, then rename, so
-    an interrupted write never leaves a truncated entry."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"members": sorted(res.members),
-                       "num": res.density.numerator,
-                       "den": res.density.denominator,
-                       "method": res.method}, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        key = graph_content_hash(g)
+        if key not in self._mem:
+            self._mem[key] = exact_densest(g)
+        return self._mem[key]

@@ -63,7 +63,7 @@ from .counting import CountPipeline
 # bench/tracer.py wraps these four names in this module's namespace (its
 # counting.stage layer); the stages themselves are built in counting
 from .counting import degs_stage, exp_stage, geo_stage, ids_stage  # noqa: F401
-from .errors import ConfigError
+from .errors import _ABSENT, ConfigError, _checked, _Key
 from .netsim import MessagePart, StepContext
 
 # (coarse, fine) tag pairs of the three counting windows
@@ -129,9 +129,28 @@ def default_pad_cap(node_count: int) -> int:
     return max(1, math.ceil(8.0 * math.log(max(node_count, 2))))
 
 
+# The protocol section of a config: every ProtocolParams field plus k.  An
+# absent key stays absent, so ProtocolParams owns its default.  A pass needs
+# two levels to close by a fixed point, so p_cap is at least 2.
+PROTOCOL_KEYS = {
+    "epsilon": _Key(float, above=0, high=1),
+    "diameter": _Key(("auto", int), "auto", 1),
+    "count_eps": _Key(float, _ABSENT, above=0, high=1),
+    "delta_fail": _Key(float, _ABSENT, above=0, below=1),
+    "c": _Key(float, _ABSENT, above=0),
+    "p_cap": _Key(int, _ABSENT, 2),
+    "pad_cap": _Key(int, _ABSENT, 1),
+    "exact_counting": _Key(bool, _ABSENT),
+    "strict_congest": _Key(bool, _ABSENT),
+    "threshold_factor": _Key(float, _ABSENT, above=0),
+    "k": _Key(int, 0, 0),
+}
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Knobs every node receives before round 0."""
+    """Knobs every node receives before round 0, each checked against
+    :data:`PROTOCOL_KEYS` unless None."""
 
     epsilon: float
     diameter: int
@@ -145,15 +164,14 @@ class ProtocolParams:
     threshold_factor: float | None = None
 
     def __post_init__(self):
-        for ok, message in (
-                (0 < self.epsilon <= 1, "epsilon must be in (0,1]"),
-                (0 < self.counting_eps <= 1, "count_eps must be in (0,1]"),
-                (0 < self.delta_fail < 1, "delta_fail must be in (0,1)"),
-                (self.diameter >= 1, "diameter must be >= 1"),
-                (not (self.exact_counting and self.strict_congest),
-                 "strict mode applies to tuple estimators only")):
-            if not ok:
-                raise ConfigError(message)
+        for key, value in vars(self).items():
+            if value is not None:
+                kind, _, *bounds = PROTOCOL_KEYS[key]
+                # a built run's diameter is an integer, never "auto"
+                _checked(value, kind[-1] if isinstance(kind, tuple) else kind,
+                         f"protocol.{key}", *bounds)
+        if self.exact_counting and self.strict_congest:
+            raise ConfigError("strict mode applies to tuple estimators only")
 
     @property
     def delta(self) -> float:

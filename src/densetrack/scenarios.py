@@ -3,9 +3,11 @@ builders, and a solver that sizes planted-dense instances to clear the
 density precondition with margin.
 
 A config is a JSON object whose sections are JSON objects (``adversary``
-and ``queries`` may also be null).  One table per section below gives each
-key's type or allowed values, its default and its bounds; an unknown,
-missing or wrong-typed key is a ConfigError naming its key path.
+and ``queries`` may also be null).  One table per section gives each
+key's type or allowed values, its default and its bounds; all are below
+but the protocol section's, :data:`~densetrack.protocol.PROTOCOL_KEYS`.  An
+unknown, missing, wrong-typed or out-of-range key is a ConfigError naming
+its key path.
 ``report.emit_log`` is a boolean (default false); ``report.out`` is a
 directory path string or null (default null: no report files, and an event
 log goes to the working directory).
@@ -22,50 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import (Adversary, RandomChurnAdversary, ScriptedAdversary,
                         TargetedAdversary)
-from .errors import ConfigError, InfeasibleScenario
+from .errors import (_ABSENT, _REQUIRED, ConfigError, InfeasibleScenario,
+                     _checked, _Key)
 from .graph import (ADD, REMOVE, DynamicGraph, Edge, edge_key, load_edge_list,
                     static_diameter)
-from .protocol import ProtocolParams, params_for
-
-
-_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-          bool: ((bool,), "a boolean"), str: ((str,), "a string")}
-
-
-def _checked(x, kind: type, where: str, low=None, high=None, above=None):
-    """``x`` converted to ``kind``, or a ConfigError naming the key path
-    ``where``.  An int must be a JSON integer, a float any JSON number, a
-    bool a JSON boolean and a str a JSON string; ``low`` and ``high`` are
-    inclusive bounds and ``above`` an exclusive lower one, which NaN
-    fails."""
-    types, name = _KINDS[kind]
-    ok = isinstance(x, types) and (kind is bool or not isinstance(x, bool))
-    if not (ok and (low is None or x >= low) and (high is None or x <= high)
-            and (above is None or x > above)):
-        within = " and".join(f" {op} {b}" for op, b in (
-            (">=", low), ("<=", high), (">", above)) if b is not None)
-        raise ConfigError(f"{where} must be {name}{within}, got {x!r}")
-    return kind(x)
-
-
-_REQUIRED = object()  # the section must have the key
-_ABSENT = object()    # an absent key stays absent; its receiver has a default
-
-
-class _Key(NamedTuple):
-    """One key of a section: its kind (see :func:`_value`), its default,
-    inclusive lower and upper bounds and an exclusive lower bound."""
-    kind: object
-    default: object = _REQUIRED
-    low: int | None = None
-    high: int | None = None
-    above: int | None = None
+from .protocol import PROTOCOL_KEYS, ProtocolParams, params_for
 
 
 @dataclass(frozen=True)
@@ -268,16 +236,6 @@ _ADVERSARY = _Variants("kind", {
         "refresh_every": _Key(int, _ABSENT, 1),
         "bias": _Key(float, _ABSENT, 0, 1)},
 })
-# absent protocol keys stay absent: ProtocolParams owns their defaults.  A
-# pass needs two levels to close by a fixed point, so p_cap is at least 2.
-_PROTOCOL = {"epsilon": _Key(float), "diameter": _Key(("auto", int), "auto"),
-             "k": _Key(int, 0, 0), "pad_cap": _Key(int, _ABSENT, 1),
-             "p_cap": _Key(int, _ABSENT, 2),
-             "c": _Key(float, _ABSENT, above=0),
-             **{key: _Key(kind, _ABSENT) for key, kind in (
-                 ("count_eps", float), ("delta_fail", float),
-                 ("exact_counting", bool), ("strict_congest", bool),
-                 ("threshold_factor", float))}}
 _DURATION = {"passes": _Key(int, None, 0), "rounds": _Key(int, None, 0)}
 _QUERIES = _Variants("mode", {
     "per-pass": {"k": _Key(int, low=0), "start_pass": _Key(int, 1, 0),
@@ -287,7 +245,7 @@ _QUERIES = _Variants("mode", {
 _REPORT = {"emit_log": _Key(bool, False), "out": _Key((None, str), None)}
 _CONFIG = {"seed": _Key(int, low=0), "graph": _Key(_GRAPH),
            "adversary": _Key((None, _ADVERSARY), None),
-           "protocol": _Key(_PROTOCOL), "duration": _Key(_DURATION),
+           "protocol": _Key(PROTOCOL_KEYS), "duration": _Key(_DURATION),
            "queries": _Key((None, _QUERIES), None),
            "report": _Key(_REPORT, {})}
 
@@ -383,8 +341,9 @@ class ScenarioConfig:
         return built, params
 
 
-_SWEEP_GRID = {"epsilon": _Key([float], [1.0]), "rate": _Key([int], [0], 0),
-               "n": _Key([int], [60])}
+_SWEEP_GRID = {
+    "epsilon": PROTOCOL_KEYS["epsilon"]._replace(kind=[float], default=[1.0]),
+    "rate": _Key([int], [0], 0), "n": _Key([int], [60])}
 
 
 def sweep_grid(grid) -> dict:

@@ -86,7 +86,8 @@ def test_sweep_epsilon_out_of_range_exits_two(capsys):
     # a zero epsilon used to divide by zero while sizing the clique; a cell
     # with no feasible clique is still only skipped
     assert main(["sweep", "--grid", '{"epsilon": [0]}']) == 2
-    assert "error: epsilon must be in (0,1]" in capsys.readouterr().err
+    assert ("error: grid.epsilon[0] must be a number > 0 and <= 1, got 0"
+            in capsys.readouterr().err)
     assert main(["sweep", "--grid", '{"rate": [3], "n": [10]}']) == 0
     assert '"skipped": "no clique within n=10' in capsys.readouterr().out
 
@@ -129,7 +130,8 @@ def test_bad_epsilon_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(conf))
     assert main(["run", "--config", str(path)]) == 2
-    assert "error: epsilon must be in (0,1]" in capsys.readouterr().err
+    assert ("error: protocol.epsilon must be a number > 0 and <= 1, got 2"
+            in capsys.readouterr().err)
 
 
 def test_wrong_typed_value_exits_two(tmp_path, capsys):

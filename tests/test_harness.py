@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from densetrack.errors import ConfigError, DensetrackError, RoundCapExceeded
 from densetrack.harness import (check_round_budget, emit_report, queries_csv,
                                 replay_log, run_scenario)
 from densetrack.netsim import EventLog
+from densetrack.protocol import PROTOCOL_KEYS, ProtocolParams
 from densetrack.scenarios import (ScenarioConfig, adversary_from_spec,
                                   build_graph, solve_planted_scenario)
 from support import measure_dynamic_diameter, round_start_edges, run_script
@@ -158,6 +160,16 @@ class TestConfigValidation:
         # one attempt is the least a padded query can make
         pytest.param(("protocol", "pad_cap"), 0, id="pad_cap-0"),
         pytest.param(("protocol", "pad_cap"), -1, id="pad_cap--1"),
+        # a level's survivors need a positive degree threshold
+        pytest.param(("protocol", "threshold_factor"), 0,
+                     id="threshold_factor-0"),
+        pytest.param(("protocol", "threshold_factor"), -1.0,
+                     id="threshold_factor--1.0"),
+        pytest.param(("protocol", "threshold_factor"), math.nan,
+                     id="threshold_factor-nan"),
+        # a failure probability of 1 promises nothing
+        pytest.param(("protocol", "delta_fail"), 1.0, id="delta_fail-1.0"),
+        pytest.param(("protocol", "count_eps"), math.nan, id="count_eps-nan"),
         pytest.param(("protocol", "exact_counting"), "yes",
                      id="exact_counting-string"),
         *(pytest.param((section,), value, id=f"{section}-not-an-object")
@@ -198,6 +210,24 @@ class TestConfigValidation:
             node[key] = value
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(conf).build()
+
+    @pytest.mark.parametrize("path,value", [
+        case for case in BAD_VALUES if len(case.values[0]) == 2
+        and case.values[0][0] == "protocol" and case.values[0][1] != "k"])
+    def test_params_refuse_a_bad_protocol_value_alike(self, path, value):
+        # the config refuses it before any graph is built, and a direct
+        # construction with the same text
+        conf = k5_config()
+        conf["protocol"][path[1]] = value
+        with pytest.raises(ConfigError) as by_config:
+            ScenarioConfig.from_dict(conf)
+        with pytest.raises(ConfigError) as direct:
+            ProtocolParams(**{"epsilon": 0.5, "diameter": 2, path[1]: value})
+        assert str(direct.value) == str(by_config.value)
+
+    def test_protocol_table_holds_every_param_and_k(self):
+        assert set(PROTOCOL_KEYS) == {
+            f.name for f in dataclasses.fields(ProtocolParams)} | {"k"}
 
     def test_readme_sample_config_builds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -1,4 +1,3 @@
-import json
 import sys
 from fractions import Fraction
 
@@ -454,24 +453,10 @@ class TestBounds:
 
 
 class TestCache:
-    def test_disk_roundtrip(self, tmp_path):
-        g = k4_plus_pendant()
-        cache = OracleCache(str(tmp_path))
-        first = cache.exact_densest(g)
-        fresh = OracleCache(str(tmp_path))  # cold memory, warm disk
-        again = fresh.exact_densest(g)
-        assert first.density == again.density
-        assert first.members == again.members
-
-    def test_truncated_entry_is_a_miss_and_is_repaired(self, tmp_path):
-        g = k4_plus_pendant()
-        cache = OracleCache(str(tmp_path))
-        entry = tmp_path / (cache._key("densest", g) + ".json")
-        entry.write_text("{")
-        assert cache.exact_densest(g).density == Fraction(3, 2)
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert json.loads(entry.read_text()) == {
-            "members": [0, 1, 2, 3], "num": 3, "den": 2, "method": "maxflow"}
+    def test_equal_graphs_share_one_answer(self):
+        cache = OracleCache()
+        first = cache.exact_densest(k4_plus_pendant())
+        assert cache.exact_densest(k4_plus_pendant()) is first
 
     def test_content_addressing(self):
         g1 = k4_plus_pendant()

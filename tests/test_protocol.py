@@ -84,13 +84,15 @@ class TestMaintain:
         assert fam2.records[0].node_est == 3.0
 
     def test_level_cap_closes_pass(self):
-        g = DynamicGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4),
-                                        (0, 4), (0, 2)])
-        _, handlers, _ = run_passes(g, 0.24, 2, p_cap=1)
+        # K4 plus a pendant: the pendant drops at level 0, so level 1 is no
+        # fixed point and the least legal cap, 2, closes the pass
+        g = DynamicGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2),
+                                        (1, 3), (2, 3), (0, 4)])
+        _, handlers, _ = run_passes(g, 0.24, 2, p_cap=2)
         fam = handlers[0].family
         assert fam.closed_by == "cap"
-        assert len(fam.records) == 1
-        assert fam.records[0].threshold_round is None
+        assert len(fam.records) == 2
+        assert fam.records[-1].threshold_round is None
 
     def test_nesting_and_agreement_random_graphs(self):
         rng = np.random.default_rng(0)
