@@ -19,9 +19,10 @@ median is better by more than REV's interquartile range.
 operation counts, every pair's end-to-end values and each metric's row;
 the two revisions; and the Python, numpy and scipy versions, CPU model
 and reference-loop time of the machine that ran them.  For the file, each
-side of each workload also runs one traced ``bench/run.py --trace 1
---seconds 1`` after its pairs, and its per-layer metrics are stored under
-``layers``.
+side of each workload also runs three traced ``bench/run.py --trace 1
+--seconds 1`` after its pairs, the sides alternating, and the median of
+each per-layer metric over them is stored under ``layers``: one traced
+pass on a shared machine can vary by tens of percent.
 """
 
 from __future__ import annotations
@@ -186,6 +187,18 @@ def record(revisions: dict, settings: dict,
             "machine": machine(tree), "workloads": workloads}
 
 
+TRACED_RUNS = 3
+
+
+def median_result(results: list[dict]) -> dict:
+    """The metrics of ``results``, each the median of its values there."""
+    return {"metrics": {
+        name: {"value": statistics.median(r["metrics"][name]["value"]
+                                          for r in results),
+               "unit": m["unit"]}
+        for name, m in results[0]["metrics"].items()}}
+
+
 def run_bench(tree: Path, workload: str, args, trace: bool = False) -> dict:
     """One untraced run of ``args.seconds``, or with ``trace`` a one-second
     run whose result holds the per-layer metrics of its traced pass."""
@@ -236,9 +249,13 @@ def main() -> int:
             results[workload] = (pairs, rows)
             print(format_summary(workload, pairs, rows), flush=True)
             if args.json:
-                layers[workload] = {
-                    side: run_bench(tree, workload, args, trace=True)
-                    for side, tree in (("base", base), ("change", change))}
+                traced = {"base": [], "change": []}
+                for _ in range(TRACED_RUNS):
+                    for side, tree in (("base", base), ("change", change)):
+                        traced[side].append(
+                            run_bench(tree, workload, args, trace=True))
+                layers[workload] = {side: median_result(results)
+                                    for side, results in traced.items()}
         if args.json:  # while the base tree, with its bench/speed.py, exists
             settings = {"pairs": args.pairs, "seconds": args.seconds,
                         "input_seed": args.input_seed}

@@ -46,6 +46,7 @@ schedule).  The protocol's node, edge and padding counts all drive it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -80,7 +81,7 @@ def geometric_tosses(rng: np.random.Generator, size) -> tuple[np.ndarray, int]:
     """Coin-toss counters: fair Bernoulli until heads, head included, capped
     at 64 tosses.  Returns (uint8 array, number of truncated draws)."""
     draws = rng.geometric(0.5, size=size)
-    truncated = int((draws > GEO_TOSS_CAP).sum())
+    truncated = int(np.count_nonzero(draws > GEO_TOSS_CAP))
     return np.minimum(draws, GEO_TOSS_CAP).astype(np.uint8), truncated
 
 
@@ -92,11 +93,22 @@ def exponential_draws(rng: np.random.Generator, size,
     np.negative(out, out=out)  # in place: no temporaries, the same bits
     np.log1p(out, out=out)
     np.negative(out, out=out)
-    if out.size:
-        np.copyto(out, 1e-300, where=(out == 0.0))
+    # -log1p(-u) is 0 only at u == 0 and at least 2^-53 elsewhere, so this
+    # lifts exactly the zeros to 1e-300
+    np.maximum(out, 1e-300, out=out)
     if copies != 1:  # x / 1 == x
         out /= copies
     return out
+
+
+@functools.cache
+def _max_toss_cdf(copies: int) -> np.ndarray:
+    """``(1 - 2^-k)^copies`` for k = 1..64, the CDF of the max of
+    ``copies`` toss counters; read-only, since every caller shares it."""
+    ks = np.arange(1, GEO_TOSS_CAP + 1, dtype=np.float64)
+    cdf = np.power(1.0 - np.exp2(-ks), copies)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def geometric_max_tosses(rng: np.random.Generator, copies: int,
@@ -110,11 +122,10 @@ def geometric_max_tosses(rng: np.random.Generator, copies: int,
     """
     if copies <= 1:
         return geometric_tosses(rng, size)
-    ks = np.arange(1, GEO_TOSS_CAP + 1, dtype=np.float64)
-    cdf = np.power(1.0 - np.exp2(-ks), copies)
+    cdf = _max_toss_cdf(copies)
     u = rng.random(size=size)
-    truncated = int((u > cdf[-1]).sum())
-    idx = np.searchsorted(cdf, u, side="left")
+    truncated = int(np.count_nonzero(u > cdf[-1]))
+    idx = cdf.searchsorted(u, side="left")
     return np.minimum(idx + 1, GEO_TOSS_CAP).astype(np.uint8), truncated
 
 
@@ -131,8 +142,15 @@ def finalize_coarse_rows(values: np.ndarray) -> np.ndarray:
     ln(1/delta)`` coordinates the mean exponent has standard deviation at
     most about 0.15, well inside the +-1 of the ``[n/2, 2n]`` window.
     """
-    est = np.exp2(values.mean(axis=-1) - COARSE_BIAS)
-    return np.where(values.any(axis=-1), est, 0.0)
+    # numpy's own mean, without its Python wrapper: the same bits
+    width = values.shape[-1]
+    if values.ndim == 1:  # one tuple, as a node finalizes it
+        if not np.count_nonzero(values):
+            return np.float64(0.0)
+        return np.exp2(np.add.reduce(values, dtype=np.float64) / width
+                       - COARSE_BIAS)
+    mean = np.add.reduce(values, axis=-1, dtype=np.float64) / width
+    return np.where(values.any(axis=-1), np.exp2(mean - COARSE_BIAS), 0.0)
 
 
 def finalize_fine_rows(values: np.ndarray) -> np.ndarray:
@@ -204,7 +222,7 @@ def group_bits(kind: str, rows: list[np.ndarray], id_bits: int) -> np.ndarray:
     return k.bits(values, id_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TuplePart:
     """A whole merge tuple of one kind of :data:`KINDS`."""
 
@@ -232,7 +250,7 @@ class TuplePart:
                 + self.values.astype(k.dtype, copy=False).tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoordPart:
     """Strict-bandwidth mode: tuple coordinate ``index`` of a geo or exp
     tuple, as a one-element array of the kind's dtype.  Nodes run in
@@ -302,15 +320,16 @@ class MergeStage:
     def empty(cls, tag: str, kind: str, diameter: int, length: int,
               **kw) -> MergeStage:
         k = KINDS[kind]
-        return cls(tag, kind, diameter, np.full(length, k.identity, k.dtype),
-                   **kw)
+        acc = np.empty(length, k.dtype)
+        acc.fill(k.identity)  # np.full's own fill, without its wrapper
+        return cls(tag, kind, diameter, acc, **kw)
 
     def rounds(self) -> int:
         return self.acc.size * self.diameter if self.strict else self.diameter
 
     def absorb(self, part: TuplePart | CoordPart) -> None:
         assert part.kind == self.kind, (part.kind, self.kind)
-        merge = KINDS[self.kind].merge
+        merge = part.merge
         if self.strict:
             i = part.index
             assert i == (self.emitted - 1) // self.diameter, (i, self.emitted)

@@ -72,9 +72,6 @@ class DynamicGraph:
         a, b = edge_key(u, v)
         return b in self.adj[a]
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     def edges(self) -> list[Edge]:
         """Sorted list of canonical edges (deterministic iteration order)."""
         return sorted((u, v) for u in range(self.node_count)

@@ -27,6 +27,11 @@ a count) and ``row_bits``, its bit rule.  The engine defines no part: the
 flag parts live in ``protocol``, the flood-merge tuple and coordinate
 parts, with their dtypes, wire prefixes and bit rules, in ``counting``.
 
+The package's parts and broadcasts are slotted dataclasses, not frozen
+ones: one is built per sender and round, and a frozen dataclass's
+``__init__`` costs about three times as much.  Nothing changes a part once
+it is built.
+
 A round's parts are grouped by type, header, dtype and length.  Every
 group is metered in one call, from the values its senders sent, never
 from what a sender claims: one bit count per part, each weighted by its
@@ -105,7 +110,7 @@ class MessagePart(Protocol):
 STACK_BYTES = 16 << 10
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundMessage:
     sender: int
     parts: tuple[MessagePart, ...]
@@ -159,7 +164,8 @@ class BandwidthLedger:
                          bits: int) -> None:
         """Meter broadcast ``msg``, whose parts have ``bits`` bits in all,
         sent to ``copies`` neighbours."""
-        self.global_max_bits = max(self.global_max_bits, bits)
+        if bits > self.global_max_bits:
+            self.global_max_bits = bits
         self.total_bits += bits * copies
         self.total_deliveries += copies
 
@@ -336,65 +342,69 @@ class _Merges:
     """
 
     def __init__(self, groups: dict, topology: _Topology):
-        self.groups: list[list] = []
+        self.groups: list[_Group] = []
         held = []  # the pairwise groups' arrays by sender id
         for key, (first, senders, rows, sent) in groups.items():
             _, _, dtype, shape = key
-            row = np.empty(shape, dtype)
+            g = _Group()
+            g.merge = first.merge
+            g.row = np.empty(shape, dtype)
             # with_values of the folded part, which pins no sender's array
-            folded = first.with_values(row)
-            ids, found, starts, ends, covers = topology.layout(senders)
-            stacked = row.nbytes <= STACK_BYTES
-            if stacked:
-                # a row per sender, in id order; a receiver's rows by index
+            g.folded = first.with_values(g.row)
+            g.with_values = g.folded.with_values
+            ids, found, g.starts, g.ends, covers = topology.layout(senders)
+            g.stacked = g.row.nbytes <= STACK_BYTES
+            if g.stacked:
+                # a row per sender, in id order, as one C-order matrix; a
+                # receiver's rows by index
                 order = list(dict.fromkeys(senders))
-                sent = np.stack(rows if len(order) == len(rows)
-                                else [sent[u] for u in order])
+                if len(order) != len(rows):
+                    rows = [sent[u] for u in order]
+                sent = np.concatenate(rows).reshape((len(order),) + shape)
                 sent.flags.writeable = False
                 rowof = np.empty(len(topology.degrees), np.intp)
                 rowof[order] = np.arange(len(order))
                 ids = found = rowof[found]
             else:
                 held.append(sent)
-            if first.merge in JOINS and covers:
+            g.sent, g.ids, g.top = sent, ids, None
+            g.cover, g.covers = -1, None
+            if g.merge in JOINS and covers:
                 cover, sends, tested, ends_at = covers
                 own = cover if sends else None
-                if stacked:  # keys into the matrix are its rows
+                if g.stacked:  # keys into the matrix are its rows
                     own = None if own is None else rowof[own]
                     tested = rowof[tested]
-                covers = (cover, own, tested, found, ends_at)
-            else:
-                covers = None
-            self.groups.append([first.merge, folded.with_values, folded, row,
-                                sent, stacked, ids, starts, ends,
-                                covers[0] if covers else -1, covers, None])
+                g.cover, g.covers = cover, (own, tested, found, ends_at)
+            self.groups.append(g)
         self.held = held
         self.releases = topology.releases if held else {}
 
     def fold(self, v: int) -> list[MessagePart]:
         """Receiver ``v``'s folded parts, valid during its step only."""
         parts = []
-        for group in self.groups:
-            (merge, with_values, folded, row, sent, stacked, ids, starts,
-             ends, cover, covers, top) = group
-            index = ids[starts[v]:ends[v]]
-            if len(index) < 2:
-                if len(index):  # a fold of one array is that array
-                    parts.append(with_values(sent[index[0]]))
+        for g in self.groups:
+            start, end = g.starts[v], g.ends[v]
+            if end - start < 2:
+                if end > start:  # a fold of one array is that array
+                    parts.append(g.with_values(g.sent[g.ids[start]]))
                 continue
+            top = g.top
             if top and top[0][v]:  # v hears a saturated sender
                 parts.append(top[1])
                 continue
-            if stacked:
-                merge.reduce(sent.take(index, axis=0), axis=0, out=row)
+            index, row = g.ids[start:end], g.row
+            if g.stacked:
+                g.merge.reduce(g.sent.take(index, axis=0), axis=0, out=row)
             else:
-                arrays = itemgetter(*index)(sent)
+                merge = g.merge
+                arrays = itemgetter(*index)(g.sent)
                 merge(arrays[0], arrays[1], out=row)
                 for a in arrays[2:]:
                     merge(row, a, out=row)
-            parts.append(folded)
-            if v == cover:
-                group[-1] = _top(merge, with_values, row, sent, covers)
+            parts.append(g.folded)
+            if v == g.cover:
+                g.top = _top(g.merge, g.with_values, row, g.sent, g.covers)
         return parts
 
     def release(self, v: int) -> None:
@@ -402,6 +412,17 @@ class _Merges:
         for u in self.releases[v]:
             for sent in self.held:
                 sent[u] = None
+
+
+class _Group:
+    """One group of a round's parts, as :class:`_Merges` folds it: its
+    merge, the row a receiver's fold is written into and the folded part
+    that views it, the senders' arrays (a matrix or a list by sender id),
+    each receiver's keys into them (``ids[starts[v]:ends[v]]``), the first
+    covering receiver and what :func:`_top` reads, and the top."""
+
+    __slots__ = ("merge", "row", "folded", "with_values", "starts", "ends",
+                 "stacked", "sent", "ids", "cover", "covers", "top")
 
 
 def _top(merge: np.ufunc, with_values, row: np.ndarray, sent,
@@ -412,7 +433,7 @@ def _top(merge: np.ufunc, with_values, row: np.ndarray, sent,
     ``covers`` gives the keys into ``sent`` of that receiver's own array
     (None if it sent none), of the covering senders and of every
     receiver's senders, and each receiver's end in the last."""
-    _, own, tested, found, ends = covers
+    own, tested, found, ends = covers
     if own is not None and sent[own] is None:
         return None  # every receiver of its array has stepped
     top = merge(row, sent[own]) if own is not None else row.copy()
@@ -452,23 +473,26 @@ class World:
     def run_round(self) -> None:
         r = self.round
         merges, self._merges = self._merges, None
+        fold = merges.fold if merges else None
+        releases = merges.releases if merges else {}
         staged: list[RoundMessage] = []
-        for i, (handler, rng) in enumerate(zip(self.handlers, self.rngs)):
-            inbox = merges.fold(i) if merges else []
-            ctx = StepContext(round=r, inbox=inbox,
-                              neighbor_count=self.graph.degree(i), rng=rng)
+        # the graph does not change during compute
+        counts = list(map(len, self.graph.adj))
+        for i, (handler, rng, count) in enumerate(
+                zip(self.handlers, self.rngs, counts)):
+            ctx = StepContext(r, fold(i) if fold else [], count, rng)
             try:
                 parts = handler.step(ctx)
             except Exception as exc:  # surfaced with node id and round
                 raise HandlerPanic(i, r, repr(exc)) from exc
-            del inbox, ctx  # senders' arrays die with their last reader
-            if merges and i in merges.releases:
+            del ctx  # senders' arrays die with their last reader
+            if i in releases:
                 merges.release(i)
             if parts:
                 staged.append(RoundMessage(i, tuple(parts)))
         for cb in self.on_compute_end:
             cb(self)
-        del merges  # its rows go before this round's are made
+        del merges, fold  # its rows go before this round's are made
         self._deliver(r, staged)
         edits = (self.adversary.edits_for_round(self.graph, r)
                  if self.adversary is not None else [])
@@ -500,19 +524,22 @@ class World:
             for part in msg.parts:
                 vals = part.values
                 key = (type(part), part.header(), vals.dtype, vals.shape)
-                if key not in groups:
-                    groups[key] = (part, [], [], [None] * n)
-                first, senders, rows, sent = groups[key]
+                group = groups.get(key)  # one hash of the key
+                if group is None:
+                    group = groups[key] = (part, [], [], [None] * n)
+                first, senders, rows, sent = group
                 senders.append(u)
                 rows.append(vals)
                 # two parts of one group in one broadcast reach as their fold
                 held = sent[u]
                 sent[u] = vals if held is None else first.merge(held, vals)
-        totals = np.zeros(n, np.int64)  # each sender's bits
+        keys, sizes = [], []  # every part's sender and bits
         for first, senders, rows, _ in groups.values():
-            bits = first.row_bits(rows)
-            self.ledger.record_parts(first.tag, bits, degrees[senders])
-            np.add.at(totals, senders, bits)
+            keys += senders
+            sizes.append(first.row_bits(rows))
+            self.ledger.record_parts(first.tag, sizes[-1], degrees[senders])
+        # each sender's bits, exact: float64 sums of them stay far below 2^53
+        totals = np.bincount(keys, np.concatenate(sizes), n).astype(np.int64)
         nodes = [msg.sender for msg in staged]
         for msg, copies, bits in zip(staged, degrees[nodes].tolist(),
                                      totals[nodes].tolist()):

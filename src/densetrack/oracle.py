@@ -334,13 +334,6 @@ class PeelResult:
     records: tuple[tuple[int, int, float], ...]  # (|V_j|, |E_j|, ratio)
     closed_by: str
 
-    def best_level(self) -> int:
-        best, best_val = 0, -1.0
-        for i, (nj, mj, ratio) in enumerate(self.records):
-            if ratio > best_val:
-                best, best_val = i, ratio
-        return best
-
 
 def peel_reference(g: DynamicGraph, threshold_factor: float,
                    p_cap: int | None = None) -> PeelResult:

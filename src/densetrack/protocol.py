@@ -80,7 +80,7 @@ DROP_FLAG = np.array([0, 1], np.int64)
 MEMBER_FLAG.flags.writeable = DROP_FLAG.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlagsPart:
     """One-bit markers, subgraph membership and the did-anyone-drop bit, as
     int64 counts ``[member, dropped]``.  They are summed, not or-ed, so a
@@ -320,16 +320,18 @@ class ProtocolNode:
     # -- absorb -----------------------------------------------------------
 
     def _absorb(self, ctx: StepContext) -> None:
+        if not ctx.inbox:
+            return
         st = self.count.stage
         q_st = self.query_count.stage
         for part in ctx.inbox:
             tag = part.tag
-            if tag == MEMBER_TAG:
+            if st is not None and tag == st.tag:
+                st.absorb(part)
+            elif tag == MEMBER_TAG:
                 self._member_flags_heard += int(part.values[0])
             elif tag == DROP_TAG:
                 self.drop_seen = self.drop_seen or bool(part.values[1] > 0)
-            elif st is not None and tag == st.tag:
-                st.absorb(part)
             elif q_st is not None and tag == q_st.tag:
                 q_st.absorb(part)
 
@@ -377,6 +379,8 @@ class ProtocolNode:
             self.flags.append(new_member)
             self.level_nodes_start = ctx.round
             self._count_nodes(ctx)
+            return
+        if ctx.round != self.count.boundary:
             return
         total = self.count.step(ctx.round, ctx.rng)
         if total is None:

@@ -132,10 +132,13 @@ def test_main_makes_a_missing_tmp_dir(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("churn-dense: 2 pairs")
 
 
-def test_json_keeps_one_traced_run_per_side(tmp_path, monkeypatch):
+def test_json_keeps_the_median_of_three_traced_runs_per_side(tmp_path,
+                                                              monkeypatch):
     # the exports and the bench runs are stubbed: nothing runs the bench
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     ran = []
+    # each side's traced values, in run order: the medians are 4 and 60
+    traced = {"base": iter([9, 4, 1]), "change": iter([60, 75, 2])}
 
     def export(rev, dest):
         return "a" * 40
@@ -143,8 +146,9 @@ def test_json_keeps_one_traced_run_per_side(tmp_path, monkeypatch):
     def run_bench(tree, workload, args, trace=False):
         ran.append((tree.name, workload, trace))
         if trace:
-            metrics = {"oracle.maxflows": {"value": len(tree.name),
-                                           "unit": "count"}}
+            value = next(traced[tree.name]) if workload == "churn-dense" \
+                else len(tree.name)
+            metrics = {"oracle.maxflows": {"value": value, "unit": "count"}}
         else:
             metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
                        for m in spec["end_to_end"]}
@@ -160,16 +164,19 @@ def test_json_keeps_one_traced_run_per_side(tmp_path, monkeypatch):
         "targeted-core", "--pairs", "2", "--tmp", str(tmp_path),
         "--json", str(out)])
     assert bench_pairs.main() == 0
-    # per workload: its untraced pairs, then one traced run per side
+    # per workload: its untraced pairs, then three traced runs per side,
+    # the sides alternating
     for workload in ("churn-dense", "targeted-core"):
         runs = [(tree, trace) for tree, w, trace in ran if w == workload]
         assert runs == [("base", False), ("change", False),
-                        ("change", False), ("base", False),
-                        ("base", True), ("change", True)]
+                        ("change", False), ("base", False)] + [
+                        ("base", True), ("change", True)] * 3
     doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["workloads"]["churn-dense"]["layers"] == {
+        "base": {"oracle.maxflows": 4}, "change": {"oracle.maxflows": 60}}
+    assert doc["workloads"]["targeted-core"]["layers"] == {
+        "base": {"oracle.maxflows": 4}, "change": {"oracle.maxflows": 6}}
     for work in doc["workloads"].values():
-        assert work["layers"] == {"base": {"oracle.maxflows": 4},
-                                  "change": {"oracle.maxflows": 6}}
         assert work["pairs"] == 2
 
 

@@ -83,6 +83,57 @@ class TestForcedDraws:
         assert vals.max() == counting.GEO_TOSS_CAP
 
 
+class ListRng:
+    """Returns the given uniforms, in order, whatever size is asked for."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+
+    def random(self, size=None):
+        return self.values.copy()
+
+
+class TestKernelReferences:
+    """Each rewritten kernel gives the bits of the formula it replaced."""
+
+    @pytest.mark.parametrize("shape", [(7,), (65,), (6, 9), (3, 1)])
+    def test_finalize_coarse_rows_is_the_mean_formula(self, shape):
+        rng = np.random.default_rng(5)
+        v = np.minimum(rng.geometric(0.5, size=shape), 64).astype(np.uint8)
+        for rows in ([], [0], [-1]) if v.ndim == 2 else ([],):
+            v[rows] = 0  # all-zero rows are the identity
+        zero = np.zeros(shape[-1], np.uint8)
+        for values in (v, zero) if v.ndim == 1 else (v,):
+            want = np.where(values.any(-1),
+                            np.exp2(values.mean(-1) - counting.COARSE_BIAS),
+                            0.0)
+            got = counting.finalize_coarse_rows(values)
+            assert np.shape(got) == want.shape
+            assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [2, 3, 17, 130, 5000])
+    def test_max_toss_cdf_is_the_power_formula(self, c):
+        ks = np.arange(1, counting.GEO_TOSS_CAP + 1, dtype=np.float64)
+        cdf = counting._max_toss_cdf(c)
+        assert cdf.tobytes() == np.power(1 - np.exp2(-ks), c).tobytes()
+        assert not cdf.flags.writeable
+        assert counting._max_toss_cdf(c) is cdf
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_exponential_draws_clamp_zero_as_copyto_did(self, copies):
+        # u == 0 gives -log1p(-0) == 0, the only draw below 2^-53
+        uniforms = [0.0, 2.0 ** -53, 0.25, 0.5, 1.0 - 2.0 ** -53]
+        got = counting.exponential_draws(ListRng(uniforms), 5, copies)
+        want = -np.log1p(-np.array(uniforms))
+        np.copyto(want, 1e-300, where=(want == 0.0))
+        if copies != 1:
+            want /= copies
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == 1e-300 / copies
+
+
 class TestEmptySubset:
     def test_nodes_empty_everywhere(self):
         g = complete_graph(5)

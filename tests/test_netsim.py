@@ -461,6 +461,37 @@ def test_two_parts_of_one_group_in_one_broadcast_are_folded(folds):
     assert world.ledger.summary()["tags"]["t"]["messages"] == 5
 
 
+def test_broadcast_bits_are_the_add_at_totals_of_its_parts(tmp_path):
+    # node 0 sends two parts of one group and one of another: its bits are
+    # the sum of the three, as the per-part np.add.at reference sums them
+    def geo(*row):
+        return TuplePart("t", "geo", np.array(row, np.uint8))
+
+    sends = [[geo(5, 0), geo(0, 7), FlagsPart(MEMBER_TAG, MEMBER_FLAG)],
+             [geo(1, 1)], [], [FlagsPart(MEMBER_TAG, MEMBER_FLAG)]]
+    g = DynamicGraph.from_edges(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
+    log = EventLog(str(tmp_path / "events.ndjson"))
+    world = World(g, [Talker({0: parts}) for parts in sends], seed=0,
+                  log=log)
+    world.run_round()
+    log.close()
+    logged = [rec["bits"] for rec in map(
+        json.loads, (tmp_path / "events.ndjson").read_text().splitlines())]
+    groups = {}
+    for u, parts in enumerate(sends):
+        for p in parts:
+            key = (type(p), p.header(), p.values.dtype, p.values.shape)
+            groups.setdefault(key, (p, [], []))
+            groups[key][1].append(u)
+            groups[key][2].append(p.values)
+    totals = np.zeros(4, np.int64)
+    for first, senders, rows in groups.values():
+        np.add.at(totals, senders, first.row_bits(rows))
+    assert logged == totals[[0, 1, 3]].tolist()
+    assert logged[0] == sum(part_bit_size(p) for p in sends[0])
+    assert world.ledger.global_max_bits == max(logged)
+
+
 @pytest.mark.parametrize("folds", sorted(FOLDS))
 def test_no_sender_array_outlives_its_last_receiver(folds):
     # on the path 0-1-2-3 each sender's last receiver is its largest

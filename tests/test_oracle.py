@@ -422,7 +422,8 @@ class TestPeelReference:
     def test_best_level_result(self):
         g = k4_plus_pendant()
         res = peel_reference(g, 1.02)
-        best = induced_density(g, res.levels[res.best_level()])
+        ratios = [ratio for _, _, ratio in res.records]
+        best = induced_density(g, res.levels[ratios.index(max(ratios))])
         assert best.density == Fraction(3, 2)
 
 
