@@ -53,10 +53,10 @@ receiver to step, has stepped.
 
 Max, min and or are joins, idempotent and order-free, so a fold that holds
 an array equal to the join of every sender, the group's top, is the top.
-Once a receiver that hears every other sender has folded, its fold and its
-own array give the top; a later receiver that hears a sender holding the
-top is handed it instead of folding (:class:`_Merges`).  The flags' sum is
-no join: flags are always folded.
+A stacked group with a join merge takes its top at delivery, as the join
+of all its rows; a receiver that hears a sender whose row is the top is
+handed it instead of folding (:class:`_Merges`).  Wide groups always
+fold.  The flags' sum is no join: flags are never handed a top.
 
 The optional event log is newline-delimited JSON with one record per
 broadcast plus churn/query/pass markers; byte-identical logs across replays
@@ -283,12 +283,11 @@ class _Topology:
             self._derive()
 
     def layout(self, senders: list[int]) -> tuple:
-        """Every node's sending neighbours among ``senders``, as ids in a
-        list and in an array ``found``: node v's are
-        ``found[starts[v]:ends[v]]``.  Last the covering nodes, whose
-        sending neighbours and themselves are every sender, or None if there
-        are none: the first one's id, whether it sends, the ids of those
-        that send, and ``ends`` as an array."""
+        """Every node's sending neighbours among ``senders``, as ids in an
+        array ``found``: node v's are ``found[starts[v]:ends[v]]``.  Last
+        ``ends`` as an array, which the top of a stacked join group, the
+        join of its rows taken at delivery, reads.  Wide groups always
+        fold, and flags, a sum, are never handed a top."""
         n = len(self.nbrs)
         sends = np.zeros(n, bool)
         sends[senders] = True
@@ -296,15 +295,9 @@ class _Topology:
         if count == n and self.everyone is not None:
             return self.everyone
         sending = sends[self.indices]
-        found = self.indices[sending]
-        counts = np.bincount(self.owners[sending], minlength=n)
-        ends = np.cumsum(counts)
-        covering = np.flatnonzero(counts + sends == count)
-        layout = (found.tolist(), found, [0, *ends[:-1].tolist()],
-                  ends.tolist(),
-                  (int(covering[0]), bool(sends[covering[0]]),
-                   covering[sends[covering]], ends)
-                  if covering.size else None)
+        ends = np.cumsum(np.bincount(self.owners[sending], minlength=n))
+        layout = (self.indices[sending], [0, *ends[:-1].tolist()],
+                  ends.tolist(), ends)
         if count == n:
             self.everyone = layout
         return layout
@@ -331,14 +324,14 @@ class _Merges:
     stepped, as a per-sender inbox would be, so a round holds no more of
     them than one message per sender did.
 
-    A group whose merge is a join gets a top when its first covering
-    receiver has folded: that fold merged with the receiver's own array,
-    the join of every sender.  The covering senders whose arrays equal the
-    top are saturated.  A later receiver that hears a saturated sender is
+    A stacked group whose merge is a join gets its top here, at delivery:
+    the join of all its rows (:func:`_top`).  The senders whose rows equal
+    the top are saturated.  A receiver that hears a saturated sender is
     handed the top instead of folding: its fold holds the top, and every
-    other array in it is below the top, so the fold is the top.  Every such
-    receiver shares the top, so it is read-only.  Flags are summed, which
-    is no join, so they are always folded.
+    other row in it is below the top, so the fold is the top.  Every such
+    receiver shares the top, so it is read-only.  Wide groups get no top
+    and always fold.  Flags are summed, which is no join, so they are
+    never handed a top.
     """
 
     def __init__(self, groups: dict, topology: _Topology):
@@ -352,8 +345,9 @@ class _Merges:
             # with_values of the folded part, which pins no sender's array
             g.folded = first.with_values(g.row)
             g.with_values = g.folded.with_values
-            ids, found, g.starts, g.ends, covers = topology.layout(senders)
+            found, g.starts, g.ends, ends = topology.layout(senders)
             g.stacked = g.row.nbytes <= STACK_BYTES
+            g.top = None
             if g.stacked:
                 # a row per sender, in id order, as one C-order matrix; a
                 # receiver's rows by index
@@ -364,18 +358,13 @@ class _Merges:
                 sent.flags.writeable = False
                 rowof = np.empty(len(topology.degrees), np.intp)
                 rowof[order] = np.arange(len(order))
-                ids = found = rowof[found]
+                g.ids = rowof[found]
+                if g.merge in JOINS:
+                    g.top = _top(g.merge, g.with_values, sent, g.ids, ends)
             else:
+                g.ids = found.tolist()
                 held.append(sent)
-            g.sent, g.ids, g.top = sent, ids, None
-            g.cover, g.covers = -1, None
-            if g.merge in JOINS and covers:
-                cover, sends, tested, ends_at = covers
-                own = cover if sends else None
-                if g.stacked:  # keys into the matrix are its rows
-                    own = None if own is None else rowof[own]
-                    tested = rowof[tested]
-                g.cover, g.covers = cover, (own, tested, found, ends_at)
+            g.sent = sent
             self.groups.append(g)
         self.held = held
         self.releases = topology.releases if held else {}
@@ -403,8 +392,6 @@ class _Merges:
                 for a in arrays[2:]:
                     merge(row, a, out=row)
             parts.append(g.folded)
-            if v == g.cover:
-                g.top = _top(g.merge, g.with_values, row, g.sent, g.covers)
         return parts
 
     def release(self, v: int) -> None:
@@ -417,37 +404,28 @@ class _Merges:
 class _Group:
     """One group of a round's parts, as :class:`_Merges` folds it: its
     merge, the row a receiver's fold is written into and the folded part
-    that views it, the senders' arrays (a matrix or a list by sender id),
-    each receiver's keys into them (``ids[starts[v]:ends[v]]``), the first
-    covering receiver and what :func:`_top` reads, and the top."""
+    that views it, the senders' arrays (a stacked matrix or a wide group's
+    list by sender id), each receiver's keys into them
+    (``ids[starts[v]:ends[v]]``), and the top of a stacked join group,
+    taken at delivery, or None."""
 
     __slots__ = ("merge", "row", "folded", "with_values", "starts", "ends",
-                 "stacked", "sent", "ids", "cover", "covers", "top")
+                 "stacked", "sent", "ids", "top")
 
 
-def _top(merge: np.ufunc, with_values, row: np.ndarray, sent,
-         covers: tuple) -> tuple | None:
+def _top(merge: np.ufunc, with_values, sent: np.ndarray, ids: np.ndarray,
+         ends: np.ndarray) -> tuple | None:
     """Which receivers hear a saturated sender, and the top as a part; None
-    if none does.  ``row`` holds the first covering receiver's fold and
-    ``sent`` the group's arrays: a stacked matrix, or a list by sender id.
-    ``covers`` gives the keys into ``sent`` of that receiver's own array
-    (None if it sent none), of the covering senders and of every
-    receiver's senders, and each receiver's end in the last."""
-    own, tested, found, ends = covers
-    if own is not None and sent[own] is None:
-        return None  # every receiver of its array has stepped
-    top = merge(row, sent[own]) if own is not None else row.copy()
+    if no sender is saturated.  The top is the join of every row of the
+    stacked matrix ``sent``, taken at delivery; receiver v's keys into it
+    are ``ids[ends[v - 1]:ends[v]]``.  Only stacked join groups have a top:
+    wide groups always fold, and flags, a sum, are never handed one."""
+    top = merge.reduce(sent, axis=0)
     top.flags.writeable = False
-    saturated = np.zeros(len(sent), bool)
-    if isinstance(sent, np.ndarray):  # one comparison of the stacked rows
-        saturated[tested] = (sent[tested] == top).all(axis=1)
-    else:
-        for u in tested.tolist():
-            saturated[u] = (sent[u] is not None
-                            and np.array_equal(sent[u], top))
+    saturated = (sent == top).all(axis=1)
     if not saturated.any():
         return None
-    heard = np.concatenate(([0], np.cumsum(saturated[found])))[ends]
+    heard = np.concatenate(([0], np.cumsum(saturated[ids])))[ends]
     return (np.diff(heard, prepend=0) > 0).tolist(), with_values(top)
 
 

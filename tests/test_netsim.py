@@ -288,10 +288,10 @@ class Sender:
 @st.composite
 def merge_rounds(draw, saturated=False):
     """A small graph, one part kind and the parts each node sends in rounds
-    0 and 1.  ``saturated``: a hub hears every sender, and some senders
-    send the join of their round's sends, so their receivers may be handed
-    the top instead of folding (for flags that "join" is a sum, which must
-    still be folded)."""
+    0 and 1.  ``saturated``: some senders send the join of their round's
+    sends, so their receivers may be handed the top instead of folding (for
+    flags that "join" is a sum, which must still be folded), and sometimes
+    a hub hears every sender."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
@@ -302,9 +302,10 @@ def merge_rounds(draw, saturated=False):
     sends = [{r: draw_part(draw, kind, n, length, r)
               for r in (0, 1) if draw(st.booleans())} for _ in range(n)]
     if saturated:
-        hub = draw(st.integers(0, n - 1))
-        edges = sorted({*edges, *(tuple(sorted((hub, u)))
-                                  for u in range(n) if u != hub and sends[u])})
+        if draw(st.booleans()):
+            hub = draw(st.integers(0, n - 1))
+            edges = sorted({*edges, *(tuple(sorted((hub, u))) for u in range(n)
+                                      if u != hub and sends[u])})
         joins = draw(st.sets(st.integers(0, n - 1), min_size=1))
         for r in (0, 1):
             sent = [s[r] for s in sends if r in s]
@@ -561,37 +562,65 @@ def test_rows_of_stack_bytes_are_stacked_and_wider_ones_are_not(wider):
     assert (nodes[0].alive == set()) == (not wider)
 
 
+class Absorber:
+    """Sends ``values`` as a geo part in round 0 and absorbs what it hears,
+    keeping each part's values as heard and a copy made while it steps."""
+
+    def __init__(self, values):
+        self.values = np.array(values, np.uint8)
+        self.stage = MergeStage.empty("t", "geo", 1, self.values.size)
+        self.heard = []
+
+    def step(self, ctx):
+        for part in ctx.inbox:
+            self.heard.append((part.values, part.values.copy()))
+            self.stage.absorb(part)
+        if ctx.round == 0:
+            return [TuplePart("t", "geo", self.values)]
+        return None
+
+
 @pytest.mark.parametrize("folds", sorted(FOLDS))
 def test_handed_top_is_shared_and_read_only(folds):
-    # on K4 node 0 covers every sender and node 1 sends the join, so nodes 2
-    # and 3 are handed one read-only top; absorbing it changes none of it
+    # on K4 node 1 sends the join.  Stacked, nodes 2 and 3 are handed one
+    # read-only top; a wide group gets no top, so every receiver folds into
+    # a writable row of the engine's.  Absorbing either changes none of it
     join = np.array([3, 2, 5], np.uint8)
-
-    class Node:
-        def __init__(self, values):
-            self.values = np.array(values, np.uint8)
-            self.stage = MergeStage.empty("t", "geo", 1, 3)
-            self.heard = []
-
-        def step(self, ctx):
-            for part in ctx.inbox:
-                self.heard.append(part.values)
-                self.stage.absorb(part)
-            if ctx.round == 0:
-                return [TuplePart("t", "geo", self.values)]
-            return None
-
-    nodes = [Node(v) for v in ([1, 2, 0], join, [3, 0, 1], [0, 1, 5])]
+    nodes = [Absorber(v) for v in ([1, 2, 0], join, [3, 0, 1], [0, 1, 5])]
     g = DynamicGraph.from_edges(4, [(u, v) for u in range(4)
                                     for v in range(u + 1, 4)])
     with mock.patch.object(netsim, "STACK_BYTES", FOLDS[folds]):
         World(g, nodes, seed=0).run(2)
-    top = nodes[2].heard[0]
-    assert nodes[3].heard[0] is top and not top.flags.writeable
-    assert np.array_equal(top, join)
     for node in nodes:
-        assert node.stage.acc is not top
+        values, copy = node.heard[0]
+        assert np.array_equal(copy, join)
+        assert node.stage.acc is not values
         assert np.array_equal(node.stage.acc, join)
+    if folds == "stacked":
+        top = nodes[2].heard[0][0]
+        assert nodes[3].heard[0][0] is top and not top.flags.writeable
+    else:
+        for node in nodes:
+            values = node.heard[0][0]
+            assert values.flags.writeable
+            assert all(values is not other.values for other in nodes)
+
+
+def test_top_is_handed_where_no_receiver_hears_every_sender():
+    # on the path 0-1-2-3-4 node 2 sends the join of the round's rows and
+    # no node hears every other sender: nodes 1 and 3 hear node 2, so both
+    # are handed one read-only top, the join
+    rows = [[1, 0, 4], [0, 3, 1], None, [2, 1, 0], [0, 0, 6]]
+    join = np.maximum.reduce([r for r in rows if r is not None])
+    rows[2] = join
+    nodes = [Absorber(r) for r in rows]
+    World(DynamicGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+          nodes, seed=0).run(2)
+    top = nodes[1].heard[0][0]
+    assert nodes[3].heard[0][0] is top and not top.flags.writeable
+    assert np.array_equal(top, join)
+    for v in (1, 3):
+        assert np.array_equal(nodes[v].stage.acc, join)
 
 
 @pytest.mark.parametrize("folds", sorted(FOLDS))
