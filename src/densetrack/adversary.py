@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ChurnBudgetExceeded
-from .graph import ADD, REMOVE, DynamicGraph, Edge, Edit, edge_key
+from .graph import ADD, REMOVE, Arcs, DynamicGraph, Edge, Edit, edge_key
 
 
 class Adversary:
@@ -170,7 +170,8 @@ class TargetedAdversary(RandomChurnAdversary):
     """Stress mode: deletes edges inside the current true densest subgraph
     with probability ``bias``, otherwise behaves like balanced random churn.
     The core is recomputed every ``refresh_every`` rounds by the exact
-    oracle, started from the last core."""
+    oracle, started from the last core and handed the graph's arcs, which
+    are kept beside the pool and patched from every batch."""
 
     refresh_every: int = 10
     bias: float = 0.8
@@ -180,12 +181,14 @@ class TargetedAdversary(RandomChurnAdversary):
     # like the pool and rebuilt with it or when the core changes
     _core_edges: list[Edge] = field(default_factory=list, repr=False,
                                     compare=False)
+    # the graph's arcs, kept and rebuilt with the pool
+    _arcs: Arcs | None = field(default=None, repr=False, compare=False)
 
     def _refresh_core(self, g: DynamicGraph, round_: int) -> None:
         if self._core_round >= 0 and round_ - self._core_round < self.refresh_every:
             return
-        self._core = frozenset(
-            oracle.exact_densest(g, start=self._core).members)
+        self._core = frozenset(oracle.exact_densest(
+            g, start=self._core, arcs=self._arcs).members)
         self._core_round = round_
 
     def _patch_core_edges(self, batch: list[Edit]) -> None:
@@ -197,9 +200,11 @@ class TargetedAdversary(RandomChurnAdversary):
                     del self._core_edges[bisect_left(self._core_edges, (u, v))]
 
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
-        core = self._core
+        core, current = self._core, self._pool_is_current(g)
+        if not current:
+            self._arcs = Arcs(g)
         self._refresh_core(g, round_)
-        if self._core != core or not self._pool_is_current(g):
+        if self._core != core or not current:
             self._core_edges = [
                 (u, v) for u in sorted(self._core)
                 for v in sorted(g.adj[u] & self._core)
@@ -210,7 +215,8 @@ class TargetedAdversary(RandomChurnAdversary):
         # the edges earlier ones edited or the batch repeats an edit
         touched: set[Edge] = set()
         for _ in range(self.rate):
-            inside = [e for e in self._core_edges if e not in touched]
+            inside = ([e for e in self._core_edges if e not in touched]
+                      if touched else self._core_edges)
             if inside and self.rng.random() < self.bias:
                 e = inside[int(self.rng.integers(len(inside)))]
                 edits = [(REMOVE, e[0], e[1])]
@@ -222,4 +228,5 @@ class TargetedAdversary(RandomChurnAdversary):
             batch.extend(edits)
         self._patch_pool(g, batch)
         self._patch_core_edges(batch)
+        self._arcs.patch(batch)
         return batch

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (ChurnBudgetExceeded, ConfigError, EmptySubset,
                      InvalidEdit, read_text)
@@ -122,6 +125,62 @@ class DynamicGraph:
             raise
         self.time += 1
         return self
+
+
+class Arcs:
+    """Both arcs of every edge of one graph state, sorted by (tail, head):
+    vertex v's neighbours, ascending, are ``heads[ends[v] - degrees[v]:
+    ends[v]]``, and ``tails`` is derived when read.  ``time`` and
+    ``edge_count`` are the state's.  :meth:`patch` binds new arrays and
+    writes none, so whoever read the old ones keeps them.  The engine keeps
+    one as its neighbour cache; the targeted adversary keeps one beside its
+    pool and hands it to each refresh, so a refresh builds only the CSR."""
+
+    __slots__ = ("heads", "degrees", "ends", "time", "edge_count")
+
+    def __init__(self, g: DynamicGraph):
+        n = g.node_count
+        self.degrees = np.fromiter(map(len, g.adj), np.int64, n)
+        self.ends = np.cumsum(self.degrees)
+        tails = np.repeat(np.arange(n), self.degrees)
+        # each tail's heads sorted in one sort of row-major keys
+        keys = tails * n + np.fromiter(chain.from_iterable(g.adj), np.int64,
+                                       len(tails))
+        keys.sort()
+        self.heads = keys - tails * n
+        self.time, self.edge_count = g.time, g.edge_count
+
+    @property
+    def tails(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.degrees)), self.degrees)
+
+    def describes(self, g: DynamicGraph) -> bool:
+        return (self.time, self.edge_count) == (g.time, g.edge_count)
+
+    def patch(self, batch: Sequence[Edit]) -> None:
+        """Advance to the state that ``batch``, valid for this one, leaves,
+        as ``apply_churn`` would."""
+        net: dict[Edge, int] = {}  # +1 added, -1 removed, 0 both
+        for op, u, v in batch:
+            e = edge_key(u, v)
+            net[e] = net.get(e, 0) + (1 if op == ADD else -1)
+        self.time += 1
+        self.edge_count += sum(net.values())
+        heads, ends, degrees = self.heads, self.ends, self.degrees.copy()
+        pieces, kept = [], 0  # heads[:kept] are in pieces
+        for a, b, d in sorted((a, b, d) for (u, v), d in net.items() if d
+                              for a, b in ((u, v), (v, u))):
+            # the arc's index, or where it goes, in the old (tail, head) order
+            start = ends[a] - self.degrees[a]
+            at = int(start + heads[start:ends[a]].searchsorted(b))
+            pieces.append(heads[kept:at])
+            if d > 0:
+                pieces.append([b])
+            kept = at + (d < 0)
+            degrees[a] += d
+        if pieces:
+            self.heads = np.concatenate(pieces + [heads[kept:]])
+            self.degrees, self.ends = degrees, np.cumsum(degrees)
 
 
 # -- induced density ---------------------------------------------------------

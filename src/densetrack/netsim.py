@@ -51,6 +51,12 @@ reduce.  A wider group keeps its senders' arrays by node id, merges them
 pairwise and lets each go once the sender's largest neighbour, its last
 receiver to step, has stepped.
 
+The engine reads the round-start graph from one
+:class:`~densetrack.graph.Arcs`, patched from each round's batch, not
+rebuilt (:class:`_Topology`).  The targeted adversary keeps arcs of its
+own, patched from every batch it returns, and hands them to each refresh
+of its core, so a refresh builds only the max-flow network's CSR.
+
 Max, min and or are joins, idempotent and order-free, so a fold that holds
 an array equal to the join of every sender, the group's top, is the top.
 A stacked group with a join merge takes its top at delivery, as the join
@@ -74,7 +80,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import HandlerPanic
-from .graph import ADD, DynamicGraph, Edit
+from .graph import Arcs, DynamicGraph, Edit
 
 
 # -- message parts -------------------------------------------------------------
@@ -241,46 +247,44 @@ def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
 
 
 class _Topology:
-    """The round-start graph as the metering and the folds read it: each
-    node's degree and sorted neighbour ids, all of them in one array in
-    node order, and each node's release point.  It is the engine's one
-    neighbour cache: built from the graph, patched in place from each
-    round's edits, and rebuilt only when the graph changed behind the
-    engine's back.
+    """The round-start graph as the metering and the folds read it: its
+    :class:`~densetrack.graph.Arcs` and each node's release point.  It is
+    the engine's one neighbour cache: built from the graph, patched from
+    each round's edits, and rebuilt only when the graph changed behind the
+    engine's back.  A patch binds new arrays, so a round's merges keep the
+    ones they read.  The targeted adversary keeps arcs of its own, patched
+    from the same batches, and hands them to each oracle refresh, which
+    then builds only the CSR.
 
     A sender's release point is its largest neighbour id: receivers step in
-    id order, so that neighbour is the last to read what it sent."""
+    id order, so that neighbour is the last to read what it sent.  Only
+    wide groups release, so the release points are found when one asks."""
 
     def __init__(self, graph: DynamicGraph):
-        self.time = graph.time
-        self.nbrs = [np.array(sorted(a), dtype=np.intp) for a in graph.adj]
-        self._derive()
+        self.arcs = Arcs(graph)
+        self._forget()
 
-    def _derive(self) -> None:
-        self.indices = np.concatenate(self.nbrs)
-        self.degrees = np.array([a.size for a in self.nbrs])
-        self.owners = np.repeat(np.arange(len(self.nbrs)), self.degrees)
-        self.releases: dict[int, list[int]] = {}  # receiver -> senders
-        senders = np.flatnonzero(self.degrees)
-        lasts = self.indices[np.cumsum(self.degrees)[senders] - 1]
-        for u, v in zip(senders.tolist(), lasts.tolist()):
-            self.releases.setdefault(v, []).append(u)
+    def _forget(self) -> None:
         self.everyone: tuple | None = None
+        self._releases: dict[int, list[int]] | None = None
 
     def patch(self, graph: DynamicGraph, edits) -> None:
-        """Apply one round's applied edits, if this was current before it;
-        a round's merges keep the derived arrays of the graph they read."""
-        if self.time != graph.time - 1:
+        """Apply one round's applied edits, if this was current before it."""
+        if self.arcs.time != graph.time - 1:
             return
-        nbrs = self.nbrs
-        for op, u, v in edits:
-            for a, b in ((u, v), (v, u)):
-                at = int(np.searchsorted(nbrs[a], b))
-                nbrs[a] = (np.insert(nbrs[a], at, b) if op == ADD
-                           else np.delete(nbrs[a], at))
-        self.time = graph.time
+        self.arcs.patch(edits)
         if edits:
-            self._derive()
+            self._forget()
+
+    def releases(self) -> dict[int, list[int]]:
+        """Receiver -> the senders whose release point it is."""
+        if self._releases is None:
+            arcs, self._releases = self.arcs, {}
+            senders = np.flatnonzero(arcs.degrees)
+            lasts = arcs.heads[arcs.ends[senders] - 1]
+            for u, v in zip(senders.tolist(), lasts.tolist()):
+                self._releases.setdefault(v, []).append(u)
+        return self._releases
 
     def layout(self, senders: list[int]) -> tuple:
         """Every node's sending neighbours among ``senders``, as ids in an
@@ -288,19 +292,22 @@ class _Topology:
         ``ends`` as an array, which the top of a stacked join group, the
         join of its rows taken at delivery, reads.  Wide groups always
         fold, and flags, a sum, are never handed a top."""
-        n = len(self.nbrs)
+        arcs = self.arcs
+        n = len(arcs.degrees)
         sends = np.zeros(n, bool)
         sends[senders] = True
-        count = np.count_nonzero(sends)
-        if count == n and self.everyone is not None:
+        if np.count_nonzero(sends) == n:
+            if self.everyone is None:
+                ends = arcs.ends
+                self.everyone = (arcs.heads, [0, *ends[:-1].tolist()],
+                                 ends.tolist(), ends)
             return self.everyone
-        sending = sends[self.indices]
-        ends = np.cumsum(np.bincount(self.owners[sending], minlength=n))
-        layout = (self.indices[sending], [0, *ends[:-1].tolist()],
-                  ends.tolist(), ends)
-        if count == n:
-            self.everyone = layout
-        return layout
+        sending = sends[arcs.heads]
+        # a node's sending neighbours end where the count of sending arcs
+        # stands at its last arc
+        ends = np.concatenate(([0], np.cumsum(sending)))[arcs.ends]
+        return (arcs.heads[sending], [0, *ends[:-1].tolist()],
+                ends.tolist(), ends)
 
 
 # The merges that are joins, idempotent and order-free: a fold that holds an
@@ -356,9 +363,13 @@ class _Merges:
                     rows = [sent[u] for u in order]
                 sent = np.concatenate(rows).reshape((len(order),) + shape)
                 sent.flags.writeable = False
-                rowof = np.empty(len(topology.degrees), np.intp)
-                rowof[order] = np.arange(len(order))
-                g.ids = rowof[found]
+                n = len(topology.arcs.degrees)
+                if len(order) == n:  # every node sent: row v is node v's
+                    g.ids = found
+                else:
+                    rowof = np.empty(n, np.intp)
+                    rowof[order] = np.arange(len(order))
+                    g.ids = rowof[found]
                 if g.merge in JOINS:
                     g.top = _top(g.merge, g.with_values, sent, g.ids, ends)
             else:
@@ -367,7 +378,7 @@ class _Merges:
             g.sent = sent
             self.groups.append(g)
         self.held = held
-        self.releases = topology.releases if held else {}
+        self.releases = topology.releases() if held else {}
 
     def fold(self, v: int) -> list[MessagePart]:
         """Receiver ``v``'s folded parts, valid during its step only."""
@@ -491,9 +502,9 @@ class World:
         round's folds."""
         if not staged:
             return
-        if self._topology.time != self.graph.time:
+        if not self._topology.arcs.describes(self.graph):
             self._topology = _Topology(self.graph)
-        degrees = self._topology.degrees
+        degrees = self._topology.arcs.degrees
         n = len(degrees)
         # a group's parts, each with its sender, and its arrays by sender id
         groups: dict[tuple, tuple[MessagePart, list[int], list, list]] = {}

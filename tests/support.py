@@ -3,7 +3,8 @@
 pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
 diameter, the per-draw graph builders the production ones must match, the
 per-message bandwidth ledger the per-group one must match, the oracle
-cache's first graph hash and a runner for the scripts."""
+cache's first graph hash, a comparable form of sorted arcs and a runner for
+the scripts."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from densetrack.counting import (CountPipeline, TuplePart,
                                  sample_fine_estimates)
 from densetrack.errors import ConfigError
-from densetrack.graph import DynamicGraph, Edge, edge_key
+from densetrack.graph import Arcs, DynamicGraph, Edge, edge_key
 from densetrack.netsim import BandwidthLedger, RoundMessage, TagStats, World
 from densetrack.protocol import FlagsPart, ProtocolNode
 from densetrack.scenarios import BuiltGraph
@@ -265,6 +266,14 @@ def edge_list_content_hash(g: DynamicGraph) -> str:
     h = hashlib.sha256(f"{g.node_count}|".encode())
     h.update(np.asarray(g.edges(), dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def arcs_state(arcs: Arcs) -> tuple:
+    """Everything an :class:`Arcs` holds, as lists and ints, with the heads'
+    dtype: two arcs describe one state when these are equal."""
+    return (arcs.heads.tolist(), arcs.heads.dtype, arcs.degrees.tolist(),
+            arcs.ends.tolist(), arcs.tails.tolist(), arcs.time,
+            arcs.edge_count)
 
 
 def run_script(name: str, *args, cwd) -> subprocess.CompletedProcess:

@@ -8,10 +8,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from densetrack.errors import ChurnBudgetExceeded, EmptySubset, InvalidEdit
-from densetrack.graph import (DynamicGraph, induced_density, parse_edge_list,
-                              static_diameter)
+from densetrack.graph import (Arcs, DynamicGraph, induced_density,
+                              parse_edge_list, static_diameter)
 from densetrack.scenarios import build_gnp, build_planted, build_regular
-from support import measure_dynamic_diameter
+from support import arcs_state, measure_dynamic_diameter
 
 
 def triangle():
@@ -107,6 +107,44 @@ def test_churn_symmetric_difference_bounded(batch):
     except (InvalidEdit, ChurnBudgetExceeded):
         return
     assert len(before ^ frozenset(g.edges())) <= g.churn_rate
+
+
+@st.composite
+def churn_runs(draw):
+    """A graph on 2-8 nodes and batches valid for it in turn: one that cuts
+    every edge of a vertex, one that puts them back, then batches of
+    toggles, which may toggle one pair twice."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = DynamicGraph.from_edges(n, edges, churn_rate=len(pairs) + 6)
+    x = draw(st.integers(0, n - 1))
+    cut = [("remove", u, v) for u, v in edges if x in (u, v)]
+    batches = [cut, [("add", u, v) for _, u, v in cut]]
+    present = set(edges)
+    for toggles in draw(st.lists(st.lists(st.sampled_from(pairs),
+                                          max_size=6), max_size=6)):
+        batch = []
+        for e in toggles:
+            batch.append(("remove" if e in present else "add", *e))
+            present ^= {e}
+        batches.append(batch)
+    return g, batches
+
+
+@given(churn_runs())
+@settings(max_examples=200, deadline=None)
+def test_patched_arcs_equal_the_arcs_of_the_churned_graph(case):
+    g, batches = case
+    arcs = Arcs(g)
+    for batch in batches:
+        read = [arcs.heads, arcs.degrees, arcs.ends]
+        kept = [a.copy() for a in read]
+        g.apply_churn(batch)
+        arcs.patch(batch)
+        assert arcs_state(arcs) == arcs_state(Arcs(g)), batch
+        # a patch binds new arrays: whoever read the old ones keeps them
+        assert all(np.array_equal(a, b) for a, b in zip(read, kept))
 
 
 class TestDiameters:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densetrack import netsim
-from densetrack.adversary import ScriptedAdversary
+from densetrack.adversary import RandomChurnAdversary, ScriptedAdversary
 from densetrack.counting import (KINDS, CoordPart, MergeStage, TuplePart,
                                  id_bit_width)
 from densetrack.errors import ConfigError, HandlerPanic
@@ -22,7 +22,8 @@ from densetrack.graph import ADD, REMOVE, DynamicGraph
 from densetrack.netsim import EventLog, StepContext, World, broadcast_line
 from densetrack.protocol import (DROP_FLAG, MEMBER_FLAG, MEMBER_TAG,
                                  FlagsPart, ProtocolNode, ProtocolParams)
-from support import ReferenceLedger, count_window, part_bit_size
+from support import (ReferenceLedger, arcs_state, count_window,
+                     part_bit_size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +108,45 @@ def test_delivery_uses_round_start_topology():
     w = World(g, h, seed=0, adversary=adv)
     w.run(3)
     assert h[1].heard == [[], [0], []]
+
+
+def reference_layout(g, senders):
+    """``_Topology.layout`` of ``senders``, from the graph's neighbour sets:
+    each node's sending neighbours, ascending, node after node."""
+    rows = [sorted(g.adj[v] & set(senders)) for v in range(g.node_count)]
+    ends = np.cumsum([len(row) for row in rows]).tolist()
+    return [u for row in rows for u in row], [0, *ends[:-1]], ends, ends
+
+
+@given(st.integers(0, 2 ** 16), st.integers(3, 12), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_patched_topology_equals_one_built_from_the_churned_graph(
+        seed, n, rate):
+    # the engine patches its one topology from every batch and never
+    # rebuilds it here; at the end it must equal one built from the graph,
+    # and its layouts, all nodes sending or some, the reference's
+    rng = np.random.default_rng(seed)
+    g = DynamicGraph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.4], churn_rate=rate)
+    adversary = RandomChurnAdversary(rng=rng, rate=rate)
+    world = World(g, [Chatter(i) for i in range(n)], seed=0,
+                  adversary=adversary)
+    topology = world._topology
+    world.run(30)
+    assert world._topology is topology
+    fresh = netsim._Topology(g)
+    assert arcs_state(topology.arcs) == arcs_state(fresh.arcs)
+    last = {}  # each sender's release point is its largest neighbour
+    for u in range(n):
+        if g.adj[u]:
+            last.setdefault(max(g.adj[u]), []).append(u)
+    assert topology.releases() == fresh.releases() == last
+    some = sorted(rng.choice(n, int(rng.integers(1, n)), replace=False))
+    for senders in (range(n), range(n), some):  # the second is cached
+        found, starts, ends, end_array = topology.layout(list(senders))
+        assert [found.tolist(), starts, ends, end_array.tolist()] == list(
+            reference_layout(g, senders))
 
 
 def test_handler_panic_carries_node_and_round():

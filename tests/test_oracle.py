@@ -9,7 +9,7 @@ import densetrack.oracle as oracle
 from densetrack import harness
 from densetrack.errors import (InvalidEdit, TooLargeForEnumeration,
                                TooLargeForMaxFlow)
-from densetrack.graph import DynamicGraph, induced_density
+from densetrack.graph import Arcs, DynamicGraph, induced_density
 from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                at_least_k_bounds, brute_force_densest,
                                exact_at_least_k, exact_densest,
@@ -184,6 +184,25 @@ class TestWarmStart:
         assert exact_densest(g, start=cold.members) == cold
         assert len(flows) == 1
 
+    def test_arcs_are_read_only_when_they_describe_the_graph(
+            self, monkeypatch):
+        # the targeted adversary hands its patched arcs to each refresh: arcs
+        # of the graph's state are read as they are, and arcs of an earlier
+        # state are rebuilt, so both give the cold answer
+        g = k4_plus_pendant()
+        g.churn_rate = 1
+        current, stale = Arcs(g), Arcs(g)
+        builds = call_counter(monkeypatch, "Arcs")
+        assert exact_densest(g, arcs=current) == exact_densest(g)
+        assert len(builds) == 1  # the cold solve's
+        g.apply_churn([("remove", 0, 1)])
+        current.patch([("remove", 0, 1)])
+        builds.clear()
+        cold = exact_densest(g)
+        assert exact_densest(g, arcs=current) == cold
+        assert exact_densest(g, start=[0], arcs=stale) == cold
+        assert len(builds) == 2  # the cold solve's and the stale one's
+
     @pytest.mark.parametrize("start", [[-1], [3], [0, 2, 7], [-4, 1]])
     @pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2)]])
     def test_ids_outside_the_graph_raise(self, start, edges):
@@ -223,14 +242,16 @@ class TestWarmStart:
 class TestMinDegree:
     def test_low_degree_member_is_refused(self):
         # the pendant has degree 1 < 7/5 in K4 plus a pendant
-        _, tails, heads = oracle._vertex_arcs(k4_plus_pendant())
+        arcs = Arcs(k4_plus_pendant())
+        tails, heads = arcs.tails, arcs.heads
         everyone = np.ones(5, bool)
         with pytest.raises(AssertionError, match="at node 4"):
             oracle._check_min_degree(tails, heads, everyone, Fraction(7, 5))
 
     def test_degree_equal_to_the_density_passes(self):
         # in K4 every degree is 3: d*q >= p holds at 3 and fails above it
-        _, tails, heads = oracle._vertex_arcs(k4_plus_pendant())
+        arcs = Arcs(k4_plus_pendant())
+        tails, heads = arcs.tails, arcs.heads
         k4 = np.array([True] * 4 + [False])
         oracle._check_min_degree(tails, heads, k4, Fraction(3))
         with pytest.raises(AssertionError, match="at node 0"):

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densetrack.graph import DynamicGraph
 from densetrack.harness import run_scenario
@@ -401,3 +405,34 @@ def test_exact_levels_equal_the_truth_under_churn(monkeypatch, n, clique,
     for records, flags, closed_by in families.values():
         check_family_against_truth(records, flags, closed_by, graphs,
                                    report.params.factor)
+
+
+# K6, a 5-cycle hung off node 0 and a pendant on node 3: two exact levels
+SEED_FREE_EDGES = ([(i, j) for i in range(6) for j in range(i + 1, 6)]
+                   + [(0, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 6),
+                      (3, 11)])
+
+
+@given(st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2,
+                unique=True))
+@settings(max_examples=15, deadline=None)
+def test_unpadded_exact_runs_do_not_depend_on_the_seed(seeds):
+    # exact counting floods id and degree unions, and a k = 0 query never
+    # pads, so no step reads a node's RNG: on one static graph every seed
+    # gives the same levels, answers and ledger
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "graph.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in SEED_FREE_EDGES))
+        reports = [run_scenario({
+            "seed": seed, "graph": {"kind": "edge-list", "path": str(path)},
+            "adversary": None,
+            "protocol": {"epsilon": 0.5, "diameter": "auto",
+                         "exact_counting": True},
+            "duration": {"passes": 2},
+            "queries": {"mode": "per-pass", "k": 0}, "report": {}})
+            for seed in seeds]
+    first, second = reports
+    assert [len(p["levels"]) for p in first.passes] == [2, 2]
+    assert all(not q["padded"] for q in first.queries)
+    assert (first.passes, first.queries, first.ledger) == (
+        second.passes, second.queries, second.ledger)
