@@ -42,6 +42,9 @@ class DynamicGraph:
     time: int = 0
     adj: list[set[int]] = field(default_factory=list)
     edge_count: int = 0
+    # this state's sorted arcs once read (arcs())
+    _arcs: Arcs | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -62,6 +65,8 @@ class DynamicGraph:
         return g
 
     def copy(self) -> "DynamicGraph":
+        """An independent graph in this state.  It starts without arcs: a
+        shared :class:`Arcs` would be patched by the copy's churn."""
         return DynamicGraph(self.node_count, self.churn_rate, self.time,
                             [set(s) for s in self.adj], self.edge_count)
 
@@ -79,6 +84,13 @@ class DynamicGraph:
         """Sorted list of canonical edges (deterministic iteration order)."""
         return sorted((u, v) for u in range(self.node_count)
                       for v in self.adj[u] if u < v)
+
+    def arcs(self) -> Arcs:
+        """This state's sorted arcs: built on first read, then patched by
+        each :meth:`apply_churn`, so every reader shares one."""
+        if self._arcs is None:
+            self._arcs = Arcs(self)
+        return self._arcs
 
     # -- mutation ----------------------------------------------------------
 
@@ -104,7 +116,8 @@ class DynamicGraph:
         """Apply one round's edit batch and advance the round counter.
 
         Edits are applied sequentially; the whole batch is rolled back if any
-        edit is invalid, so a failed call leaves the graph untouched.
+        edit is invalid, so a failed call leaves the graph untouched.  The
+        arcs, if read, are patched once the whole batch has applied.
         """
         if len(batch) > self.churn_rate:
             raise ChurnBudgetExceeded(
@@ -123,6 +136,8 @@ class DynamicGraph:
             for op, u, v in reversed(applied):
                 (self._delete if op == ADD else self._insert)(u, v)
             raise
+        if batch and self._arcs is not None:
+            self._arcs.patch(batch)
         self.time += 1
         return self
 
@@ -130,13 +145,13 @@ class DynamicGraph:
 class Arcs:
     """Both arcs of every edge of one graph state, sorted by (tail, head):
     vertex v's neighbours, ascending, are ``heads[ends[v] - degrees[v]:
-    ends[v]]``, and ``tails`` is derived when read.  ``time`` and
-    ``edge_count`` are the state's.  :meth:`patch` binds new arrays and
-    writes none, so whoever read the old ones keeps them.  The engine keeps
-    one as its neighbour cache; the targeted adversary keeps one beside its
-    pool and hands it to each refresh, so a refresh builds only the CSR."""
+    ends[v]]``, and ``tails`` is derived when read.  :meth:`patch` binds
+    new arrays and writes none, so whoever read the old ones keeps them.
+    A graph owns one (:meth:`DynamicGraph.arcs`) and patches it from each
+    batch; the engine, the targeted adversary's core refreshes and the
+    oracle all read that one."""
 
-    __slots__ = ("heads", "degrees", "ends", "time", "edge_count")
+    __slots__ = ("heads", "degrees", "ends")
 
     def __init__(self, g: DynamicGraph):
         n = g.node_count
@@ -148,24 +163,18 @@ class Arcs:
                                        len(tails))
         keys.sort()
         self.heads = keys - tails * n
-        self.time, self.edge_count = g.time, g.edge_count
 
     @property
     def tails(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.degrees)), self.degrees)
 
-    def describes(self, g: DynamicGraph) -> bool:
-        return (self.time, self.edge_count) == (g.time, g.edge_count)
-
     def patch(self, batch: Sequence[Edit]) -> None:
-        """Advance to the state that ``batch``, valid for this one, leaves,
-        as ``apply_churn`` would."""
+        """Advance to the state that ``batch``, valid for this one, leaves;
+        ``apply_churn`` calls it once the whole batch has applied."""
         net: dict[Edge, int] = {}  # +1 added, -1 removed, 0 both
         for op, u, v in batch:
             e = edge_key(u, v)
             net[e] = net.get(e, 0) + (1 if op == ADD else -1)
-        self.time += 1
-        self.edge_count += sum(net.values())
         heads, ends, degrees = self.heads, self.ends, self.degrees.copy()
         pieces, kept = [], 0  # heads[:kept] are in pieces
         for a, b, d in sorted((a, b, d) for (u, v), d in net.items() if d

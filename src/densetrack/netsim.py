@@ -51,11 +51,10 @@ reduce.  A wider group keeps its senders' arrays by node id, merges them
 pairwise and lets each go once the sender's largest neighbour, its last
 receiver to step, has stepped.
 
-The engine reads the round-start graph from one
-:class:`~densetrack.graph.Arcs`, patched from each round's batch, not
-rebuilt (:class:`_Topology`).  The targeted adversary keeps arcs of its
-own, patched from every batch it returns, and hands them to each refresh
-of its core, so a refresh builds only the max-flow network's CSR.
+The engine reads the round-start graph from the graph's own
+:class:`~densetrack.graph.Arcs`, which ``apply_churn`` patches from each
+round's batch (:class:`_Topology`).  The targeted adversary's core
+refreshes and the oracle read the same arcs, so a run builds them once.
 
 Max, min and or are joins, idempotent and order-free, so a fold that holds
 an array equal to the join of every sender, the group's top, is the top.
@@ -80,7 +79,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import HandlerPanic
-from .graph import Arcs, DynamicGraph, Edit
+from .graph import DynamicGraph, Edit
 
 
 # -- message parts -------------------------------------------------------------
@@ -248,43 +247,32 @@ def node_rng(global_seed: int, node_id: int) -> np.random.Generator:
 
 class _Topology:
     """The round-start graph as the metering and the folds read it: its
-    :class:`~densetrack.graph.Arcs` and each node's release point.  It is
-    the engine's one neighbour cache: built from the graph, patched from
-    each round's edits, and rebuilt only when the graph changed behind the
-    engine's back.  A patch binds new arrays, so a round's merges keep the
-    ones they read.  The targeted adversary keeps arcs of its own, patched
-    from the same batches, and hands them to each oracle refresh, which
-    then builds only the CSR.
+    :class:`~densetrack.graph.Arcs`, which the graph owns and patches, the
+    layout when every node sends and each node's release point.  The two
+    caches are kept while the arcs' ``heads`` is the array they were
+    built from: a patch binds new arrays, so a round's merges keep the
+    ones they read, and a batch whose edits cancel out keeps them.
 
     A sender's release point is its largest neighbour id: receivers step in
     id order, so that neighbour is the last to read what it sent.  Only
     wide groups release, so the release points are found when one asks."""
 
     def __init__(self, graph: DynamicGraph):
-        self.arcs = Arcs(graph)
-        self._forget()
-
-    def _forget(self) -> None:
-        self.everyone: tuple | None = None
-        self._releases: dict[int, list[int]] | None = None
-
-    def patch(self, graph: DynamicGraph, edits) -> None:
-        """Apply one round's applied edits, if this was current before it."""
-        if self.arcs.time != graph.time - 1:
-            return
-        self.arcs.patch(edits)
-        if edits:
-            self._forget()
+        self.graph = graph
+        self.everyone: tuple | None = None  # found is the arcs' heads
+        self._releases: tuple | None = None  # (heads, releases)
 
     def releases(self) -> dict[int, list[int]]:
         """Receiver -> the senders whose release point it is."""
-        if self._releases is None:
-            arcs, self._releases = self.arcs, {}
+        arcs = self.graph.arcs()
+        if self._releases is None or self._releases[0] is not arcs.heads:
+            releases: dict[int, list[int]] = {}
             senders = np.flatnonzero(arcs.degrees)
             lasts = arcs.heads[arcs.ends[senders] - 1]
             for u, v in zip(senders.tolist(), lasts.tolist()):
-                self._releases.setdefault(v, []).append(u)
-        return self._releases
+                releases.setdefault(v, []).append(u)
+            self._releases = (arcs.heads, releases)
+        return self._releases[1]
 
     def layout(self, senders: list[int]) -> tuple:
         """Every node's sending neighbours among ``senders``, as ids in an
@@ -292,12 +280,12 @@ class _Topology:
         ``ends`` as an array, which the top of a stacked join group, the
         join of its rows taken at delivery, reads.  Wide groups always
         fold, and flags, a sum, are never handed a top."""
-        arcs = self.arcs
+        arcs = self.graph.arcs()
         n = len(arcs.degrees)
         sends = np.zeros(n, bool)
         sends[senders] = True
         if np.count_nonzero(sends) == n:
-            if self.everyone is None:
+            if self.everyone is None or self.everyone[0] is not arcs.heads:
                 ends = arcs.ends
                 self.everyone = (arcs.heads, [0, *ends[:-1].tolist()],
                                  ends.tolist(), ends)
@@ -363,7 +351,7 @@ class _Merges:
                     rows = [sent[u] for u in order]
                 sent = np.concatenate(rows).reshape((len(order),) + shape)
                 sent.flags.writeable = False
-                n = len(topology.arcs.degrees)
+                n = topology.graph.node_count
                 if len(order) == n:  # every node sent: row v is node v's
                     g.ids = found
                 else:
@@ -486,7 +474,6 @@ class World:
         edits = (self.adversary.edits_for_round(self.graph, r)
                  if self.adversary is not None else [])
         self.graph.apply_churn(edits)
-        self._topology.patch(self.graph, edits)
         if edits and self.log:
             self.log.append({"round": r, "event": "churn",
                              "edits": [[op, u, v] for op, u, v in edits]})
@@ -502,9 +489,7 @@ class World:
         round's folds."""
         if not staged:
             return
-        if not self._topology.arcs.describes(self.graph):
-            self._topology = _Topology(self.graph)
-        degrees = self._topology.arcs.degrees
+        degrees = self.graph.arcs().degrees
         n = len(degrees)
         # a group's parts, each with its sender, and its arrays by sender id
         groups: dict[tuple, tuple[MessagePart, list[int], list, list]] = {}

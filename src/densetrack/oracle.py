@@ -20,11 +20,10 @@
   core, a few edits ago) usually one.  The densities, the final check and
   the min-degree certificate (every member's induced degree d has
   ``d*q >= p``) are integer counts over the network's vertex-to-vertex
-  arcs; no floating-point in the certification path.  Those arcs are a
-  :class:`~densetrack.graph.Arcs`: the caller's when they describe the
-  graph, as the targeted adversary's patched ones do, so that a refresh
-  builds only the CSR.  scipy computes flows in int32, so a graph with
-  ``2*n*m >= 2**31`` is refused before any network is built.
+  arcs; no floating-point in the certification path.  Those arcs are the
+  graph's own :class:`~densetrack.graph.Arcs`, patched from each batch,
+  so a solve builds only the CSR.  scipy computes flows in int32, so a
+  graph with ``2*n*m >= 2**31`` is refused before any network is built.
 * :func:`exact_at_least_k` - exhaustive enumeration over all subsets of size
   at least k (bounded to n <= 20, about a million subsets).
 * :func:`peel_reference` - centralized, exact-arithmetic replay of the
@@ -48,7 +47,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import (ConfigError, InvalidEdit, TooLargeForEnumeration,
                      TooLargeForMaxFlow)
-from .graph import Arcs, DynamicGraph, induced_density
+from .graph import DynamicGraph, induced_density
 from .protocol import threshold_value
 
 ENUMERATION_LIMIT = 20
@@ -88,7 +87,7 @@ def _check_min_degree(tails: np.ndarray, heads: np.ndarray,
 def graph_content_hash(g: DynamicGraph) -> str:
     # the "|" ends the node count, so no edge bytes can extend its digits
     h = hashlib.sha256(f"{g.node_count}|".encode())
-    arcs = Arcs(g)
+    arcs = g.arcs()
     tails, heads = arcs.tails, arcs.heads
     below = tails < heads  # g.edges(), in order
     h.update(np.column_stack((tails[below], heads[below])).tobytes())
@@ -112,13 +111,12 @@ class _VertexNetwork:
     entry, is that total minus the residual, with no transpose.
     """
 
-    def __init__(self, g: DynamicGraph, arcs: Arcs | None = None):
+    def __init__(self, g: DynamicGraph):
         n, m = g.node_count, g.edge_count
         if 2 * n * m >= 2 ** 31:
             raise TooLargeForMaxFlow(
                 f"n={n}, m={m}: capacities up to 2*n*m overflow int32")
-        if arcs is None or not arcs.describes(g):
-            arcs = Arcs(g)
+        arcs = g.arcs()
         self.n_nodes = n
         self.m = m
         self.src = n
@@ -216,20 +214,18 @@ class _VertexNetwork:
                         int(np.count_nonzero(members)))
 
 
-def exact_densest(g: DynamicGraph, start: Iterable[int] | None = None,
-                  arcs: Arcs | None = None) -> OracleResult:
+def exact_densest(g: DynamicGraph,
+                  start: Iterable[int] | None = None) -> OracleResult:
     """The largest maximum-density subset, with exact rational certification.
 
     ``start``, any vertex ids of ``g``, moves only the first guess: its
     density in ``g`` is a lower bound on the optimum, so Dinkelbach starts
-    at the larger of it and m/n.  The answer does not depend on it.
-    ``arcs``, when their time and edge count are ``g``'s, are taken as
-    ``g``'s and not rebuilt."""
+    at the larger of it and m/n.  The answer does not depend on it."""
     n, m = g.node_count, g.edge_count
     begin = _vertex_mask(g, () if start is None else start)
     if m == 0:
         return OracleResult(frozenset({0}), Fraction(0), "maxflow")
-    tester = _VertexNetwork(g, arcs)
+    tester = _VertexNetwork(g)
     rho = Fraction(m, n)
     if begin.any():
         rho = max(rho, tester.density(begin))
@@ -308,7 +304,7 @@ def exact_at_least_k(g: DynamicGraph, k: int) -> OracleResult:
     members = frozenset(v for v in range(n) if mask >> v & 1)
     density = Fraction(int(counts[mask]), len(members))
     if k <= 1:
-        arcs = Arcs(g)
+        arcs = g.arcs()
         _check_min_degree(arcs.tails, arcs.heads, _vertex_mask(g, members),
                           density)
     return OracleResult(members, density, "enumeration")

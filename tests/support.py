@@ -3,8 +3,8 @@
 pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
 diameter, the per-draw graph builders the production ones must match, the
 per-message bandwidth ledger the per-group one must match, the oracle
-cache's first graph hash, a comparable form of sorted arcs and a runner for
-the scripts."""
+cache's first graph hash, a comparable form of sorted arcs, a count of
+their builds and a runner for the scripts."""
 
 from __future__ import annotations
 
@@ -269,11 +269,24 @@ def edge_list_content_hash(g: DynamicGraph) -> str:
 
 
 def arcs_state(arcs: Arcs) -> tuple:
-    """Everything an :class:`Arcs` holds, as lists and ints, with the heads'
-    dtype: two arcs describe one state when these are equal."""
+    """Everything an :class:`Arcs` holds, as lists, with the heads' dtype:
+    two arcs describe one state when these are equal."""
     return (arcs.heads.tolist(), arcs.heads.dtype, arcs.degrees.tolist(),
-            arcs.ends.tolist(), arcs.tails.tolist(), arcs.time,
-            arcs.edge_count)
+            arcs.ends.tolist(), arcs.tails.tolist())
+
+
+def arcs_builds(monkeypatch) -> list:
+    """The list that gets one entry per :class:`Arcs` built, under any name
+    a module imported it by."""
+    builds = []
+    init = Arcs.__init__
+
+    def counted(self, g):
+        builds.append(1)
+        init(self, g)
+
+    monkeypatch.setattr(Arcs, "__init__", counted)
+    return builds
 
 
 def run_script(name: str, *args, cwd) -> subprocess.CompletedProcess:

@@ -109,11 +109,12 @@ def test_targeted_rate_two_never_repeats_an_edge(seed, tmp_path):
 
 @pytest.mark.parametrize("rate", [1, 3])
 def test_targeted_pools_kept_across_rounds_draw_as_rebuilt_ones(rate):
-    # the adversary keeps its sorted pool, core edges and arcs while the
-    # graph is the one its last batch left; a copy each round forces every
-    # rebuild, and an edge inside the planted clique toggled outside the
-    # adversary every fifth round must make the kept ones rebuild too.  The
-    # arcs, patched from each batch, must be those of the graph it leaves
+    # the adversary keeps its sorted pool and core edges while the graph is
+    # the one its last batch left; a copy each round forces every rebuild,
+    # and an edge inside the planted clique toggled outside the adversary
+    # every fifth round must make the kept ones rebuild too.  The graph's
+    # arcs, which the core refreshes read, must be those of the graph its
+    # batches leave
     built = build_graph({"kind": "planted-dense", "n": 40, "clique": 20,
                          "noise_p": 0.1, "hub_star": True}, 3)
     kept_g, copied_g = built.graph.copy(), built.graph.copy()
@@ -126,7 +127,7 @@ def test_targeted_pools_kept_across_rounds_draw_as_rebuilt_ones(rate):
         assert batch == copied.edits_for_round(copied_g.copy(), r), r
         kept_g.apply_churn(batch)
         copied_g.apply_churn(batch)
-        assert arcs_state(kept._arcs) == arcs_state(Arcs(copied_g)), r
+        assert arcs_state(kept_g.arcs()) == arcs_state(Arcs(copied_g)), r
         if r % 5 == 4:
             toggle = [("remove" if kept_g.has_edge(1, 2) else "add", 1, 2)]
             kept_g.apply_churn(toggle)

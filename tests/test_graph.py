@@ -135,16 +135,43 @@ def churn_runs(draw):
 @given(churn_runs())
 @settings(max_examples=200, deadline=None)
 def test_patched_arcs_equal_the_arcs_of_the_churned_graph(case):
+    # the graph patches the arcs it owns from each batch, never rebuilding
     g, batches = case
-    arcs = Arcs(g)
+    arcs = g.arcs()
     for batch in batches:
         read = [arcs.heads, arcs.degrees, arcs.ends]
         kept = [a.copy() for a in read]
         g.apply_churn(batch)
-        arcs.patch(batch)
+        assert g.arcs() is arcs
         assert arcs_state(arcs) == arcs_state(Arcs(g)), batch
         # a patch binds new arrays: whoever read the old ones keeps them
         assert all(np.array_equal(a, b) for a, b in zip(read, kept))
+
+
+@pytest.mark.parametrize("batch", [
+    [("add", 0, 3), ("remove", 1, 3)],         # removes an absent edge
+    [("remove", 0, 1), ("add", 1, 2)],         # adds a present one
+    [("add", 0, 3), ("remove", 0, 2), ("add", 3, 3)],  # a self-loop
+    [("remove", 1, 2), ("flip", 0, 1)],        # an unknown op
+])
+def test_a_failed_batch_leaves_the_arcs_as_they_were(batch):
+    # the arcs are patched only once the whole batch has applied
+    g = DynamicGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)], churn_rate=3)
+    before = arcs_state(g.arcs())
+    with pytest.raises(InvalidEdit):
+        g.apply_churn(batch)
+    assert arcs_state(g.arcs()) == arcs_state(Arcs(g)) == before
+
+
+def test_churn_on_a_copy_leaves_the_original_arcs():
+    # a copy starts without arcs: shared ones would follow its churn
+    g = DynamicGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)], churn_rate=2)
+    before = arcs_state(g.arcs())
+    h = g.copy()
+    h.arcs()
+    h.apply_churn([("remove", 0, 1), ("add", 2, 3)])
+    assert arcs_state(g.arcs()) == before == arcs_state(Arcs(g))
+    assert arcs_state(h.arcs()) == arcs_state(Arcs(h)) != before
 
 
 class TestDiameters:

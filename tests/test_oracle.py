@@ -16,7 +16,7 @@ from densetrack.oracle import (OracleCache, _subset_edge_counts,
                                graph_content_hash, greedy_at_least_k_witness,
                                peel_reference)
 from densetrack.scenarios import build_graph, build_regular
-from support import REPO, edge_list_content_hash
+from support import REPO, arcs_builds, edge_list_content_hash
 
 
 def complete(n):
@@ -186,22 +186,20 @@ class TestWarmStart:
 
     def test_arcs_are_read_only_when_they_describe_the_graph(
             self, monkeypatch):
-        # the targeted adversary hands its patched arcs to each refresh: arcs
-        # of the graph's state are read as they are, and arcs of an earlier
-        # state are rebuilt, so both give the cold answer
+        # a solve reads the arcs the graph owns, which describe it always:
+        # it builds none, and after churn, which patches them, it still
+        # gives the cold answer of a copy that builds its own
         g = k4_plus_pendant()
         g.churn_rate = 1
-        current, stale = Arcs(g), Arcs(g)
-        builds = call_counter(monkeypatch, "Arcs")
-        assert exact_densest(g, arcs=current) == exact_densest(g)
-        assert len(builds) == 1  # the cold solve's
+        g.arcs()
+        builds = arcs_builds(monkeypatch)
+        assert exact_densest(g) == exact_densest(g.copy())
+        assert len(builds) == 1  # the copy's
         g.apply_churn([("remove", 0, 1)])
-        current.patch([("remove", 0, 1)])
         builds.clear()
-        cold = exact_densest(g)
-        assert exact_densest(g, arcs=current) == cold
-        assert exact_densest(g, start=[0], arcs=stale) == cold
-        assert len(builds) == 2  # the cold solve's and the stale one's
+        cold = exact_densest(g.copy())
+        assert exact_densest(g, start=[0]) == exact_densest(g) == cold
+        assert len(builds) == 1  # the copy's
 
     @pytest.mark.parametrize("start", [[-1], [3], [0, 2, 7], [-4, 1]])
     @pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2)]])
@@ -226,7 +224,8 @@ class TestWarmStart:
     def test_targeted_core_refreshes_take_few_flows(self, monkeypatch):
         # the bench's targeted-core workload cut to 60 rounds: 30 core
         # refreshes and 3 scored queries, at 2.0 flows per solve when
-        # every solve starts at m/n
+        # every solve starts at m/n.  The engine, the refreshes and the
+        # queries' hashes and solves all read the arcs the graph owns
         monkeypatch.syspath_prepend(str(REPO / "bench"))
         import workloads
         sys.modules.pop("workloads", None)
@@ -234,9 +233,12 @@ class TestWarmStart:
                 "duration": {"rounds": 60}}
         flows = call_counter(monkeypatch)
         solves = call_counter(monkeypatch, "exact_densest")
+        builds = arcs_builds(monkeypatch)
         report = harness.run_scenario(conf)
         assert report.rounds_run == 60 and len(solves) >= 30
+        assert len(report.queries) == 3
         assert len(flows) <= 1.25 * len(solves)
+        assert len(builds) == 1
 
 
 class TestMinDegree:

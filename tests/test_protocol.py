@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densetrack.graph import DynamicGraph
+from densetrack.graph import DynamicGraph, static_diameter
 from densetrack.harness import run_scenario
 from densetrack.netsim import World
 from densetrack.oracle import peel_reference
@@ -436,3 +436,64 @@ def test_unpadded_exact_runs_do_not_depend_on_the_seed(seeds):
     assert all(not q["padded"] for q in first.queries)
     assert (first.passes, first.queries, first.ledger) == (
         second.passes, second.queries, second.ledger)
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A connected graph on 2-10 nodes: a random tree plus random chords."""
+    n = draw(st.integers(2, 10))
+    edges = {(draw(st.integers(0, v - 1), label="parent"), v)
+             for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n),
+                      label="chords"))
+    return n, sorted(edges)
+
+
+# the rounds a query row reads, which move with D
+ROUND_FIELDS = ("round_fired", "round_answered", "t_pass_start", "t_pass_end",
+                "t_edges_start", "t_level_set", "T_used")
+
+
+@given(small_connected_graphs())
+@settings(max_examples=30, deadline=None)
+def test_exact_levels_do_not_depend_on_a_diameter_bound_above_the_truth(
+        case):
+    # on a static graph, exact counting floods reach every node within any
+    # D at least the diameter: D, D + 1 and D + 2 give the levels and
+    # answers of the central peel, and each level costs 4D + 1 rounds, the
+    # reused first level of a later pass 2D + 1
+    n, edges = case
+    g = DynamicGraph.from_edges(n, edges)
+    truth = static_diameter(g)
+    seen = []  # each D's answers
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "graph.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        for d in range(truth, truth + 3):
+            report = run_scenario({
+                "seed": 1, "graph": {"kind": "edge-list", "path": str(path)},
+                "adversary": None,
+                "protocol": {"epsilon": 0.5, "diameter": d,
+                             "exact_counting": True},
+                "duration": {"passes": 2},
+                "queries": {"mode": "per-pass", "k": 0}, "report": {}})
+            ref = peel_reference(g, report.params.factor,
+                                 p_cap=report.params.p_cap)
+            for p in report.passes:
+                assert p["closed_by"] == ref.closed_by
+                assert [(rec["node_est"], rec["edge_est"], rec["ratio"])
+                        for rec in p["levels"]] == list(ref.records)
+                begin = p["start"]  # each level's first round
+                for rec in p["levels"]:
+                    reused = rec["nodes_start"] is None
+                    assert (rec["edges_start"] if reused
+                            else rec["nodes_start"]) == begin
+                    end = rec["threshold_round"] + 1
+                    assert end - rec["edges_start"] == 2 * d + 1
+                    assert end - begin == (2 if reused else 4) * d + 1
+                    begin = end
+            assert all(not q["padded"] for q in report.queries)
+            seen.append([{k: v for k, v in q.items() if k not in ROUND_FIELDS}
+                         for q in report.queries])
+    assert seen[1:] == seen[:1] * 2
