@@ -5,13 +5,15 @@ densest core.
 Every adversary yields at most ``rate`` edits per round.  Scripted schedules
 are validated at load time by replaying them against a copy of the initial
 graph, so state-mismatched edits (removing an absent edge, inserting a
-present one) are rejected before a run starts.
+present one) are rejected before a run starts.  The random and targeted
+adversaries read the edges they may remove from the graph's arcs each
+round, so they keep no edge state of their own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,15 @@ class ScriptedAdversary(Adversary):
         return list(self.edits_by_round.get(round_, ()))
 
 
+@lru_cache(maxsize=4)
+def _free_pairs(protected: frozenset[Edge], n: int) -> np.ndarray:
+    """Flags indexed by code ``u * n + v``, set where u < v and the edge
+    (u, v) is not protected."""
+    free = np.triu(np.ones((n, n), bool), 1).ravel()
+    free[[u * n + v for u, v in protected]] = False
+    return free
+
+
 @dataclass
 class RandomChurnAdversary(Adversary):
     """Seeded random churn over non-protected edges.
@@ -64,40 +75,21 @@ class RandomChurnAdversary(Adversary):
     ``mode="uniform"`` picks each edit uniformly over the combined space of
     legal inserts and deletes (on sparse graphs this skews toward inserts);
     ``mode="balanced"`` flips a fair coin between insert and delete first,
-    which keeps the edge count roughly stationary.
+    which keeps the edge count roughly stationary.  The edges it may remove
+    are read from the graph's arcs each round, so it keeps no edge state.
     """
 
     rng: np.random.Generator
     rate: int
     mode: str = "balanced"
     protected: frozenset[Edge] = field(default_factory=frozenset)
-    # the sorted non-protected edges after the last batch, and the graph,
-    # round counter and edge count that batch leaves; a graph in any other
-    # state rebuilds the pool
-    _pool: list[Edge] = field(default_factory=list, repr=False,
-                              compare=False)
-    _pool_for: tuple = field(default=(None, -1, -1), repr=False,
-                             compare=False)
 
-    def _pool_is_current(self, g: DynamicGraph) -> bool:
-        graph, time, edges = self._pool_for
-        return graph is g and (time, edges) == (g.time, g.edge_count)
-
-    def _sorted_pool(self, g: DynamicGraph) -> list[Edge]:
-        if not self._pool_is_current(g):
-            self._pool = [e for e in g.edges() if e not in self.protected]
-        return self._pool
-
-    def _patch_pool(self, g: DynamicGraph, batch: list[Edit]) -> None:
-        """Apply this round's batch to the sorted pool, as the graph will."""
-        pool = self._pool
-        for op, u, v in batch:
-            if op == ADD:
-                insort(pool, (u, v))
-            else:
-                del pool[bisect_left(pool, (u, v))]
-        self._pool_for = (g, g.time + 1, g.edge_count + sum(
-            1 if op == ADD else -1 for op, _, _ in batch))
+    def _pool(self, g: DynamicGraph) -> np.ndarray:
+        """The round-start graph's edges outside ``protected``, as sorted
+        codes ``u * n + v`` (u < v) read from its arcs."""
+        arcs, n = g.arcs(), g.node_count
+        codes = arcs.tails * n + arcs.heads
+        return codes[_free_pairs(self.protected, n)[codes]]
 
     def _sample_absent(self, g: DynamicGraph, removed: set[Edge],
                        added: set[Edge],
@@ -114,13 +106,17 @@ class RandomChurnAdversary(Adversary):
                 return e
         return None
 
-    def _draw(self, g: DynamicGraph, pool: list[Edge], slots: int, mode: str,
+    def _draw(self, g: DynamicGraph, pool: np.ndarray, slots: int, mode: str,
               protected: frozenset[Edge]) -> list[Edit]:
         """Up to ``slots`` edits off the round-start graph ``g``; ``pool``
-        holds its sorted edges outside ``protected`` and is patched in place
-        as edits accrue, so every draw is what a fresh scan would give."""
+        holds its edge codes outside ``protected`` (see :meth:`_pool`).  A
+        copy of it swap-removes each removed edge and appends each added
+        one, so every draw is what a fresh scan would give."""
         n = g.node_count
         total_pairs = n * (n - 1) // 2
+        size = len(pool)
+        codes = np.empty(size + slots, np.int64)
+        codes[:size] = pool
         batch: list[Edit] = []
         removed: set[Edge] = set()
         added: set[Edge] = set()
@@ -128,23 +124,23 @@ class RandomChurnAdversary(Adversary):
             n_present = g.edge_count - len(removed) + len(added)
             n_absent = total_pairs - n_present
             if mode == "uniform":
-                legal = len(pool) + n_absent
+                legal = size + n_absent
                 if legal == 0:
                     break
-                do_remove = self.rng.random() < len(pool) / legal
+                do_remove = self.rng.random() < size / legal
             else:
                 do_remove = bool(self.rng.random() < 0.5)
-            if do_remove and not pool:
+            if do_remove and not size:
                 do_remove = False
             if not do_remove and n_absent == 0:
-                do_remove = bool(pool)
+                do_remove = bool(size)
                 if not do_remove:
                     break
             if do_remove:
-                idx = int(self.rng.integers(len(pool)))
-                e = pool[idx]
-                pool[idx] = pool[-1]
-                pool.pop()
+                idx = int(self.rng.integers(size))
+                e = divmod(int(codes[idx]), n)
+                size -= 1
+                codes[idx] = codes[size]
                 removed.add(e)
                 added.discard(e)
                 batch.append((REMOVE, e[0], e[1]))
@@ -154,15 +150,14 @@ class RandomChurnAdversary(Adversary):
                     continue
                 added.add(e)
                 removed.discard(e)
-                pool.append(e)
+                codes[size] = e[0] * n + e[1]
+                size += 1
                 batch.append((ADD, e[0], e[1]))
         return batch
 
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
-        batch = self._draw(g, list(self._sorted_pool(g)), self.rate,
-                           self.mode, self.protected)
-        self._patch_pool(g, batch)
-        return batch
+        return self._draw(g, self._pool(g), self.rate, self.mode,
+                          self.protected)
 
 
 @dataclass
@@ -170,17 +165,13 @@ class TargetedAdversary(RandomChurnAdversary):
     """Stress mode: deletes edges inside the current true densest subgraph
     with probability ``bias``, otherwise behaves like balanced random churn.
     The core is recomputed every ``refresh_every`` rounds by the exact
-    oracle, started from the last core; the solve reads the graph's own
-    arcs, which ``apply_churn`` keeps patched."""
+    oracle, started from the last core; the solve, like the edge pools,
+    reads the graph's own arcs, which ``apply_churn`` keeps patched."""
 
     refresh_every: int = 10
     bias: float = 0.8
     _core: frozenset[int] = field(default_factory=frozenset)
     _core_round: int = -1
-    # the sorted non-protected edges inside the core, kept across rounds
-    # like the pool and rebuilt with it or when the core changes
-    _core_edges: list[Edge] = field(default_factory=list, repr=False,
-                                    compare=False)
 
     def _refresh_core(self, g: DynamicGraph, round_: int) -> None:
         if self._core_round >= 0 and round_ - self._core_round < self.refresh_every:
@@ -189,39 +180,27 @@ class TargetedAdversary(RandomChurnAdversary):
             g, start=self._core).members)
         self._core_round = round_
 
-    def _patch_core_edges(self, batch: list[Edit]) -> None:
-        for op, u, v in batch:
-            if u in self._core and v in self._core:
-                if op == ADD:
-                    insort(self._core_edges, (u, v))
-                else:
-                    del self._core_edges[bisect_left(self._core_edges, (u, v))]
-
     def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
-        core, current = self._core, self._pool_is_current(g)
         self._refresh_core(g, round_)
-        if self._core != core or not current:
-            self._core_edges = [
-                (u, v) for u in sorted(self._core)
-                for v in sorted(g.adj[u] & self._core)
-                if u < v and (u, v) not in self.protected]
-        pool = self._sorted_pool(g)
+        n, pool = g.node_count, self._pool(g)
+        inner = np.zeros(n, bool)
+        inner[list(self._core)] = True
+        inside = pool[np.outer(inner, inner).ravel()[pool]]
         batch: list[Edit] = []
+        edits: list[Edit] = []
         # every slot sees the round-start graph, so later slots must stay off
         # the edges earlier ones edited or the batch repeats an edit
-        touched: set[Edge] = set()
         for _ in range(self.rate):
-            inside = ([e for e in self._core_edges if e not in touched]
-                      if touched else self._core_edges)
-            if inside and self.rng.random() < self.bias:
-                e = inside[int(self.rng.integers(len(inside)))]
-                edits = [(REMOVE, e[0], e[1])]
+            for _, u, v in edits:
+                code = u * n + v
+                pool, inside = pool[pool != code], inside[inside != code]
+            if len(inside) and self.rng.random() < self.bias:
+                code = int(inside[int(self.rng.integers(len(inside)))])
+                edits = [(REMOVE, *divmod(code, n))]
             else:
                 # one balanced random-churn slot off the pool
-                edits = self._draw(g, [e for e in pool if e not in touched],
-                                   1, "balanced", self.protected | touched)
-            touched.update(edge_key(u, v) for _, u, v in edits)
+                touched = {(u, v) for _, u, v in batch}
+                edits = self._draw(g, pool, 1, "balanced",
+                                   self.protected | touched)
             batch.extend(edits)
-        self._patch_pool(g, batch)
-        self._patch_core_edges(batch)
         return batch

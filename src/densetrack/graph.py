@@ -148,8 +148,8 @@ class Arcs:
     ends[v]]``, and ``tails`` is derived when read.  :meth:`patch` binds
     new arrays and writes none, so whoever read the old ones keeps them.
     A graph owns one (:meth:`DynamicGraph.arcs`) and patches it from each
-    batch; the engine, the targeted adversary's core refreshes and the
-    oracle all read that one."""
+    batch; the engine, the adversaries' edge pools and core refreshes and
+    the oracle all read that one."""
 
     __slots__ = ("heads", "degrees", "ends")
 

@@ -2,9 +2,10 @@
 ``sys.path``): one counting window on every node through the production
 pipeline, the edge-count sampler, the trace-reach oracle of the dynamic
 diameter, the per-draw graph builders the production ones must match, the
-per-message bandwidth ledger the per-group one must match, the oracle
-cache's first graph hash, a comparable form of sorted arcs, a count of
-their builds and a runner for the scripts."""
+per-message bandwidth ledger the per-group one must match, the churn
+adversary whose draws the production ones must match, the oracle cache's
+first graph hash, a comparable form of sorted arcs, a count of their builds
+and a runner for the scripts."""
 
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ import numpy as np
 from densetrack.counting import (CountPipeline, TuplePart,
                                  sample_fine_estimates)
 from densetrack.errors import ConfigError
-from densetrack.graph import Arcs, DynamicGraph, Edge, edge_key
+from densetrack.graph import (ADD, REMOVE, Arcs, DynamicGraph, Edge, Edit,
+                              edge_key)
 from densetrack.netsim import BandwidthLedger, RoundMessage, TagStats, World
+from densetrack.oracle import exact_densest
 from densetrack.protocol import FlagsPart, ProtocolNode
 from densetrack.scenarios import BuiltGraph
 
@@ -257,6 +260,106 @@ class ReferenceLedger:
         self.total_bits += total * copies
         self.total_deliveries += copies
         return total
+
+
+# -- reference churn adversary ----------------------------------------------------
+# The random and targeted adversaries with their pools as lists of edge
+# tuples, rebuilt each round from the sorted edges and, for the core, from
+# the adjacency sets.  ``densetrack.adversary``'s adversaries, seeded alike,
+# must make the same batches.
+
+
+class ReferenceChurn:
+    """Random churn in ``mode``, or with ``refresh_every`` set, targeted
+    churn that removes a core edge with probability ``bias``."""
+
+    def __init__(self, rng: np.random.Generator, rate: int,
+                 mode: str = "balanced",
+                 protected: frozenset[Edge] = frozenset(),
+                 refresh_every: int | None = None, bias: float = 0.8):
+        self.rng, self.rate, self.mode = rng, rate, mode
+        self.protected, self.refresh_every, self.bias = (
+            protected, refresh_every, bias)
+        self.core: frozenset[int] = frozenset()
+        self.core_round = -1
+
+    def sample_absent(self, g: DynamicGraph, removed: set[Edge],
+                      added: set[Edge], protected: frozenset[Edge]):
+        for _ in range(64):
+            u = int(self.rng.integers(g.node_count))
+            v = int(self.rng.integers(g.node_count))
+            if u == v:
+                continue
+            e = edge_key(u, v)
+            present = (g.has_edge(u, v) or e in added) and e not in removed
+            if not present and e not in protected:
+                return e
+        return None
+
+    def draw(self, g: DynamicGraph, pool: list[Edge], slots: int, mode: str,
+             protected: frozenset[Edge]) -> list[Edit]:
+        n = g.node_count
+        batch: list[Edit] = []
+        removed: set[Edge] = set()
+        added: set[Edge] = set()
+        for _ in range(slots):
+            n_absent = (n * (n - 1) // 2 - g.edge_count + len(removed)
+                        - len(added))
+            if mode == "uniform":
+                legal = len(pool) + n_absent
+                if legal == 0:
+                    break
+                do_remove = self.rng.random() < len(pool) / legal
+            else:
+                do_remove = bool(self.rng.random() < 0.5)
+            if do_remove and not pool:
+                do_remove = False
+            if not do_remove and n_absent == 0:
+                do_remove = bool(pool)
+                if not do_remove:
+                    break
+            if do_remove:
+                idx = int(self.rng.integers(len(pool)))
+                e = pool[idx]
+                pool[idx] = pool[-1]
+                pool.pop()
+                removed.add(e)
+                added.discard(e)
+                batch.append((REMOVE, *e))
+            else:
+                e = self.sample_absent(g, removed, added, protected)
+                if e is None:
+                    continue
+                added.add(e)
+                removed.discard(e)
+                pool.append(e)
+                batch.append((ADD, *e))
+        return batch
+
+    def edits_for_round(self, g: DynamicGraph, round_: int) -> list[Edit]:
+        pool = [e for e in g.edges() if e not in self.protected]
+        if self.refresh_every is None:
+            return self.draw(g, pool, self.rate, self.mode, self.protected)
+        if (self.core_round < 0
+                or round_ - self.core_round >= self.refresh_every):
+            self.core = frozenset(exact_densest(g, start=self.core).members)
+            self.core_round = round_
+        core_edges = [(u, v) for u in sorted(self.core)
+                      for v in sorted(g.adj[u] & self.core)
+                      if u < v and (u, v) not in self.protected]
+        batch: list[Edit] = []
+        touched: set[Edge] = set()
+        for _ in range(self.rate):
+            inside = [e for e in core_edges if e not in touched]
+            if inside and self.rng.random() < self.bias:
+                edits = [(REMOVE,
+                          *inside[int(self.rng.integers(len(inside)))])]
+            else:
+                edits = self.draw(g, [e for e in pool if e not in touched], 1,
+                                  "balanced", self.protected | touched)
+            touched.update(edge_key(u, v) for _, u, v in edits)
+            batch.extend(edits)
+        return batch
 
 
 def edge_list_content_hash(g: DynamicGraph) -> str:

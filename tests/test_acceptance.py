@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from densetrack import counting
-from densetrack.graph import DynamicGraph, static_diameter
+from densetrack.graph import DynamicGraph, induced_density, static_diameter
 from densetrack.harness import check_round_budget, run_scenario
 from densetrack.netsim import World
 from densetrack.oracle import (OracleCache, brute_force_densest,
@@ -99,6 +99,34 @@ def test_criterion_1_static_densest_guarantee():
     assert exact_fail == 0, "exact-counting runs must meet (2+eps) in 100%"
     assert budgets_ok
     assert elapsed < 120
+
+
+# hub-star planted graphs whose clique is small beside n: all of V misses
+# (2+eps) on each, so an answer that skips the peel fails there
+V_FAILS_SUITE = [(120, 18, 0.004), (140, 20, 0.004), (150, 22, 0.003),
+                 (160, 20, 0.003), (170, 24, 0.003), (180, 22, 0.002),
+                 (190, 26, 0.002), (200, 24, 0.002)]
+
+
+def test_criterion_1_holds_where_all_of_v_fails():
+    cache = OracleCache()
+    eps = 1.0
+    for i, (n, clique, noise_p) in enumerate(V_FAILS_SUITE):
+        gspec = {"kind": "planted-dense", "n": n, "clique": clique,
+                 "noise_p": noise_p, "hub_star": True}
+        g = build_graph(gspec, 900 + i).graph
+        everyone = induced_density(g, range(n)).density
+        assert cache.exact_densest(g).density > (2 + eps) * everyone, gspec
+        for exact in (False, True):
+            conf = {"seed": 900 + i, "graph": gspec, "adversary": None,
+                    "protocol": {"epsilon": eps, "k": 0, "diameter": "auto",
+                                 "exact_counting": exact},
+                    "duration": {"passes": 1},
+                    "queries": {"mode": "per-pass", "k": 0, "limit": 1},
+                    "report": {}}
+            q = run_scenario(conf, cache=cache).queries[0]
+            assert q["status"] == "answered" and q["guarantee_ok"], \
+                (gspec, exact, q.get("ratio"))
 
 
 # -- criterion 2: static at-least-k guarantee ------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densetrack.adversary import (RandomChurnAdversary, ScriptedAdversary,
                                   TargetedAdversary)
@@ -10,7 +11,7 @@ from densetrack.graph import Arcs, DynamicGraph, edge_key
 from densetrack.harness import run_scenario
 from densetrack.scenarios import (ScenarioConfig, adversary_from_spec,
                                   build_graph)
-from support import arcs_state
+from support import ReferenceChurn, arcs_state
 
 
 def small_graph():
@@ -109,11 +110,11 @@ def test_targeted_rate_two_never_repeats_an_edge(seed, tmp_path):
 
 @pytest.mark.parametrize("rate", [1, 3])
 def test_targeted_pools_kept_across_rounds_draw_as_rebuilt_ones(rate):
-    # the adversary keeps its sorted pool and core edges while the graph is
-    # the one its last batch left; a copy each round forces every rebuild,
+    # the adversary reads its pools from the graph's arcs, patched by each
+    # batch; on a fresh copy each round it reads them from arcs built anew,
     # and an edge inside the planted clique toggled outside the adversary
-    # every fifth round must make the kept ones rebuild too.  The graph's
-    # arcs, which the core refreshes read, must be those of the graph its
+    # every fifth round must show in both.  The graph's arcs, which the
+    # pools and the core refreshes read, must be those of the graph its
     # batches leave
     built = build_graph({"kind": "planted-dense", "n": 40, "clique": 20,
                          "noise_p": 0.1, "hub_star": True}, 3)
@@ -132,7 +133,54 @@ def test_targeted_pools_kept_across_rounds_draw_as_rebuilt_ones(rate):
             toggle = [("remove" if kept_g.has_edge(1, 2) else "add", 1, 2)]
             kept_g.apply_churn(toggle)
             copied_g.apply_churn(toggle)
-    assert kept._core_edges == copied._core_edges
+
+
+@st.composite
+def churn_cases(draw):
+    """A gnp or hub-star graph spec, the adversary (a random-churn mode or
+    a targeted refresh period), its rate, whether it protects the hub
+    edges, how often an outside edit lands and a seed."""
+    n = draw(st.integers(4, 40))
+    if draw(st.booleans()):
+        spec = {"kind": "gnp", "n": n, "p": draw(st.sampled_from([0.1, 0.5]))}
+    else:
+        spec = {"kind": "planted-dense", "n": n,
+                "clique": draw(st.integers(2, n)),
+                "noise_p": draw(st.sampled_from([0.05, 0.3])),
+                "hub_star": True}
+    return (spec, draw(st.sampled_from(["balanced", "uniform", 1, 2, 3])),
+            draw(st.integers(1, 4)), draw(st.booleans()),
+            draw(st.integers(2, 6)), draw(st.integers(0, 2 ** 16)))
+
+
+@given(churn_cases())
+@settings(max_examples=60, deadline=None)
+def test_churn_batches_equal_the_reference_twin(case):
+    # the twin rebuilds list pools from the sorted edges each round; the
+    # adversary reads code pools from the arcs, which outside edits patch too
+    spec, adversary, rate, protect, every, seed = case
+    built = build_graph(spec, seed)
+    g = built.graph
+    g.churn_rate = rate
+    protected = built.protected if protect else frozenset()
+    if isinstance(adversary, str):
+        adv = RandomChurnAdversary(rng=np.random.default_rng(seed), rate=rate,
+                                   mode=adversary, protected=protected)
+        twin = ReferenceChurn(np.random.default_rng(seed), rate, adversary,
+                              protected)
+    else:
+        adv = TargetedAdversary(rng=np.random.default_rng(seed), rate=rate,
+                                protected=protected, refresh_every=adversary)
+        twin = ReferenceChurn(np.random.default_rng(seed), rate,
+                              protected=protected, refresh_every=adversary)
+    outside = np.random.default_rng(seed + 1)
+    for r in range(60):
+        batch = adv.edits_for_round(g, r)
+        assert batch == twin.edits_for_round(g, r), r
+        g.apply_churn(batch)
+        if r % every == every - 1:
+            u, v = map(int, outside.choice(g.node_count, 2, replace=False))
+            g.apply_churn([("remove" if g.has_edge(u, v) else "add", u, v)])
 
 
 def test_spec_validation():

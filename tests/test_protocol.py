@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densetrack import harness
 from densetrack.graph import DynamicGraph, static_diameter
 from densetrack.harness import run_scenario
 from densetrack.netsim import World
@@ -12,6 +14,7 @@ from densetrack.oracle import peel_reference
 from densetrack.protocol import (LevelRecord, ProtocolNode, level_round_cost,
                                  padding_window, params_for, query_argmax,
                                  threshold_value)
+from densetrack.scenarios import build_graph
 
 
 def run_passes(g, epsilon, diameter, passes=1, exact=True, seed=0,
@@ -497,3 +500,61 @@ def test_exact_levels_do_not_depend_on_a_diameter_bound_above_the_truth(
             seen.append([{k: v for k, v in q.items() if k not in ROUND_FIELDS}
                          for q in report.queries])
     assert seen[1:] == seen[:1] * 2
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_exact_runs_are_equivariant_under_relabelling(seed):
+    # a hub-star graph and a churn script that never cuts a hub edge, once
+    # as built and once with every node u renamed perm[u]: exact counting
+    # and k = 0 queries read no node's RNG, so the runs differ only in the
+    # names of the answers' members
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 25))
+    built = build_graph({"kind": "planted-dense", "n": n,
+                         "clique": int(rng.integers(4, n // 2)),
+                         "noise_p": 0.15, "hub_star": True}, seed)
+    g, edges = built.graph.copy(), built.graph.edges()
+    g.churn_rate = 1
+    script = []
+    for r in sorted(rng.choice(60, 10, replace=False).tolist()):
+        u, v = sorted(map(int, rng.choice(np.arange(1, n), 2, replace=False)))
+        op = "remove" if g.has_edge(u, v) else "add"
+        g.apply_churn([(op, u, v)])
+        script.append({"round": r, "op": op, "u": u, "v": v})
+    perm = rng.permutation(n).tolist()
+    answers = []  # the members of each query of the run as built
+    score = harness._score_query
+
+    def spy(outs, *args):
+        answers.append(sorted(o.node_id for o in outs if o.in_answer))
+        return score(outs, *args)
+
+    reports = []
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() \
+            as mp:
+        for name in (lambda u: u, perm.__getitem__):
+            path = Path(out) / f"graph{len(reports)}.txt"
+            path.write_text("".join(f"{name(u)} {name(v)}\n"
+                                    for u, v in edges))
+            mp.setattr(harness, "_score_query", spy if not reports else score)
+            reports.append(run_scenario({
+                "seed": 1, "graph": {"kind": "edge-list", "path": str(path)},
+                "adversary": {"kind": "scripted", "rate": 1, "script": [
+                    {**e, "u": name(e["u"]), "v": name(e["v"])}
+                    for e in script]},
+                "protocol": {"epsilon": 0.5, "diameter": 2,
+                             "exact_counting": True},
+                "duration": {"passes": 3},
+                "queries": {"mode": "per-pass", "k": 0}, "report": {}}))
+    plain, renamed = reports
+    assert all(not q["padded"] for q in plain.queries)
+    assert (plain.rounds_run, plain.passes, plain.ledger) == (
+        renamed.rounds_run, renamed.passes, renamed.ledger)
+    assert len(answers) == len(plain.queries) == len(renamed.queries)
+    for members, q, r in zip(answers, plain.queries, renamed.queries):
+        mapped = ",".join(map(str, sorted(perm[u] for u in members)))
+        assert r["answer_hash"] == hashlib.sha256(
+            mapped.encode()).hexdigest()[:16]
+        assert ({k: v for k, v in q.items() if k != "answer_hash"}
+                == {k: v for k, v in r.items() if k != "answer_hash"})
